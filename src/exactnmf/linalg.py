@@ -1,14 +1,20 @@
 """Exact rational dense matrices and elimination-based linear algebra.
 
 Every entry is a ``fractions.Fraction``; there is no floating point
-anywhere.  Pivoting is deterministic (first nonzero), so ranks, solutions
-and column bases are reproducible byte for byte across runs.
+anywhere.  Inside, products and eliminations run on Python ints: each
+row or column is cleared to integer numerators over one common
+denominator, products are integer dot products, and rank and solve use
+fraction-free (Bareiss) elimination.  Pivoting is deterministic (first
+nonzero), so ranks, solutions and column bases are reproducible byte for
+byte across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError
@@ -141,11 +147,10 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.rows, other.cols)
-        zero = Fraction(0)
-        bt = tuple(zip(*other.data))
+        cols = [_clear(col) for col in zip(*other.data)]
         out = tuple(
-            tuple(sum((a * b for a, b in zip(arow, bcol)), zero) for bcol in bt)
-            for arow in self.data
+            tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
+            for a, da in map(_clear, self.data)
         )
         return Matrix._raw(out, self.rows, other.cols)
 
@@ -176,9 +181,28 @@ class Inconsistency:
     row: int
 
 
-def _eliminate(data, track_columns=False):
-    """Row-reduce a mutable list-of-lists in place.
+def _clear(line):
+    """Clear denominators: (integer numerators, common denominator) of a
+    sequence of Fractions."""
+    den = lcm(*[x.denominator for x in line])
+    return [x.numerator * (den // x.denominator) for x in line], den
 
+
+def _integer_rows(columns):
+    """Clear each column of denominators and return (integer rows, column
+    denominators).  Scaling columns keeps the zero pattern of every
+    elimination step, and entries of one column (one vertex, say) tend to
+    share denominators where entries of one row do not."""
+    nums, dens = zip(*map(_clear, columns))
+    return [list(row) for row in zip(*nums)], dens
+
+
+def _eliminate(data):
+    """Fraction-free (Bareiss) row reduction of integer rows, in place.
+
+    Each reduced row is a nonzero multiple of the row that rational
+    Gaussian elimination with the same first-nonzero pivots produces, so
+    pivot columns and row origins are the same; every division is exact.
     Returns (pivot_columns, row_origins) where row_origins maps the final
     row position to the original row index.
     """
@@ -187,25 +211,24 @@ def _eliminate(data, track_columns=False):
     origins = list(range(rows))
     pivot_cols = []
     r = 0
+    prev = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if data[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if data[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             data[r], data[pivot] = data[pivot], data[r]
             origins[r], origins[pivot] = origins[pivot], origins[r]
         pivot_cols.append(c)
-        lead = data[r][c]
+        row_r = data[r]
+        lead = row_r[c]
         for i in range(r + 1, rows):
-            if data[i][c] != 0:
-                f = data[i][c] / lead
-                row_i, row_r = data[i], data[r]
-                for j in range(c, cols):
-                    row_i[j] -= f * row_r[j]
+            row_i = data[i]
+            f = row_i[c]
+            row_i[c] = 0
+            for j in range(c + 1, cols):
+                row_i[j] = (lead * row_i[j] - f * row_r[j]) // prev
+        prev = lead
         r += 1
         if r == rows:
             break
@@ -213,10 +236,10 @@ def _eliminate(data, track_columns=False):
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by rational Gaussian elimination."""
+    """Exact rank by fraction-free Gaussian elimination."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    work = [list(row) for row in m.data]
+    work, _ = _integer_rows(zip(*m.data))
     pivot_cols, _ = _eliminate(work)
     return len(pivot_cols)
 
@@ -240,32 +263,33 @@ def solve(a: Matrix, b: Sequence[ScalarLike]):
     rhs = [as_scalar(x) for x in b]
     if len(rhs) != a.rows:
         raise DimensionError(f"matrix has {a.rows} rows but rhs has {len(rhs)}")
-    work = [list(row) + [rhs[i]] for i, row in enumerate(a.data)]
     if a.rows == 0:
         return [Fraction(0)] * a.cols
+    work, dens = _integer_rows([*zip(*a.data), rhs])
     pivot_cols, origins = _eliminate(work)
     n = a.cols
     # A pivot in the appended column means some equation reduced to 0 = c.
     if n in pivot_cols:
         bad = len(pivot_cols) - 1
         return Inconsistency(row=origins[bad])
-    solution = [Fraction(0)] * n
+    # work solves for y_j = x_j * dens[n] / dens[j].  The last pivot d is
+    # the determinant of the pivot minor, so by Cramer's rule d * y is an
+    # integer vector and each division is exact.
+    d = work[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
+    numer = [0] * n
     for r in range(len(pivot_cols) - 1, -1, -1):
         c = pivot_cols[r]
-        s = work[r][n]
         row = work[r]
-        for j in range(c + 1, n):
-            if row[j] != 0:
-                s -= row[j] * solution[j]
-        solution[c] = s / row[c]
-    return solution
+        s = d * row[n] - sum(map(mul, row[c + 1 : n], numer[c + 1 :]))
+        numer[c] = s // row[c]
+    return [Fraction(y * dj, d * dens[n]) for y, dj in zip(numer, dens)]
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Columns of ``m`` at its pivot positions: a basis of the column space."""
     if m.rows == 0 or m.cols == 0:
         return Matrix.zeros(m.rows, 0)
-    work = [list(row) for row in m.data]
+    work, _ = _integer_rows(zip(*m.data))
     pivot_cols, _ = _eliminate(work)
     if not pivot_cols:
         return Matrix.zeros(m.rows, 0)
@@ -277,20 +301,6 @@ def from_columns_or_empty(columns: Sequence[Sequence[ScalarLike]], rows: int) ->
     if not columns:
         return Matrix.zeros(rows, 0)
     return Matrix.from_columns(columns)
-
-
-def hstack(left: Matrix, right: Matrix) -> Matrix:
-    if left.rows != right.rows:
-        raise DimensionError("hstack needs equal row counts")
-    if left.cols == 0:
-        return right
-    if right.cols == 0:
-        return left
-    return Matrix._raw(
-        tuple(l + r for l, r in zip(left.data, right.data)),
-        left.rows,
-        left.cols + right.cols,
-    )
 
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:

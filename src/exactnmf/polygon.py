@@ -227,9 +227,7 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
         for i in range(n):
             cx, cy = ef.C.data[i]
             slack_value = cx * px + cy * py - ef.beta[i]
-            lifted = sum(
-                (ef.T.data[i][r] * lift[r] for r in range(ef.k)), Fraction(0)
-            )
+            lifted = product.data[i][t]
             if slack_value != lifted:
                 report.failures.append(
                     f"equality {i} fails at vertex {t}: "

@@ -53,8 +53,18 @@ def matrix_from_jsonable(obj) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError('matrix object needs an "entries" field')
     entries = obj["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise ParseError("matrix entries must be a non-empty list of rows")
+    if not isinstance(entries, list):
+        raise ParseError("matrix entries must be a list of rows")
+    if not entries:
+        rows, cols = obj.get("rows"), obj.get("cols")
+        if type(rows) is not int or rows != 0 or type(cols) is not int or cols < 0:
+            raise ParseError('empty matrix entries need "rows": 0 and an integer "cols"')
+        return Matrix.zeros(0, cols)
+    if not all(isinstance(row, list) for row in entries):
+        raise ParseError("every matrix row must be a list of entries")
+    widths = {len(row) for row in entries}
+    if len(widths) != 1:
+        raise ParseError(f"matrix rows have unequal lengths {sorted(widths)}")
     data = [[parse_scalar(x) for x in row] for row in entries]
     m = Matrix(data)
     for name, value in (("rows", m.rows), ("cols", m.cols)):

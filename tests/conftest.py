@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from exactnmf.canonical import CanonicalParams
 from exactnmf.linalg import Matrix
 from exactnmf.polygon import polygon_from_points, slack_matrix
+
+# Property tests draw the same examples on every run, however long they take.
+settings.register_profile("exactnmf", derandomize=True, deadline=None)
+settings.load_profile("exactnmf")
 
 # Reference heptagon: lattice vertices, counterclockwise, strictly convex.
 H7_VERTICES = [(0, 0), (3, 0), (5, 2), (5, 5), (3, 7), (1, 6), (0, 3)]

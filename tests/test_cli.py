@@ -76,6 +76,24 @@ class TestFactorCommand:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[1, 2], [["1", "2"], ["3"]], [["1"], "2"]],
+        ids=["flat", "ragged", "row-not-a-list"],
+    )
+    def test_malformed_entries_exit_two_without_traceback(self, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"entries": entries}))
+        result = subprocess.run(
+            [sys.executable, "-m", "exactnmf.cli",
+             "factor", "--input", str(path), "--output", str(tmp_path / "c.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "ParseError" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_file_exits_two(self, tmp_path):
         code = run(
             ["factor", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "c.json")]
@@ -141,6 +159,14 @@ class TestVerifyCommand:
         code = run(["verify", "--input", h7_polygon_file, "--cert", str(ef_path)])
         assert code == 1
         assert "negative" in capsys.readouterr().out
+
+    def test_zero_matrix_certificate_round_trips(self, tmp_path):
+        path = tmp_path / "zero.json"
+        save_text(str(path), dumps({"entries": [["0", "0"]] * 3}))
+        cert = str(tmp_path / "cert.json")
+        assert run(["factor", "--input", str(path), "--output", cert]) == 0
+        assert load_json(cert)["right"] == {"rows": 0, "cols": 2, "entries": []}
+        assert run(["verify", "--input", str(path), "--cert", cert]) == 0
 
     def test_unrecognized_certificate_exits_two(self, tmp_path, h7_matrix_file):
         path = tmp_path / "weird.json"

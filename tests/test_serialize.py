@@ -91,6 +91,18 @@ class TestMatrixFormats:
         with pytest.raises(ParseError):
             matrix_from_jsonable({"rows": 3, "cols": 2, "entries": [["1", "2"]]})
 
+    def test_empty_entries_need_declared_zero_rows(self):
+        empty = matrix_from_jsonable({"rows": 0, "cols": 3, "entries": []})
+        assert empty == Matrix.zeros(0, 3)
+        for obj in (
+            {"entries": []},
+            {"rows": 1, "cols": 3, "entries": []},
+            {"rows": 0, "cols": "3", "entries": []},
+            {"rows": 0, "cols": -1, "entries": []},
+        ):
+            with pytest.raises(ParseError):
+                matrix_from_jsonable(obj)
+
     def test_ragged_csv_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv("1,2\n3\n")
