@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DimensionError, NotAdmissible, TheoryViolation
-from .linalg import Matrix, as_scalar
+from .linalg import Matrix, as_scalar, clear_denominators, is_product
 
 SIZE = 7
 
@@ -76,10 +76,6 @@ class MonomialMatrix:
         self.scales = scales
 
     @classmethod
-    def identity(cls, n: int) -> "MonomialMatrix":
-        return cls(range(n))
-
-    @classmethod
     def diagonal(cls, scales) -> "MonomialMatrix":
         scales = tuple(scales)
         return cls(range(len(scales)), scales)
@@ -91,6 +87,27 @@ class MonomialMatrix:
             row[self.perm[i]] = self.scales[i]
             rows.append(row)
         return Matrix(rows)
+
+    def apply_left(self, m: Matrix) -> Matrix:
+        """``self.to_matrix() @ m``: row i is row perm[i] of m, scaled."""
+        if m.rows != self.size:
+            raise DimensionError(f"cannot multiply {(self.size, self.size)} by {m.shape}")
+        data = tuple(
+            tuple(s * x for x in m.data[p]) for p, s in zip(self.perm, self.scales)
+        )
+        return Matrix._raw(data, m.rows, m.cols)
+
+    def apply_right(self, m: Matrix) -> Matrix:
+        """``m @ self.to_matrix()``: column perm[i] is column i of m, scaled."""
+        if m.cols != self.size:
+            raise DimensionError(f"cannot multiply {m.shape} by {(self.size, self.size)}")
+        data = []
+        for row in m.data:
+            out = [None] * self.size
+            for p, s, x in zip(self.perm, self.scales, row):
+                out[p] = s * x
+            data.append(tuple(out))
+        return Matrix._raw(tuple(data), m.rows, m.cols)
 
     def inverse(self) -> "MonomialMatrix":
         inv_perm = [0] * self.size
@@ -147,20 +164,49 @@ def _cross3(s, t):
     )
 
 
+def _integer_base(params: CanonicalParams):
+    """Base points cleared to integers: (rows, row scales).
+
+    Each parameter row (a, 1, b) is multiplied by the lcm d of its
+    denominators; the fixed rows keep scale 1.  A determinant of three
+    cleared rows is the true one times the product of their positive
+    scales, so it has the same sign.
+    """
+    rows = [(0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+    scales = [1, 1, 1, 1]
+    for pair in ((params.a1, params.b1), (params.a2, params.b2), (params.a3, params.b3)):
+        (a, b), d = clear_denominators(pair)
+        rows.append((a, d, b))
+        scales.append(d)
+    return rows, scales
+
+
+def _integer_dets(params: CanonicalParams):
+    """Yield (i, j, det, scale) for every 1-based position of the canonical
+    matrix, column by column: det of the cleared base rows (i-1, j-2, j-1)
+    as an integer, and the product of their scales."""
+    w, d = _integer_base(params)
+    for j in range(1, SIZE + 1):
+        s, t = _rep7(j - 2) - 1, _rep7(j - 1) - 1
+        c = _cross3(w[s], w[t])
+        dc = d[s] * d[t]
+        for i in range(1, SIZE + 1):
+            k = _rep7(i - 1) - 1
+            r = w[k]
+            yield i, j, r[0] * c[0] + r[1] * c[1] + r[2] * c[2], d[k] * dc
+
+
 def canonical_matrix(params: CanonicalParams) -> Matrix:
     """The 7x7 matrix with entry (i, j) = det of base-point rows
     (i-1, j-2, j-1), indices cyclic mod 7.
 
-    Computed per column as a scalar triple product: the cross product of
-    rows j-2 and j-1 is shared by the whole column.
+    Computed per column as a scalar triple product on the cleared integer
+    base (the cross product of rows j-2 and j-1 is shared by the whole
+    column), then divided by the three row scales.
     """
-    w = base_points(params).data
     out = [[None] * SIZE for _ in range(SIZE)]
-    for j in range(1, SIZE + 1):
-        c = _cross3(w[_rep7(j - 2) - 1], w[_rep7(j - 1) - 1])
-        for i in range(1, SIZE + 1):
-            r = w[_rep7(i - 1) - 1]
-            out[i - 1][j - 1] = r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
+    for i, j, x, scale in _integer_dets(params):
+        out[i - 1][j - 1] = Fraction(x, scale)
     return Matrix(out)
 
 
@@ -172,18 +218,14 @@ def is_structural_zero(i: int, j: int) -> bool:
 
 def is_admissible(params: CanonicalParams) -> bool:
     """True iff every non-structural entry of the canonical matrix is
-    strictly positive.  Bails out at the first violation."""
-    w = base_points(params).data
-    for j in range(1, SIZE + 1):
-        c = _cross3(w[_rep7(j - 2) - 1], w[_rep7(j - 1) - 1])
-        for i in range(1, SIZE + 1):
-            r = w[_rep7(i - 1) - 1]
-            x = r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
-            if is_structural_zero(i, j):
-                if x != 0:
-                    return False
-            elif x <= 0:
+    strictly positive.  Bails out at the first violation.  Runs on the
+    cleared integer base, whose determinants carry the true signs."""
+    for i, j, x, _ in _integer_dets(params):
+        if is_structural_zero(i, j):
+            if x != 0:
                 return False
+        elif x <= 0:
+            return False
     return True
 
 
@@ -316,7 +358,7 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
     )
     if not (left.is_nonnegative() and right.is_nonnegative()):
         raise TheoryViolation(f"direct factor produced a negative entry for {params}")
-    if left @ right != vm:
+    if not is_product(left, right, vm):
         raise TheoryViolation(f"direct factor does not reproduce the matrix for {params}")
     return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
 
@@ -346,9 +388,9 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
                 left, right = cert.left, cert.right
                 # target == q1(0) @ ... @ q1(t-1) @ left @ right @ q2(t-1) @ ... @ q2(0)
                 for q1 in reversed(q1s):
-                    left = q1.to_matrix() @ left
+                    left = q1.apply_left(left)
                 for q2 in reversed(q2s):
-                    right = right @ q2.to_matrix()
+                    right = q2.apply_right(right)
                 return left, right, t
             current, q1, q2 = step(current)
             q1s.append(q1)
@@ -367,11 +409,13 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
                 f"{params}; this state is impossible for exact admissible input"
             )
         left, right, t = hit
-        left = row_perm.to_matrix() @ left
-        right = right @ col_perm.to_matrix()
+        left = row_perm.apply_left(left)
+        right = col_perm.apply_right(right)
         used_reversal = True
     else:
         left, right, t = hit
-    if left @ right != target or not (left.is_nonnegative() and right.is_nonnegative()):
+    if not is_product(left, right, target) or not (
+        left.is_nonnegative() and right.is_nonnegative()
+    ):
         raise TheoryViolation(f"assembled certificate failed verification for {params}")
     return Rank6Certificate(left, right, steps_taken=t, used_reversal=used_reversal)

@@ -15,7 +15,7 @@ from typing import Tuple
 from . import canonical
 from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate
 from .errors import ConsistencyError, DimensionError, PatternError, RankError, TheoryViolation
-from .linalg import Matrix, rank
+from .linalg import Matrix, is_product, rank
 
 SIZE = 7
 
@@ -225,14 +225,14 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
     cert = canonical.factor_canonical(reduction.params)
 
     # relabeled == row_scale^-1 @ left @ right @ diag(c) @ col_scale^-1
-    row_inv = reduction.row_scale.inverse().to_matrix()
-    col_inv = reduction.col_scale.inverse().to_matrix()
-    diag_c = MonomialMatrix.diagonal(reduction.col_constants).to_matrix()
-    left = row_inv @ cert.left
-    right = cert.right @ diag_c @ col_inv
+    diag_c = MonomialMatrix.diagonal(reduction.col_constants)
+    left = reduction.row_scale.inverse().apply_left(cert.left)
+    right = reduction.col_scale.inverse().apply_right(diag_c.apply_right(cert.right))
 
     left = labeling.undo_left(left)
     right = labeling.undo_right(right)
-    if left @ right != m or not (left.is_nonnegative() and right.is_nonnegative()):
+    if not is_product(left, right, m) or not (
+        left.is_nonnegative() and right.is_nonnegative()
+    ):
         raise TheoryViolation("cyclic factorization failed its final verification")
     return Rank6Certificate(left, right, cert.steps_taken, cert.used_reversal)

@@ -4,9 +4,11 @@ Every entry is a ``fractions.Fraction``; there is no floating point
 anywhere.  Inside, products and eliminations run on Python ints: each
 row or column is cleared to integer numerators over one common
 denominator, products are integer dot products, and rank and solve use
-fraction-free (Bareiss) elimination.  Pivoting is deterministic (first
-nonzero), so ranks, solutions and column bases are reproducible byte for
-byte across runs.
+fraction-free (Bareiss) elimination.  :func:`is_product` checks
+``left @ right == target`` by cross-multiplying against the target's
+numerators and denominators, so it never builds a Fraction.  Pivoting is
+deterministic (first nonzero), so ranks, solutions and column bases are
+reproducible byte for byte across runs.
 """
 
 from __future__ import annotations
@@ -147,21 +149,22 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.rows, other.cols)
-        cols = [_clear(col) for col in zip(*other.data)]
+        cols = [clear_denominators(col) for col in zip(*other.data)]
         out = tuple(
             tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-            for a, da in map(_clear, self.data)
+            for a, da in map(clear_denominators, self.data)
         )
         return Matrix._raw(out, self.rows, other.cols)
 
+    # Entries are normalized Fractions, so an entry's sign is its numerator's.
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self.data for x in row)
+        return all(x.numerator >= 0 for row in self.data for x in row)
 
     def first_negative_entry(self):
         """Return ((i, j), value) of the first negative entry, or None."""
         for i, row in enumerate(self.data):
             for j, x in enumerate(row):
-                if x < 0:
+                if x.numerator < 0:
                     return (i, j), x
         return None
 
@@ -181,11 +184,33 @@ class Inconsistency:
     row: int
 
 
-def _clear(line):
-    """Clear denominators: (integer numerators, common denominator) of a
-    sequence of Fractions."""
+def clear_denominators(line):
+    """Clear denominators: (integer numerators, positive common
+    denominator) of a sequence of Fractions.  The numerators are the
+    entries times that denominator, so they keep every entry's sign."""
     den = lcm(*[x.denominator for x in line])
     return [x.numerator * (den // x.denominator) for x in line], den
+
+
+def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
+    """Exactly ``left @ right == target``, without building a Fraction.
+
+    Each left row and right column is cleared once, as in ``@``; entry
+    (i, j) then holds when ``dot * t.denominator == t.numerator * da * db``.
+    Mismatched shapes give False; an inner dimension of 0 compares the
+    target against zeros.
+    """
+    if left.cols != right.rows or target.shape != (left.rows, right.cols):
+        return False
+    if left.cols == 0:
+        return not any(x for row in target.data for x in row)
+    cols = [clear_denominators(col) for col in zip(*right.data)]
+    for a_row, t_row in zip(left.data, target.data):
+        a, da = clear_denominators(a_row)
+        for (b, db), t in zip(cols, t_row):
+            if sum(map(mul, a, b)) * t.denominator != t.numerator * da * db:
+                return False
+    return True
 
 
 def _integer_rows(columns):
@@ -193,7 +218,7 @@ def _integer_rows(columns):
     denominators).  Scaling columns keeps the zero pattern of every
     elimination step, and entries of one column (one vertex, say) tend to
     share denominators where entries of one row do not."""
-    nums, dens = zip(*map(_clear, columns))
+    nums, dens = zip(*map(clear_denominators, columns))
     return [list(row) for row in zip(*nums)], dens
 
 

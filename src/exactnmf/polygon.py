@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     NotConvex,
 )
-from .linalg import Matrix, rank
+from .linalg import Matrix, is_product, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]
@@ -200,8 +200,12 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
         )
         return report
 
-    product = ef.T @ ef.lifts
-    if product != slack:
+    # When the product check passes, T @ lifts is the slack matrix itself,
+    # so the per-vertex loop below reads it from there.
+    if is_product(ef.T, ef.lifts, slack):
+        product = slack
+    else:
+        product = ef.T @ ef.lifts
         for i in range(n):
             for t in range(n):
                 if product.data[i][t] != slack.data[i][t]:

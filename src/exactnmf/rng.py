@@ -41,7 +41,3 @@ class SplitMix64:
     def fraction(self, denominator: int = 4096) -> Fraction:
         """Random rational k/denominator with 0 <= k < denominator."""
         return Fraction(self.below(denominator), denominator)
-
-    def spawn(self) -> "SplitMix64":
-        """Child generator seeded from this stream."""
-        return SplitMix64(self.next_u64())

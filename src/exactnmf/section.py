@@ -24,7 +24,15 @@ from .errors import (
     RankError,
     TangencyError,
 )
-from .linalg import Inconsistency, Matrix, from_columns_or_empty, rank, solve
+from .linalg import (
+    Inconsistency,
+    Matrix,
+    clear_denominators,
+    from_columns_or_empty,
+    is_product,
+    rank,
+    solve,
+)
 
 SIZE = 7
 
@@ -50,13 +58,6 @@ class SectionPolygon:
     @property
     def k(self) -> int:
         return len(self.vertices)
-
-    def to_ambient(self, chart_point) -> Tuple[Fraction, ...]:
-        x, y = chart_point
-        return tuple(
-            o + x * u + y * v
-            for o, u, v in zip(self.chart_origin, self.chart_u, self.chart_v)
-        )
 
 
 def normalize_columns(a: Matrix):
@@ -113,6 +114,36 @@ def _proportional_groups(a: Matrix):
         if not duplicate:
             reps.append(i)
     return reps
+
+
+def _extreme_points(lines):
+    """Chart points where two constraint lines meet and every constraint
+    u*x + v*y + o >= 0 holds, in discovery order and without repeats.
+
+    Each line (u, v, o) is scaled to integers by the positive lcm of its
+    denominators: the same line and the same half-plane.  Lines s and t
+    meet at (xn, yn) / det by Cramer's rule; with det made positive, a
+    constraint holds there iff o*det + u*xn + v*yn >= 0, so only the kept
+    points are built as Fractions.
+    """
+    lines = [clear_denominators(line)[0] for line in lines]
+    candidates = []
+    for s in range(len(lines)):
+        u1, v1, o1 = lines[s]
+        for t in range(s + 1, len(lines)):
+            u2, v2, o2 = lines[t]
+            det = u1 * v2 - u2 * v1
+            if det == 0:
+                continue
+            xn = o2 * v1 - o1 * v2
+            yn = u2 * o1 - u1 * o2
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            if all(o * det + u * xn + v * yn >= 0 for (u, v, o) in lines):
+                point = (Fraction(xn, det), Fraction(yn, det))
+                if point not in candidates:
+                    candidates.append(point)
+    return candidates
 
 
 def _angular_ccw_sort(points):
@@ -177,22 +208,7 @@ def section_polygon(a: Matrix) -> SectionPolygon:
 
     # Constraint i: origin[i] + x*axis_u[i] + y*axis_v[i] >= 0.
     reps = _proportional_groups(a)
-    lines = [(axis_u[i], axis_v[i], origin[i]) for i in reps]
-
-    candidates = []
-    for s in range(len(lines)):
-        u1, v1, o1 = lines[s]
-        for t in range(s + 1, len(lines)):
-            u2, v2, o2 = lines[t]
-            det = u1 * v2 - u2 * v1
-            if det == 0:
-                continue
-            x = (-o1 * v2 + o2 * v1) / det
-            y = (-u1 * o2 + u2 * o1) / det
-            if all(o + x * u + y * v >= 0 for (u, v, o) in lines):
-                point = (x, y)
-                if point not in candidates:
-                    candidates.append(point)
+    candidates = _extreme_points([(axis_u[i], axis_v[i], origin[i]) for i in reps])
 
     if len(candidates) < 3:
         raise DegenerateSection(
@@ -254,6 +270,15 @@ def _orient(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
+def _integer_points(points):
+    """Chart points with every x cleared to one common denominator and
+    every y to another.  Scaling x and y by positive numbers keeps the
+    sign of every ``_orient``."""
+    xs, _ = clear_denominators([p[0] for p in points])
+    ys, _ = clear_denominators([p[1] for p in points])
+    return list(zip(xs, ys))
+
+
 def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction, ...]:
     """Express an ambient point of the polygon as an exact convex
     combination of its vertices (at most three nonzero coefficients,
@@ -269,18 +294,16 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
 
     verts = [v.chart for v in poly.vertices]
     k = len(verts)
+    *cleared, q = _integer_points(verts + [(px, py)])
     for t in range(1, k - 1):
-        a, b, c = verts[0], verts[t], verts[t + 1]
-        if (
-            _orient(a, b, (px, py)) >= 0
-            and _orient(b, c, (px, py)) >= 0
-            and _orient(c, a, (px, py)) >= 0
-        ):
+        support = (0, t, t + 1)
+        a, b, c = (cleared[s] for s in support)
+        if _orient(a, b, q) >= 0 and _orient(b, c, q) >= 0 and _orient(c, a, q) >= 0:
             system = Matrix(
                 [
                     (Fraction(1), Fraction(1), Fraction(1)),
-                    (a[0], b[0], c[0]),
-                    (a[1], b[1], c[1]),
+                    tuple(verts[s][0] for s in support),
+                    tuple(verts[s][1] for s in support),
                 ]
             )
             bary = solve(system, [Fraction(1), px, py])
@@ -289,10 +312,11 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
             if any(x < 0 for x in bary):
                 raise InternalError("negative barycentric coordinate inside a triangle")
             coeffs = [Fraction(0)] * k
-            for idx, lam in zip((0, t, t + 1), bary):
+            for idx, lam in zip(support, bary):
                 coeffs[idx] += lam
+            # The other k - 3 coefficients are zero and add exactly 0.
             reproduced = tuple(
-                sum((coeffs[s] * poly.vertices[s].ambient[i] for s in range(k)), Fraction(0))
+                sum((coeffs[s] * poly.vertices[s].ambient[i] for s in support), Fraction(0))
                 for i in range(len(target))
             )
             if reproduced != target:
@@ -334,7 +358,7 @@ def factor_seven_by_n(a: Matrix):
             "search_steps": cert.steps_taken,
             "mirrored": cert.used_reversal,
         }
-    if left @ right != a:
+    if not is_product(left, right, a):
         raise InternalError("seven-row factorization failed to reproduce the input")
     return left, right, info
 
@@ -401,7 +425,7 @@ def factor_low_rank(a: Matrix):
         weight_cols.append((mu * sums[j], (1 - mu) * sums[j]))
     right = _reinsert_zero_columns(Matrix.from_columns(weight_cols), zero_cols, a.cols)
     left = Matrix.from_columns([end_low, end_high])
-    if left @ right != a:
+    if not is_product(left, right, a):
         raise InternalError("rank-2 factorization failed to reproduce the input")
     return left, right, {"method": "segment", "inner_dim": 2}
 

@@ -3,7 +3,9 @@
 Rationals travel as strings "p/q" in canonical form ("/q" omitted when
 the denominator is 1).  Decimal literals in input files are parsed
 exactly (a finite decimal becomes the rational it denotes), so reading
-back a written file always reproduces the original values.
+back a written file always reproduces the original values.  A numeric
+token may ask for at most ``MAX_DIGITS`` decimal digits, its digits plus
+its exponent, so a short file cannot request a huge integer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,31 @@ from .driver import Factorization
 from .errors import ParseError
 from .linalg import Matrix
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
+
+
+# CPython's default limit on int <-> str conversion.  A token within it
+# builds integers of at most this many digits.
+MAX_DIGITS = 4300
+
+
+def _check_token_size(text: str) -> str:
+    """Return ``text``, or raise ParseError when the numeric token would
+    need more than MAX_DIGITS digits: its digit count plus the size of its
+    exponent (``1e-5`` has 1 + 5).  Nothing is converted before the check."""
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return text  # no exponent, and no more digits than characters
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(c.isdecimal() for c in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal():
+        # Past six digits the exponent alone is over the limit, so its
+        # first six digits decide without converting the rest.
+        size += int(exponent[:6])
+    if size > MAX_DIGITS:
+        raise ParseError(
+            f"numeric token {text[:30]!r} asks for more than {MAX_DIGITS} digits"
+        )
+    return text
 
 
 def format_scalar(x: Fraction) -> str:
@@ -35,8 +62,9 @@ def parse_scalar(token) -> Fraction:
     if isinstance(token, float):
         # floats only appear when a caller bypassed exact JSON loading
         raise ParseError(f"refusing inexact float {token!r}; write it as a string")
+    text = _check_token_size(str(token).strip())
     try:
-        return Fraction(str(token).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse {token!r} as a rational: {exc}") from None
 
@@ -102,12 +130,14 @@ def polygon_to_jsonable(poly: Polygon) -> dict:
 def polygon_from_jsonable(obj) -> Polygon:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError('polygon object needs a "vertices" field')
+    vertices = obj["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        raise ParseError('polygon "vertices" must be a list of [x, y] pairs')
     points = []
-    for entry in obj["vertices"]:
-        pair = list(entry)
-        if len(pair) != 2:
+    for entry in vertices:
+        if len(entry) != 2:
             raise ParseError(f"vertex {entry!r} is not a coordinate pair")
-        points.append((parse_scalar(pair[0]), parse_scalar(pair[1])))
+        points.append((parse_scalar(entry[0]), parse_scalar(entry[1])))
     return polygon_from_points(points)
 
 
@@ -166,10 +196,15 @@ def dumps(obj) -> str:
 
 
 def load_json(path: str):
-    """Load a JSON file with floats parsed exactly as decimals."""
+    """Load a JSON file with floats parsed exactly as decimals.  Number
+    literals over MAX_DIGITS digits raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=lambda s: Fraction(s))
+            return json.load(
+                handle,
+                parse_float=lambda s: Fraction(_check_token_size(s)),
+                parse_int=lambda s: int(_check_token_size(s)),
+            )
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -177,15 +212,21 @@ def load_json(path: str):
 
 
 def load_matrix_file(path: str, fmt: str = "auto") -> Matrix:
+    """Read an input matrix.  Unlike a certificate factor, an input with
+    rows but no columns is refused."""
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "json"
     if fmt == "csv":
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return matrix_from_csv(handle.read())
+                m = matrix_from_csv(handle.read())
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from None
-    return matrix_from_jsonable(load_json(path))
+    else:
+        m = matrix_from_jsonable(load_json(path))
+    if m.rows and not m.cols:
+        raise ParseError(f"{path}: matrix has rows but no columns")
+    return m
 
 
 def save_text(path: str, text: str) -> None:

@@ -4,6 +4,8 @@ orbit, and the explicit inner-dimension-6 factorizations."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactnmf import canonical
 from exactnmf.canonical import (
@@ -19,12 +21,13 @@ from exactnmf.canonical import (
     reversal,
     step,
 )
-from exactnmf.errors import NotAdmissible
+from exactnmf.errors import DimensionError, NotAdmissible
 from exactnmf.generate import random_admissible_params
 from exactnmf.linalg import Matrix
 from exactnmf.rng import SplitMix64
 
 from test_linalg import leibniz_det3
+from test_linalg_kernel import matrices, sides
 
 
 def params_of(*values):
@@ -322,3 +325,94 @@ class TestMonomialMatrix:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             MonomialMatrix((0, 0, 1))
+
+
+# -- the integer paths against the Fraction code they replaced --------------
+
+
+def fraction_canonical_matrix(params):
+    """``canonical_matrix`` as it was on Fraction base points, verbatim."""
+    w = base_points(params).data
+    out = [[None] * canonical.SIZE for _ in range(canonical.SIZE)]
+    for j in range(1, canonical.SIZE + 1):
+        c = canonical._cross3(w[canonical._rep7(j - 2) - 1], w[canonical._rep7(j - 1) - 1])
+        for i in range(1, canonical.SIZE + 1):
+            r = w[canonical._rep7(i - 1) - 1]
+            out[i - 1][j - 1] = r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
+    return Matrix(out)
+
+
+def fraction_is_admissible(params):
+    """``is_admissible`` as it was on Fraction base points, verbatim."""
+    w = base_points(params).data
+    for j in range(1, canonical.SIZE + 1):
+        c = canonical._cross3(w[canonical._rep7(j - 2) - 1], w[canonical._rep7(j - 1) - 1])
+        for i in range(1, canonical.SIZE + 1):
+            r = w[canonical._rep7(i - 1) - 1]
+            x = r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
+            if canonical.is_structural_zero(i, j):
+                if x != 0:
+                    return False
+            elif x <= 0:
+                return False
+    return True
+
+
+tiny = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(10**6, 10**30))
+wild = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+
+@st.composite
+def parameter_tuples(draw):
+    """Tuples with 1 > a1 > a2 > a3 > 0 and 0 < b1 < b2 < b3 < 1 (often
+    admissible), then moved: every parameter by a tiny large-denominator
+    offset, or one parameter replaced by any rational, copied onto
+    another, or set to 0 or 1 (which puts canonical entries exactly on
+    zero).  Drawn without calling ``is_admissible``."""
+    units = st.lists(
+        st.integers(1, 4095).map(lambda k: Fraction(k, 4096)), min_size=3, max_size=3, unique=True
+    )
+    a3, a2, a1 = sorted(draw(units))
+    b1, b2, b3 = sorted(draw(units))
+    values = [a1, a2, a3, b1, b2, b3]
+    move = draw(st.sampled_from(["none", "tiny", "wild", "copy", "zero", "one"]))
+    i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if move == "tiny":
+        values = [x + draw(tiny) for x in values]
+    elif move == "wild":
+        values[i] = draw(wild)
+    elif move == "copy":
+        values[j] = values[i]
+    elif move != "none":
+        values[i] = Fraction(move == "one")
+    return CanonicalParams(*values)
+
+
+@settings(max_examples=400)
+@given(parameter_tuples())
+def test_integer_canonical_matches_fraction_code(p):
+    assert is_admissible(p) == fraction_is_admissible(p)
+    assert canonical_matrix(p) == fraction_canonical_matrix(p)
+
+
+@st.composite
+def monomials(draw, size):
+    scales = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30))
+    perm = draw(st.permutations(range(size)))
+    return MonomialMatrix(perm, [draw(scales) for _ in range(size)])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_matches_dense_product(data):
+    n = data.draw(st.integers(1, 8))
+    q = data.draw(monomials(n))
+    m = data.draw(matrices(rows=st.just(n)))
+    assert q.apply_left(m) == q.to_matrix() @ m
+    m = data.draw(matrices(cols=st.just(n)))
+    assert q.apply_right(m) == m @ q.to_matrix()
+    m = data.draw(matrices(rows=sides.filter(lambda r: r != n)))
+    with pytest.raises(DimensionError):
+        q.apply_left(m)
+    with pytest.raises(DimensionError):
+        q.apply_right(m.transpose())

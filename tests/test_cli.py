@@ -1,8 +1,10 @@
 """Command-line surface: the four commands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,14 @@ from exactnmf.serialize import (
 )
 
 from conftest import H7_VERTICES
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env(**extra):
+    """Environment for a CLI subprocess that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture()
@@ -77,18 +87,28 @@ class TestFactorCommand:
         assert "ParseError" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "entries",
-        [[1, 2], [["1", "2"], ["3"]], [["1"], "2"]],
-        ids=["flat", "ragged", "row-not-a-list"],
+        "command,document",
+        [
+            ("factor", {"entries": [1, 2]}),
+            ("factor", {"entries": [["1", "2"], ["3"]]}),
+            ("factor", {"entries": [["1"], "2"]}),
+            ("factor", {"entries": [[]]}),
+            ("factor", {"entries": [["1e4300"]]}),
+            ("extend", {"vertices": [0, 1]}),
+        ],
+        ids=["flat", "ragged", "row-not-a-list", "no-columns", "huge-exponent",
+             "vertices-not-pairs"],
     )
-    def test_malformed_entries_exit_two_without_traceback(self, tmp_path, entries):
+    def test_malformed_entries_exit_two_without_traceback(self, tmp_path, command, document):
+        """A malformed matrix or polygon file is a parse error, not a crash."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"entries": entries}))
+        path.write_text(json.dumps(document))
         result = subprocess.run(
             [sys.executable, "-m", "exactnmf.cli",
-             "factor", "--input", str(path), "--output", str(tmp_path / "c.json")],
+             command, "--input", str(path), "--output", str(tmp_path / "c.json")],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert result.returncode == 2
         assert "ParseError" in result.stderr
@@ -202,6 +222,7 @@ class TestEntryPoint:
              "factor", "--input", str(path), "--output", str(out)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert result.returncode == 0, result.stderr
         assert out.exists()
@@ -211,9 +232,7 @@ class TestEntryPoint:
         path = tmp_path / "m.json"
         save_text(str(path), dumps(matrix_to_jsonable(h7_slack)))
         out = tmp_path / "cert.json"
-        import os
-
-        env = dict(os.environ, NNF_LOG=level)
+        env = cli_env(NNF_LOG=level)
         result = subprocess.run(
             [sys.executable, "-m", "exactnmf.cli",
              "factor", "--input", str(path), "--output", str(out)],

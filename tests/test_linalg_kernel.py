@@ -12,7 +12,14 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exactnmf.linalg import Inconsistency, Matrix, column_space_basis, rank, solve
+from exactnmf.linalg import (
+    Inconsistency,
+    Matrix,
+    column_space_basis,
+    is_product,
+    rank,
+    solve,
+)
 
 # -- oracle: the Fraction implementation, kept verbatim ---------------------
 
@@ -138,6 +145,21 @@ def products(draw, rows=sides, cols=sides, inner=st.integers(0, 3)):
     return oracle_matmul(w, h)
 
 
+nonzero = st.builds(
+    Fraction,
+    st.integers(1, 10**30).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.integers(1, 10**12),
+)
+
+
+def perturbed(draw, m):
+    """``m`` with one entry changed by a nonzero amount."""
+    i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+    rows = [list(row) for row in m.data]
+    rows[i][j] += draw(nonzero)
+    return Matrix(rows)
+
+
 def vector(draw, size):
     return [draw(scalars) for _ in range(size)]
 
@@ -196,3 +218,26 @@ def test_free_variables_match_oracle(data):
     b = [sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a.data]
     got = check_solve(a, b)
     assert oracle_matmul(a, Matrix.from_columns([got])).column(0) == tuple(b)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_is_product_matches_oracle(data):
+    a = data.draw(st.one_of(matrices(), products()))
+    b = data.draw(matrices(rows=st.one_of(st.just(a.cols), sides)))
+    if a.cols != b.rows:
+        # ``@`` refuses these shapes; no target is their product.
+        assert not is_product(a, b, data.draw(matrices()))
+        return
+    product = oracle_matmul(a, b)
+    kind = data.draw(st.sampled_from(["exact", "perturbed", "same-shape", "any-shape"]))
+    if kind == "exact":
+        target = product
+    elif kind == "perturbed" and product.rows and product.cols:
+        target = perturbed(data.draw, product)
+        assert not is_product(a, b, target)
+    elif kind == "same-shape":
+        target = data.draw(matrices(rows=st.just(a.rows), cols=st.just(b.cols)))
+    else:
+        target = data.draw(matrices())
+    assert is_product(a, b, target) == (product == target)

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactnmf import section
 from exactnmf.errors import DimensionError, OutsidePolygon, RankError
 from exactnmf.generate import (
     random_convex_polygon,
@@ -247,3 +250,98 @@ class TestFactorLowRank:
     def test_rank_three_rejected(self, h7_slack):
         with pytest.raises(RankError):
             factor_low_rank(h7_slack)
+
+
+# -- the integer candidate loop against the Fraction loop it replaced -------
+
+
+def fraction_extreme_points(lines):
+    """The candidate loop of ``section_polygon`` as it was on Fraction
+    lines (u, v, o), verbatim."""
+    candidates = []
+    for s in range(len(lines)):
+        u1, v1, o1 = lines[s]
+        for t in range(s + 1, len(lines)):
+            u2, v2, o2 = lines[t]
+            det = u1 * v2 - u2 * v1
+            if det == 0:
+                continue
+            x = (-o1 * v2 + o2 * v1) / det
+            y = (-u1 * o2 + u2 * o1) / det
+            if all(o + x * u + y * v >= 0 for (u, v, o) in lines):
+                point = (x, y)
+                if point not in candidates:
+                    candidates.append(point)
+    return candidates
+
+
+coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+positive = st.builds(Fraction, st.integers(1, 10**20), st.integers(1, 10**20))
+
+
+@st.composite
+def constraint_lines(draw):
+    """2..8 lines u*x + v*y + o >= 0: free ones, ones through a shared
+    point (so several meet at one candidate), and signed multiples of
+    earlier ones (parallel, or the same line)."""
+    x0, y0 = draw(coordinates), draw(coordinates)
+    lines = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(["free", "through", "multiple"]))
+        u, v, o = draw(coordinates), draw(coordinates), draw(coordinates)
+        if kind == "through":
+            o = -(u * x0 + v * y0)
+        elif kind == "multiple" and lines:
+            lam = draw(positive) * draw(st.sampled_from([1, -1]))
+            u, v, o = (lam * c for c in draw(st.sampled_from(lines)))
+        lines.append((u, v, o))
+    return lines
+
+
+@settings(max_examples=400)
+@given(constraint_lines())
+def test_extreme_points_match_fraction_loop(lines):
+    assert section._extreme_points(lines) == fraction_extreme_points(lines)
+
+
+@st.composite
+def seven_row_sections(draw):
+    """7 x k nonnegative rank-3 matrices whose section is a k-gon: the
+    slack rows of a random k-gon plus redundant rows that are zero,
+    positive multiples of a facet row, or positive combinations of two
+    facet rows (of adjacent facets, such a line passes through a vertex)."""
+    k = draw(st.integers(3, 7))
+    slack = slack_matrix(random_convex_polygon(SplitMix64(draw(st.integers(0, 2**32))), k))
+    facets = slack.matrix.data
+    rows = list(facets)
+    while len(rows) < 7:
+        kind = draw(st.sampled_from(["zero", "multiple", "adjacent", "any-two"]))
+        i = draw(st.integers(0, k - 1))
+        j = (i + 1) % k if kind == "adjacent" else draw(st.integers(0, k - 1))
+        lam, mu = draw(positive), draw(positive)
+        if kind == "zero":
+            row = (Fraction(0),) * k
+        elif kind == "multiple":
+            row = tuple(lam * x for x in facets[i])
+        else:
+            row = tuple(lam * x + mu * y for x, y in zip(facets[i], facets[j]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return Matrix(rows), k
+
+
+@settings(max_examples=100)
+@given(seven_row_sections())
+def test_section_vertices_match_fraction_loop(case):
+    a, k = case
+    poly = section_polygon(a)
+    lines = [
+        (poly.chart_u[i], poly.chart_v[i], poly.chart_origin[i])
+        for i in section._proportional_groups(a)
+    ]
+    expected = section._angular_ccw_sort(fraction_extreme_points(lines))
+    assert [v.chart for v in poly.vertices] == expected
+    assert poly.k == k

@@ -12,6 +12,7 @@ from exactnmf.linalg import Matrix
 from exactnmf.polygon import build_extension
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
+    MAX_DIGITS,
     certificate_from_jsonable,
     certificate_to_jsonable,
     dumps,
@@ -66,6 +67,24 @@ class TestScalars:
         with pytest.raises(ParseError):
             parse_scalar(0.1)
 
+    def test_token_size_limit(self):
+        # digits plus exponent: 1 + 4299 is at the limit, 1 + 4300 past it
+        assert MAX_DIGITS == 4300
+        assert parse_scalar("1e4299") == 10**4299
+        assert parse_scalar("1e-4299") == Fraction(1, 10**4299)
+        for token in ("1e4300", "1E4300", "1e-4300", "1.5e4299", "1" * 4301, "1/" + "1" * 4300):
+            with pytest.raises(ParseError, match="4300 digits"):
+                parse_scalar(token)
+
+    def test_json_number_literals_bounded(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [[1e4299]]}')
+        assert load_json(str(path))["entries"][0][0] == 10**4299
+        for literal in ("1e4300", "1.5e4299", "1" * 4301):
+            path.write_text('{"entries": [[%s]]}' % literal)
+            with pytest.raises(ParseError, match="4300 digits"):
+                load_json(str(path))
+
     def test_round_trip_random(self):
         rng = SplitMix64(81)
         for _ in range(200):
@@ -103,6 +122,22 @@ class TestMatrixFormats:
             with pytest.raises(ParseError):
                 matrix_from_jsonable(obj)
 
+    def test_input_without_columns_refused(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [[]]}')
+        with pytest.raises(ParseError, match="no columns"):
+            load_matrix_file(str(path))
+        # A certificate's left factor of inner dimension 0 is written the same way.
+        cert = certificate_from_jsonable(
+            {
+                "left": {"rows": 2, "cols": 0, "entries": [[], []]},
+                "right": {"rows": 0, "cols": 3, "entries": []},
+                "inner_dim": 0,
+                "bound": 2,
+            }
+        )
+        assert cert.left == Matrix.zeros(2, 0) and cert.right == Matrix.zeros(0, 3)
+
     def test_ragged_csv_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv("1,2\n3\n")
@@ -137,6 +172,13 @@ class TestPolygonFormat:
     def test_missing_field(self):
         with pytest.raises(ParseError):
             polygon_from_jsonable({"points": []})
+
+    @pytest.mark.parametrize(
+        "vertices", [[0, 1], "0011", [["0", "0"], "11"], [["0", "0", "0"]]]
+    )
+    def test_vertices_must_be_coordinate_pairs(self, vertices):
+        with pytest.raises(ParseError):
+            polygon_from_jsonable({"vertices": vertices})
 
 
 class TestCertificateFormat:
