@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     NotConvex,
 )
-from .linalg import Matrix, is_product, rank
+from .linalg import Matrix, clear_denominators, is_product, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]
@@ -101,9 +101,10 @@ def polygon_from_points(points: Sequence) -> Polygon:
     )
     poly = Polygon(tuple(vertices), facets)
     # Excludes self-wrapping walks (all turns equal-signed but not simple).
-    for i in range(n):
-        for t in range(n):
-            value = poly.facet_value(i, vertices[t])
+    # Denominators are positive, so a slack value's sign is its numerator's.
+    numerators, _, _ = _slack_table(poly)
+    for i, row in enumerate(numerators):
+        for t, value in enumerate(row):
             incident = t == i or t == (i + 1) % n
             if incident and value != 0:
                 raise InternalError(f"vertex {t} misses its own facet {i}")
@@ -113,6 +114,22 @@ def polygon_from_points(points: Sequence) -> Polygon:
                     "the walk is not a simple convex boundary"
                 )
     return poly
+
+
+def _slack_table(poly: Polygon):
+    """Slack values c_i(p_t) - beta_i as integers over denominators.
+
+    Cleared of denominators, vertex t is (X_t, Y_t) / d_t and facet i is
+    (A_i, B_i, C_i) / D_i, so entry (i, t) is
+    (A_i X_t + B_i Y_t - C_i d_t) / (D_i d_t): integer products in place
+    of four Fraction operations per value.
+    Returns (numerators, row_dens, col_dens)."""
+    points = [(x, y, d) for (x, y), d in map(clear_denominators, poly.vertices)]
+    numerators, row_dens = [], []
+    for (a, b, c), den in map(clear_denominators, poly.facets):
+        numerators.append([a * x + b * y - c * d for x, y, d in points])
+        row_dens.append(den)
+    return numerators, row_dens, [d for _, _, d in points]
 
 
 @dataclass(frozen=True)
@@ -130,14 +147,20 @@ def slack_matrix(poly: Polygon) -> SlackMatrix:
     facet i (t = i or i+1), positive otherwise, and the matrix has rank 3.
     """
     n = poly.n
-    s = Matrix(
-        [[poly.facet_value(i, poly.vertices[t]) for t in range(n)] for i in range(n)]
-    )
-    for i in range(n):
-        for t in range(n):
+    numerators, row_dens, col_dens = _slack_table(poly)
+    for i, row in enumerate(numerators):
+        for t, value in enumerate(row):
             incident = t == i or t == (i + 1) % n
-            if incident != (s.data[i][t] == 0):
+            if incident != (value == 0):
                 raise InternalError(f"slack zero pattern broken at ({i}, {t})")
+    s = Matrix._raw(
+        tuple(
+            tuple(Fraction(v, bd * d) for v, d in zip(row, col_dens))
+            for row, bd in zip(numerators, row_dens)
+        ),
+        n,
+        n,
+    )
     r = rank(s)
     if r != 3:
         raise InternalError(f"slack matrix of a polygon must have rank 3, got {r}")
@@ -201,9 +224,16 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
         return report
 
     # When the product check passes, T @ lifts is the slack matrix itself,
-    # so the per-vertex loop below reads it from there.
+    # so the per-vertex loop below reads it from there.  If C and beta are
+    # also the polygon's own facets, the slack matrix holds exactly the
+    # values that loop computes, so its equalities hold and it is skipped.
+    equalities_known = False
     if is_product(ef.T, ef.lifts, slack):
         product = slack
+        equalities_known = (
+            ef.C.data == tuple((cx, cy) for cx, cy, _ in poly.facets)
+            and tuple(ef.beta) == tuple(beta for _, _, beta in poly.facets)
+        )
     else:
         product = ef.T @ ef.lifts
         for i in range(n):
@@ -220,12 +250,14 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
 
     for t in range(n):
         lift = ef.lifts.column(t)
-        negative = next(((r, y) for r, y in enumerate(lift) if y < 0), None)
+        negative = next(((r, y) for r, y in enumerate(lift) if y.numerator < 0), None)
         if negative is not None:
             report.failures.append(
                 f"lift of vertex {t} has negative coordinate {negative[0]} "
                 f"(value {negative[1]})"
             )
+            continue
+        if equalities_known:
             continue
         px, py = poly.vertices[t]
         for i in range(n):

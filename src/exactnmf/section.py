@@ -184,7 +184,12 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     """
     _check_seven_rows_rank3(a)
     normalized, _, _ = normalize_columns(a)
+    return _section_polygon(a, normalized)
 
+
+def _section_polygon(a: Matrix, normalized: Matrix) -> SectionPolygon:
+    """section_polygon for a matrix that passed _check_seven_rows_rank3,
+    given its normalize_columns result."""
     origin = normalized.column(0)
     axis_u = None
     for j in range(1, normalized.cols):
@@ -335,7 +340,7 @@ def factor_seven_by_n(a: Matrix):
     """
     _check_seven_rows_rank3(a)
     normalized, sums, zero_cols = normalize_columns(a)
-    poly = section_polygon(a)
+    poly = _section_polygon(a, normalized)
 
     weight_cols = []
     for j in range(normalized.cols):

@@ -11,6 +11,7 @@ its exponent, so a short file cannot request a huge integer.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .driver import Factorization
@@ -51,8 +52,25 @@ def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# "p" or "p/q" in ASCII digits, the form format_scalar writes.  Other
+# spellings (signs, spaces, "_", decimals, other scripts' digits) keep the
+# general path of parse_scalar.
+_CANONICAL_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_scalar(token) -> Fraction:
-    """Parse "p/q", integer, or decimal tokens to an exact rational."""
+    """Parse "p/q", integer, or decimal tokens to an exact rational.
+
+    A canonical token of at most MAX_DIGITS characters is read with two
+    int() calls; every other token takes the general path below, which
+    reads the same canonical tokens to the same values."""
+    if type(token) is str and len(token) <= MAX_DIGITS and _CANONICAL_TOKEN.fullmatch(token):
+        p, _, q = token.partition("/")
+        if not q:
+            return Fraction(int(p))
+        q = int(q)
+        if q:
+            return Fraction(int(p), q)
     if isinstance(token, Fraction):
         return token
     if isinstance(token, bool):
@@ -67,6 +85,30 @@ def parse_scalar(token) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse {token!r} as a rational: {exc}") from None
+
+
+class _TokenMemo(dict):
+    """str token -> Fraction, filled on first lookup; other tokens are
+    parsed on every lookup.  Only str tokens are kept: 1, 1.0 and True
+    are equal dict keys that parse_scalar treats apart."""
+
+    def __missing__(self, token):
+        value = parse_scalar(token)
+        if type(token) is str:
+            self[token] = value
+        return value
+
+
+def _parse_rows(rows: list) -> tuple:
+    """Parse one document's rows of tokens, each distinct string once.
+
+    The memo lives for this call only, so it never outgrows the document,
+    and equal tokens share one Fraction."""
+    memo = _TokenMemo()
+    try:
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    except TypeError:  # an unhashable token: parse_scalar names the error
+        return tuple(tuple(map(parse_scalar, row)) for row in rows)
 
 
 def matrix_to_jsonable(m: Matrix) -> dict:
@@ -93,8 +135,7 @@ def matrix_from_jsonable(obj) -> Matrix:
     widths = {len(row) for row in entries}
     if len(widths) != 1:
         raise ParseError(f"matrix rows have unequal lengths {sorted(widths)}")
-    data = [[parse_scalar(x) for x in row] for row in entries]
-    m = Matrix(data)
+    m = Matrix._raw(_parse_rows(entries), len(entries), widths.pop())
     for name, value in (("rows", m.rows), ("cols", m.cols)):
         declared = obj.get(name)
         if declared is not None and declared != value:
@@ -107,18 +148,13 @@ def matrix_to_csv(m: Matrix) -> str:
 
 
 def matrix_from_csv(text: str) -> Matrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([parse_scalar(tok) for tok in line.split(",")])
+    rows = _parse_rows([line.split(",") for line in map(str.strip, text.splitlines()) if line])
     if not rows:
         raise ParseError("CSV input contains no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(f"CSV rows have unequal lengths {sorted(widths)}")
-    return Matrix(rows)
+    return Matrix._raw(rows, len(rows), len(rows[0]))
 
 
 def polygon_to_jsonable(poly: Polygon) -> dict:
@@ -160,10 +196,12 @@ def certificate_from_jsonable(obj) -> Factorization:
     bound = obj.get("bound")
     if bound is None:
         raise ParseError('certificate object needs a "bound" field')
-    trace = tuple(obj.get("trace", ()))
-    if not isinstance(inner_dim, int) or not isinstance(bound, int):
+    trace = obj.get("trace", [])
+    if not isinstance(trace, list):
+        raise ParseError('certificate "trace" must be a list')
+    if type(inner_dim) is not int or type(bound) is not int:
         raise ParseError('"inner_dim" and "bound" must be integers')
-    return Factorization(left, right, inner_dim, bound, trace)
+    return Factorization(left, right, inner_dim, bound, tuple(trace))
 
 
 def formulation_to_jsonable(ef: ExtendedFormulation) -> dict:
@@ -180,8 +218,10 @@ def formulation_from_jsonable(obj) -> ExtendedFormulation:
     required = ("k", "T", "C", "beta", "lifts")
     if not isinstance(obj, dict) or any(key not in obj for key in required):
         raise ParseError(f"formulation object needs fields {required}")
-    if not isinstance(obj["k"], int):
+    if type(obj["k"]) is not int:
         raise ParseError('"k" must be an integer')
+    if not isinstance(obj["beta"], list):
+        raise ParseError('formulation "beta" must be a list')
     return ExtendedFormulation(
         k=obj["k"],
         T=matrix_from_jsonable(obj["T"]),

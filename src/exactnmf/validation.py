@@ -36,14 +36,6 @@ def check_nonnegative(m: Matrix, name: str = "matrix") -> Matrix:
     return m
 
 
-def check_shape(m: Matrix, rows=None, cols=None, name: str = "matrix") -> Matrix:
-    if rows is not None and m.rows != rows:
-        raise DimensionError(f"{name} must have {rows} rows, got {m.rows}")
-    if cols is not None and m.cols != cols:
-        raise DimensionError(f"{name} must have {cols} columns, got {m.cols}")
-    return m
-
-
 def as_point(value) -> tuple:
     """Coerce a 2-sequence to an exact point (pair of Fractions)."""
     pair = list(value)

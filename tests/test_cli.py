@@ -28,6 +28,18 @@ def cli_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+# Well-formed documents that the malformed-field cases below alter.
+ONE_BY_ONE = {"entries": [["1"]]}
+ONE_BY_ONE_CERT = {"left": ONE_BY_ONE, "right": ONE_BY_ONE, "inner_dim": 1, "bound": 1,
+                   "trace": []}
+TRIANGLE = [["0", "0"], ["1", "0"], ["0", "1"]]
+IDENTITY_3 = {"entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+TRIANGLE_FORMULATION = {"k": 3, "T": IDENTITY_3,
+                        "C": {"entries": [["0", "1"], ["-1", "-1"], ["1", "0"]]},
+                        "beta": ["0", "-1", "0"],
+                        "lifts": {"entries": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]}}
+
+
 @pytest.fixture()
 def h7_matrix_file(tmp_path, h7_slack):
     path = tmp_path / "h7.json"
@@ -95,17 +107,31 @@ class TestFactorCommand:
             ("factor", {"entries": [[]]}),
             ("factor", {"entries": [["1e4300"]]}),
             ("extend", {"vertices": [0, 1]}),
+            ("verify", dict(ONE_BY_ONE_CERT, trace=5)),
+            ("verify", dict(ONE_BY_ONE_CERT, inner_dim=True)),
+            ("verify", dict(ONE_BY_ONE_CERT, bound=True)),
+            ("verify", dict(TRIANGLE_FORMULATION, beta=5)),
+            ("verify", dict(TRIANGLE_FORMULATION, k=True)),
         ],
         ids=["flat", "ragged", "row-not-a-list", "no-columns", "huge-exponent",
-             "vertices-not-pairs"],
+             "vertices-not-pairs", "trace-not-a-list", "inner-dim-bool", "bound-bool",
+             "beta-not-a-list", "k-bool"],
     )
     def test_malformed_entries_exit_two_without_traceback(self, tmp_path, command, document):
-        """A malformed matrix or polygon file is a parse error, not a crash."""
+        """A malformed matrix, polygon, certificate or formulation file is a
+        parse error, not a crash.  For ``verify`` the document is the
+        certificate, checked against a well-formed input."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(document))
+        if command == "verify":
+            subject = tmp_path / "subject.json"
+            subject.write_text(json.dumps(
+                ONE_BY_ONE if "left" in document else {"vertices": TRIANGLE}))
+            args = ["--input", str(subject), "--cert", str(path)]
+        else:
+            args = ["--input", str(path), "--output", str(tmp_path / "c.json")]
         result = subprocess.run(
-            [sys.executable, "-m", "exactnmf.cli",
-             command, "--input", str(path), "--output", str(tmp_path / "c.json")],
+            [sys.executable, "-m", "exactnmf.cli", command, *args],
             capture_output=True,
             text=True,
             env=cli_env(),

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactnmf.driver import nn_factor
 from exactnmf.errors import ParseError
@@ -13,6 +15,7 @@ from exactnmf.polygon import build_extension
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     MAX_DIGITS,
+    _check_token_size,
     certificate_from_jsonable,
     certificate_to_jsonable,
     dumps,
@@ -92,6 +95,84 @@ class TestScalars:
             assert parse_scalar(format_scalar(x)) == x
 
 
+# -- oracle: the general reader that parse_scalar used for every token -------
+
+
+def oracle_parse_scalar(token) -> Fraction:
+    """Parse "p/q", integer, or decimal tokens to an exact rational."""
+    if isinstance(token, Fraction):
+        return token
+    if isinstance(token, bool):
+        raise ParseError(f"boolean {token!r} is not a number")
+    if isinstance(token, int):
+        return Fraction(token)
+    if isinstance(token, float):
+        # floats only appear when a caller bypassed exact JSON loading
+        raise ParseError(f"refusing inexact float {token!r}; write it as a string")
+    text = _check_token_size(str(token).strip())
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse {token!r} as a rational: {exc}") from None
+
+
+def _outcome(parse, token):
+    try:
+        value = parse(token)
+    except ParseError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+def _near_limit(length):
+    """Canonical-looking tokens of exactly ``length`` characters."""
+    return [
+        "1" * length,
+        "-" + "9" * (length - 1),
+        "0" * (length - 2) + "/7",
+        "1/" + "3" * (length - 2),
+        "-1/" + "3" * (length - 3),
+    ]
+
+
+EDGE_TOKENS = [
+    "2/4", "-6/4", "007", "-007/014", "0/5", "-0", "-0/3", "+1", "+1/2", "1/-2", "-1/-2",
+    "1/0", "1/00", "-0/0", " 1", "1 ", "\t3/4\n", " -2/6 ", "1_000", "1_0/2_0",
+    "\u0661\u0662", "\u0661/\u0662", "\u00b2", "1/\u00b2", "\uff11", "0.5", "-.5", "1.",
+    "1e3", "1E-3", "2/4e1", "1.5/2", "", "-", "/", "1/", "/2", "--1", "1//2", "1/2/3",
+    "0x10", "inf", "nan", "1\n", "\n1", 7, -3, 0, True, False, 0.5, Fraction(6, 4),
+    None, ["1"],
+] + [token for length in (4299, 4300, 4301) for token in _near_limit(length)]
+
+
+@st.composite
+def scalar_tokens(draw):
+    kind = draw(st.sampled_from(["canonical", "padded", "text", "edge"]))
+    if kind == "edge":
+        return draw(st.sampled_from(EDGE_TOKENS))
+    if kind == "text":
+        return draw(st.text(alphabet="0123456789-+/ ._eE\u0661\u00b2", max_size=12))
+    p = draw(st.integers(min_value=-(2**80), max_value=2**80))
+    q = draw(st.one_of(st.just(None), st.integers(min_value=0, max_value=2**80)))
+    token = str(p) if q is None else f"{p}/{q}"
+    if kind == "padded":
+        zeros = "0" * draw(st.integers(min_value=1, max_value=3))
+        sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+        token = sign + zeros + digits.replace("/", "/" + zeros)
+    return token
+
+
+@settings(max_examples=600)
+@given(scalar_tokens())
+def test_parse_scalar_matches_general_reader(token):
+    assert _outcome(parse_scalar, token) == _outcome(oracle_parse_scalar, token)
+
+
+def test_parse_scalar_edge_tokens():
+    for token in EDGE_TOKENS:
+        assert _outcome(parse_scalar, token) == _outcome(oracle_parse_scalar, token), token
+
+
 class TestMatrixFormats:
     def test_json_round_trip(self, h7_slack):
         obj = matrix_to_jsonable(h7_slack)
@@ -101,6 +182,27 @@ class TestMatrixFormats:
     def test_json_through_text(self, h7_slack):
         text = dumps(matrix_to_jsonable(h7_slack))
         assert matrix_from_jsonable(json.loads(text)) == h7_slack
+
+    def test_documents_parsed_independently(self):
+        doc = {"entries": [["1/2", "0", "0"], ["0", "2/4", "-3"]]}
+        other = {"entries": [["0", "-3"], ["1/2", "7"]]}
+        first = matrix_from_jsonable(doc)
+        second = matrix_from_jsonable(other)
+        again = matrix_from_jsonable(doc)
+        assert first == again == Matrix([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), -3]])
+        assert second == Matrix([[0, -3], [Fraction(1, 2), 7]])
+        # equal tokens share a value within a document, never across documents
+        assert first[0, 1] is first[1, 0]
+        assert first[0, 1] is not second[0, 0] and first[0, 1] is not again[0, 1]
+        assert all(type(x) is Fraction for row in first.data for x in row)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[["1", ["1"]]], [["1", {"a": 1}]], [[1, True]], [[1, 1.0]], [["1/2", 0.5]], [["1/0"]]],
+    )
+    def test_bad_tokens_rejected(self, entries):
+        with pytest.raises(ParseError):
+            matrix_from_jsonable({"entries": entries})
 
     def test_csv_round_trip(self):
         m = Matrix([["1/3", 2], [0, "-5/7"]])
