@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import InternalError, RankError
-from .linalg import Matrix, block_diag, from_columns_or_empty, is_product, rank, vstack
+from .linalg import Matrix, block_diag, insert_zero_lines, is_product, rank, vstack
 from .section import factor_low_rank, factor_seven_by_n
 from .validation import as_matrix, check_nonnegative
 
@@ -61,40 +60,13 @@ class VerificationReport:
 def _strip_zero_lines(a: Matrix):
     zero_rows = [i for i in range(a.rows) if all(x == 0 for x in a.row(i))]
     zero_cols = [j for j in range(a.cols) if all(x == 0 for x in a.column(j))]
-    keep_rows = [i for i in range(a.rows) if i not in set(zero_rows)]
-    keep_cols = [j for j in range(a.cols) if j not in set(zero_cols)]
+    zero_row_set, zero_col_set = set(zero_rows), set(zero_cols)
+    keep_rows = [i for i in range(a.rows) if i not in zero_row_set]
+    keep_cols = [j for j in range(a.cols) if j not in zero_col_set]
     if not keep_rows or not keep_cols:
         return None, zero_rows, zero_cols
     core = Matrix([[a.data[i][j] for j in keep_cols] for i in keep_rows])
     return core, zero_rows, zero_cols
-
-
-def _reinsert_rows(m: Matrix, zero_rows, total_rows: int) -> Matrix:
-    if not zero_rows:
-        return m
-    zero_set = set(zero_rows)
-    rows, src = [], 0
-    for i in range(total_rows):
-        if i in zero_set:
-            rows.append((Fraction(0),) * m.cols)
-        else:
-            rows.append(m.data[src])
-            src += 1
-    return Matrix(rows)
-
-
-def _reinsert_cols(m: Matrix, zero_cols, total_cols: int) -> Matrix:
-    if not zero_cols:
-        return m
-    zero_set = set(zero_cols)
-    cols, src = [], 0
-    for j in range(total_cols):
-        if j in zero_set:
-            cols.append((Fraction(0),) * m.rows)
-        else:
-            cols.append(m.column(src))
-            src += 1
-    return from_columns_or_empty(cols, m.rows)
 
 
 def _factor_chunk(chunk: Matrix, row_start: int):
@@ -183,8 +155,8 @@ def nn_factor(a) -> Factorization:
     if transposed:
         left, right = right.transpose(), left.transpose()
 
-    left = _reinsert_rows(left, zero_rows, a.rows)
-    right = _reinsert_cols(right, zero_cols, a.cols)
+    left = insert_zero_lines(left, zero_rows, (), a.rows, left.cols)
+    right = insert_zero_lines(right, (), zero_cols, right.rows, a.cols)
     fact = Factorization(left, right, left.cols, bound, tuple(trace))
     report = verify_factorization(a, fact)
     if not report.ok:

@@ -328,6 +328,28 @@ def from_columns_or_empty(columns: Sequence[Sequence[ScalarLike]], rows: int) ->
     return Matrix.from_columns(columns)
 
 
+def insert_zero_lines(m: Matrix, zero_rows, zero_cols, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix that is zero on the rows ``zero_rows`` and
+    the columns ``zero_cols`` and holds the entries of ``m``, in order,
+    everywhere else: the inverse of stripping those lines."""
+    if not zero_rows and not zero_cols:
+        return m
+    zero = Fraction(0)
+    zero_rows, zero_cols = set(zero_rows), set(zero_cols)
+    kept_cols = [j for j in range(cols) if j not in zero_cols]
+    source = iter(m.data)
+    out = []
+    for i in range(rows):
+        if i in zero_rows:
+            out.append((zero,) * cols)
+            continue
+        line = [zero] * cols
+        for j, x in zip(kept_cols, next(source)):
+            line[j] = x
+        out.append(tuple(line))
+    return Matrix._raw(tuple(out), rows, cols)
+
+
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
         raise DimensionError("vstack needs equal column counts")

@@ -6,6 +6,13 @@ normalized column as a convex combination of those vertices factors the
 matrix through them; a 7-vertex section carries the cyclic zero pattern
 and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
+
+The convex coefficients come from one integer kernel per chunk
+(``_FanKernel``): the chart, the fan triangles and the vertex matrix are
+cleared to Python ints once per section, and each column is then located
+and checked with integer Cramer, orientation and cross-multiplication
+tests, with no ``solve`` and no Fraction until its nonzero weights.
+``convex_coefficients`` is the same kernel on one point.
 """
 
 from __future__ import annotations
@@ -25,16 +32,16 @@ from .errors import (
     TangencyError,
 )
 from .linalg import (
-    Inconsistency,
     Matrix,
     clear_denominators,
     from_columns_or_empty,
+    insert_zero_lines,
     is_product,
     rank,
-    solve,
 )
 
 SIZE = 7
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -183,26 +190,41 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     constraints.
     """
     _check_seven_rows_rank3(a)
-    normalized, _, _ = normalize_columns(a)
-    return _section_polygon(a, normalized)
+    return _section_polygon(a)
 
 
-def _section_polygon(a: Matrix, normalized: Matrix) -> SectionPolygon:
-    """section_polygon for a matrix that passed _check_seven_rows_rank3,
-    given its normalize_columns result."""
-    origin = normalized.column(0)
+def _normalized_columns(a: Matrix):
+    """Each nonzero column of a nonnegative matrix scaled to unit sum,
+    in order, normalized only when it is read."""
+    for col in zip(*a.data):
+        total = sum(col, _ZERO)
+        if total:
+            yield tuple(x / total for x in col)
+
+
+def _section_polygon(a: Matrix) -> SectionPolygon:
+    """section_polygon for a matrix that passed _check_seven_rows_rank3.
+
+    The chart is the first normalized column, its first nonzero
+    difference to a later one (u) and the first difference off the line
+    through u (v); only the columns up to v are normalized.
+    """
+    columns = _normalized_columns(a)
+    origin = next(columns)
     axis_u = None
-    for j in range(1, normalized.cols):
-        d = tuple(x - o for x, o in zip(normalized.column(j), origin))
+    for col in columns:
+        d = tuple(x - o for x, o in zip(col, origin))
         if any(x != 0 for x in d):
             axis_u = d
             break
     if axis_u is None:
         raise RankError("columns are all equal after normalization")
     pivot = next(k for k, x in enumerate(axis_u) if x != 0)
+    # Columns before u lie on the origin and u itself on its own line, so
+    # the search for v continues after u.
     axis_v = None
-    for j in range(1, normalized.cols):
-        d = tuple(x - o for x, o in zip(normalized.column(j), origin))
+    for col in columns:
+        d = tuple(x - o for x, o in zip(col, origin))
         lam = d[pivot] / axis_u[pivot]
         residual = tuple(x - lam * u for x, u in zip(d, axis_u))
         if any(x != 0 for x in residual):
@@ -271,17 +293,114 @@ def _section_polygon(a: Matrix, normalized: Matrix) -> SectionPolygon:
     )
 
 
-def _orient(p, q, r):
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+class _FanKernel:
+    """Convex coefficients over one section polygon, on Python ints.
 
+    Everything that depends only on the polygon is cleared to integers
+    once: the chart origin, ``u`` and ``v`` (each over its own
+    denominator) with their first nonzero 2x2 minor, the vertex chart
+    coordinates (each axis over its own denominator, which keeps the
+    sign of every orientation), the fan triangles (0, t, t + 1) as three
+    integer edge forms and a determinant each, and the ambient vertex
+    matrix over one denominator.  A point ``c / s`` (integer ``c``,
+    positive ``s``) then costs Cramer's rule and a consistency test on
+    every row, the orientation tests of the fan in order, and the
+    reproduction test, all on ints; only nonzero weights become
+    Fractions.
+    """
 
-def _integer_points(points):
-    """Chart points with every x cleared to one common denominator and
-    every y to another.  Scaling x and y by positive numbers keeps the
-    sign of every ``_orient``."""
-    xs, _ = clear_denominators([p[0] for p in points])
-    ys, _ = clear_denominators([p[1] for p in points])
-    return list(zip(xs, ys))
+    def __init__(self, poly: SectionPolygon):
+        self.k = poly.k
+        dim = len(poly.chart_origin)
+        self.origin, self.d_origin = clear_denominators(poly.chart_origin)
+        self.u, d_u = clear_denominators(poly.chart_u)
+        self.v, d_v = clear_denominators(poly.chart_v)
+        u, v = self.u, self.v
+        minors = (
+            (i1, i2, u[i1] * v[i2] - u[i2] * v[i1])
+            for i1 in range(dim)
+            for i2 in range(i1 + 1, dim)
+        )
+        i1, i2, minor = next((m for m in minors if m[2]), (0, 0, 0))
+        if minor == 0:
+            raise InternalError("section chart axes are parallel")
+        if minor < 0:  # swapping the two rows makes the minor positive
+            i1, i2, minor = i2, i1, -minor
+        self.minor = (i1, i2, minor)
+
+        # A point with chart coordinates (x, y) = (xn * d_u, yn * d_v) / e,
+        # e = minor * s * d_origin, sits at (xn * kx, yn * ky) / e once each
+        # axis is scaled by its vertex denominator; e times its orientation
+        # against the edge p -> q is alpha*xn + beta*yn + gamma*s.
+        xs, d_x = clear_denominators([vert.chart[0] for vert in poly.vertices])
+        ys, d_y = clear_denominators([vert.chart[1] for vert in poly.vertices])
+        kx, ky, ks = d_u * d_x, d_v * d_y, minor * self.d_origin
+
+        def edge(p, q):
+            px, py, qx, qy = xs[p], ys[p], xs[q], ys[q]
+            return ((py - qy) * kx, (qx - px) * ky, (px * qy - py * qx) * ks)
+
+        # Per fan triangle: its support, the edge forms a->b, b->c, c->a,
+        # and minor * d_origin * det(a, b, c): the barycentric coordinate
+        # of a is form(b->c) / (s * that), and so on round the triangle.
+        self.fan = []
+        for t in range(1, self.k - 1):
+            a, b, c = 0, t, t + 1
+            det = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
+            self.fan.append(((a, b, c), edge(a, b), edge(b, c), edge(c, a), det * ks))
+
+        ambient, d_ambient = clear_denominators(
+            [x for row in poly.vertex_matrix.data for x in row]
+        )
+        self.ambient = [ambient[i * self.k : (i + 1) * self.k] for i in range(dim)]
+        self.d_ambient = d_ambient
+
+    def weights(self, c, s: int, d: int) -> Tuple[Fraction, ...]:
+        """Convex coefficients of the point ``c / s``, each times ``s / d``;
+        ``s`` must be positive, as it fixes the sign of every orientation.
+
+        Raises OutsidePolygon when the point is off the section plane or
+        outside the polygon, InternalError when a located coefficient is
+        negative or the combination does not reproduce the point.
+        """
+        u, v, d_origin = self.u, self.v, self.d_origin
+        i1, i2, minor = self.minor
+        r = [ci * d_origin - s * oi for ci, oi in zip(c, self.origin)]
+        xn = r[i1] * v[i2] - r[i2] * v[i1]
+        yn = u[i1] * r[i2] - u[i2] * r[i1]
+        if any(xn * ui + yn * vi != ri * minor for ui, vi, ri in zip(u, v, r)):
+            raise OutsidePolygon("point does not lie in the section plane")
+
+        for support, ab, bc, ca, scale in self.fan:
+            l_ab = ab[0] * xn + ab[1] * yn + ab[2] * s
+            if l_ab < 0:
+                continue
+            l_bc = bc[0] * xn + bc[1] * yn + bc[2] * s
+            if l_bc < 0:
+                continue
+            l_ca = ca[0] * xn + ca[1] * yn + ca[2] * s
+            if l_ca < 0:
+                continue
+            if scale == 0:
+                raise InternalError("barycentric system unsolvable in a fan triangle")
+            nums = (l_bc, l_ca, l_ab)
+            if scale < 0:
+                nums, scale = tuple(-x for x in nums), -scale
+            if any(x < 0 for x in nums):
+                raise InternalError("negative barycentric coordinate inside a triangle")
+            # sum(nums * ambient) / (s * scale * d_ambient) == c / s
+            bound = scale * self.d_ambient
+            for row, ci in zip(self.ambient, c):
+                if sum(x * row[idx] for x, idx in zip(nums, support)) != ci * bound:
+                    raise InternalError("convex combination does not reproduce the point")
+            out = [_ZERO] * self.k
+            den = scale * d
+            for idx, x in zip(support, nums):
+                if x:
+                    out[idx] = Fraction(x, den)
+            return tuple(out)
+        target = tuple(Fraction(ci, s) for ci in c)
+        raise OutsidePolygon(f"point {target} lies outside the section polygon")
 
 
 def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction, ...]:
@@ -291,43 +410,24 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
     target = tuple(Fraction(x) for x in point)
     if len(target) != len(poly.chart_origin):
         raise DimensionError("point dimension does not match the section")
-    rhs = [x - o for x, o in zip(target, poly.chart_origin)]
-    chart = solve(Matrix.from_columns([poly.chart_u, poly.chart_v]), rhs)
-    if isinstance(chart, Inconsistency):
-        raise OutsidePolygon("point does not lie in the section plane")
-    px, py = chart
+    c, d = clear_denominators(target)
+    return _FanKernel(poly).weights(c, d, d)
 
-    verts = [v.chart for v in poly.vertices]
-    k = len(verts)
-    *cleared, q = _integer_points(verts + [(px, py)])
-    for t in range(1, k - 1):
-        support = (0, t, t + 1)
-        a, b, c = (cleared[s] for s in support)
-        if _orient(a, b, q) >= 0 and _orient(b, c, q) >= 0 and _orient(c, a, q) >= 0:
-            system = Matrix(
-                [
-                    (Fraction(1), Fraction(1), Fraction(1)),
-                    tuple(verts[s][0] for s in support),
-                    tuple(verts[s][1] for s in support),
-                ]
-            )
-            bary = solve(system, [Fraction(1), px, py])
-            if isinstance(bary, Inconsistency):
-                raise InternalError("barycentric system unsolvable in a fan triangle")
-            if any(x < 0 for x in bary):
-                raise InternalError("negative barycentric coordinate inside a triangle")
-            coeffs = [Fraction(0)] * k
-            for idx, lam in zip(support, bary):
-                coeffs[idx] += lam
-            # The other k - 3 coefficients are zero and add exactly 0.
-            reproduced = tuple(
-                sum((coeffs[s] * poly.vertices[s].ambient[i] for s in support), Fraction(0))
-                for i in range(len(target))
-            )
-            if reproduced != target:
-                raise InternalError("convex combination does not reproduce the point")
-            return tuple(coeffs)
-    raise OutsidePolygon(f"point {target} lies outside the section polygon")
+
+def _convex_weights(poly: SectionPolygon, a: Matrix) -> Matrix:
+    """The k x n right factor of a nonnegative ``a`` through its section:
+    column j holds the convex coefficients of a's normalized column j
+    times that column's sum, and a zero column gets zero weights."""
+    # Column j is c / d with integer c; its normalized form is c / sum(c)
+    # and sum(c) == 0 only for a zero column.
+    kernel = _FanKernel(poly)
+    zero_weights = (_ZERO,) * poly.k
+    weight_cols = []
+    for col in zip(*a.data):
+        c, d = clear_denominators(col)
+        s = sum(c)
+        weight_cols.append(kernel.weights(c, s, d) if s else zero_weights)
+    return Matrix._raw(tuple(zip(*weight_cols)), poly.k, a.cols)
 
 
 def factor_seven_by_n(a: Matrix):
@@ -339,15 +439,8 @@ def factor_seven_by_n(a: Matrix):
     7-vertex section is factored once more through its cyclic pattern.
     """
     _check_seven_rows_rank3(a)
-    normalized, sums, zero_cols = normalize_columns(a)
-    poly = _section_polygon(a, normalized)
-
-    weight_cols = []
-    for j in range(normalized.cols):
-        coeffs = convex_coefficients(poly, normalized.column(j))
-        weight_cols.append(tuple(c * sums[j] for c in coeffs))
-    right = Matrix.from_columns(weight_cols)
-    right = _reinsert_zero_columns(right, zero_cols, a.cols)
+    poly = _section_polygon(a)
+    right = _convex_weights(poly, a)
 
     if poly.k <= 6:
         left = poly.vertex_matrix
@@ -428,23 +521,9 @@ def factor_low_rank(a: Matrix):
     for j, t in enumerate(positions):
         mu = (t_max - t) / span
         weight_cols.append((mu * sums[j], (1 - mu) * sums[j]))
-    right = _reinsert_zero_columns(Matrix.from_columns(weight_cols), zero_cols, a.cols)
+    right = insert_zero_lines(Matrix.from_columns(weight_cols), (), zero_cols, 2, a.cols)
     left = Matrix.from_columns([end_low, end_high])
     if not is_product(left, right, a):
         raise InternalError("rank-2 factorization failed to reproduce the input")
     return left, right, {"method": "segment", "inner_dim": 2}
 
-
-def _reinsert_zero_columns(right: Matrix, zero_cols, total_cols: int) -> Matrix:
-    if not zero_cols:
-        return right
-    zero_set = set(zero_cols)
-    out_cols = []
-    src = 0
-    for j in range(total_cols):
-        if j in zero_set:
-            out_cols.append((Fraction(0),) * right.rows)
-        else:
-            out_cols.append(right.column(src))
-            src += 1
-    return from_columns_or_empty(out_cols, right.rows)

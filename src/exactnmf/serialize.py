@@ -237,7 +237,8 @@ def dumps(obj) -> str:
 
 def load_json(path: str):
     """Load a JSON file with floats parsed exactly as decimals.  Number
-    literals over MAX_DIGITS digits raise ParseError."""
+    literals over MAX_DIGITS digits, and nesting deeper than the
+    interpreter's recursion limit, raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(
@@ -249,6 +250,8 @@ def load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON arrays or objects too deeply") from None
 
 
 def load_matrix_file(path: str, fmt: str = "auto") -> Matrix:

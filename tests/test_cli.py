@@ -4,10 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactnmf import cli
 from exactnmf.cli import run
 from exactnmf.serialize import (
     dumps,
@@ -140,6 +145,13 @@ class TestFactorCommand:
         assert "ParseError" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "nests JSON" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         code = run(
             ["factor", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "c.json")]
@@ -269,3 +281,87 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "inner dimension" in result.stdout
         assert "chunk" in result.stderr  # progress logging lands on stderr
+
+
+# -- fuzz: malformed documents through the whole command line ---------------
+
+# Numeric tokens next to the edges of the readers: signs, zero
+# denominators, exponents at and past MAX_DIGITS, non-decimal spellings.
+TOKENS = ["0", "1", "-1", "1/2", "3/0", "1/-2", "-0", "2.5", "1e-5", "1e4300",
+          "1e999999", "nan", "Infinity", "0x10", "1_000", " 2", "", "abc", "\u00bd"]
+scalars = (st.sampled_from(TOKENS) | st.text(max_size=4)
+           | st.integers(-(10**6), 10**6) | st.booleans() | st.none()
+           | st.floats(allow_nan=True, allow_infinity=True))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["entries", "rows", "cols", "vertices", "k", "x"]),
+                      inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def rows_of(item):
+    return st.lists(st.lists(item, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+near_tokens = st.sampled_from(TOKENS[:8])
+matrices = (st.fixed_dictionaries({"entries": rows_of(near_tokens)})
+            | st.fixed_dictionaries({"rows": json_values, "cols": json_values,
+                                     "entries": json_values}))
+polygons = st.fixed_dictionaries({"vertices": rows_of(near_tokens)})
+certificates = st.fixed_dictionaries({
+    "left": matrices | st.just(ONE_BY_ONE), "right": matrices | st.just(ONE_BY_ONE),
+    "inner_dim": json_values, "bound": json_values, "trace": json_values,
+})
+formulations = st.fixed_dictionaries({
+    "k": json_values, "T": matrices, "C": matrices, "beta": json_values, "lifts": matrices,
+})
+json_documents = st.one_of(
+    json_values.map(json.dumps),
+    st.one_of(matrices, polygons, certificates, formulations).map(json.dumps),
+    st.just("[" * 3000 + "]" * 3000),  # deeper than the default recursion limit
+    st.text(max_size=40),
+)
+csv_documents = st.lists(
+    st.lists(st.sampled_from(TOKENS) | st.text(max_size=3), max_size=4).map(",".join),
+    max_size=4,
+).map("\n".join)
+documents = st.one_of(
+    st.tuples(st.just(".json"), json_documents),
+    st.tuples(st.just(".csv"), csv_documents),
+    st.tuples(st.sampled_from([".json", ".csv"]), st.binary(max_size=40)),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["factor", "extend", "verify"]),
+    documents,
+    documents | st.just((".json", json.dumps(ONE_BY_ONE_CERT))),
+    st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]),
+)
+def test_fuzzed_documents_exit_0_1_or_2(command, first, second, fmt):
+    """``exactnmf`` on malformed JSON and CSV, in process through
+    ``cli.main``: it always exits with 0, 1 or 2 and raises nothing else.
+    ``verify`` reads the first document as its input and the second as
+    its certificate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for n, (suffix, text) in enumerate([first, second]):
+            path = Path(tmp) / f"doc{n}{suffix}"
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        if command == "verify":
+            args = ["--input", paths[0], "--cert", paths[1]]
+        else:
+            args = ["--input", paths[0], "--output", str(Path(tmp) / "out.json")]
+        if command != "extend":
+            args += fmt
+        with mock.patch.object(sys, "argv", ["exactnmf", command, *args]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main()
+    assert exit_info.value.code in (0, 1, 2)

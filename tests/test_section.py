@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactnmf import section
-from exactnmf.errors import DimensionError, OutsidePolygon, RankError
+from exactnmf.errors import DimensionError, InternalError, OutsidePolygon, RankError
 from exactnmf.generate import (
     random_convex_polygon,
     random_rank3_seven_by_n,
     random_rank_one,
     random_rank_two,
 )
-from exactnmf.linalg import Matrix, rank
+from exactnmf.linalg import Inconsistency, Matrix, clear_denominators, rank, solve
 from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
 from exactnmf.section import (
@@ -345,3 +345,167 @@ def test_section_vertices_match_fraction_loop(case):
     expected = section._angular_ccw_sort(fraction_extreme_points(lines))
     assert [v.chart for v in poly.vertices] == expected
     assert poly.k == k
+
+
+# -- the per-chunk integer kernel against the Fraction code it replaced -----
+
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _integer_points(points):
+    """Chart points with every x cleared to one common denominator and
+    every y to another.  Scaling x and y by positive numbers keeps the
+    sign of every ``_orient``."""
+    xs, _ = clear_denominators([p[0] for p in points])
+    ys, _ = clear_denominators([p[1] for p in points])
+    return list(zip(xs, ys))
+
+
+def oracle_convex_coefficients(poly, point):
+    """``convex_coefficients`` as it was on Fractions and ``solve``, verbatim."""
+    target = tuple(Fraction(x) for x in point)
+    if len(target) != len(poly.chart_origin):
+        raise DimensionError("point dimension does not match the section")
+    rhs = [x - o for x, o in zip(target, poly.chart_origin)]
+    chart = solve(Matrix.from_columns([poly.chart_u, poly.chart_v]), rhs)
+    if isinstance(chart, Inconsistency):
+        raise OutsidePolygon("point does not lie in the section plane")
+    px, py = chart
+
+    verts = [v.chart for v in poly.vertices]
+    k = len(verts)
+    *cleared, q = _integer_points(verts + [(px, py)])
+    for t in range(1, k - 1):
+        support = (0, t, t + 1)
+        a, b, c = (cleared[s] for s in support)
+        if _orient(a, b, q) >= 0 and _orient(b, c, q) >= 0 and _orient(c, a, q) >= 0:
+            system = Matrix(
+                [
+                    (Fraction(1), Fraction(1), Fraction(1)),
+                    tuple(verts[s][0] for s in support),
+                    tuple(verts[s][1] for s in support),
+                ]
+            )
+            bary = solve(system, [Fraction(1), px, py])
+            if isinstance(bary, Inconsistency):
+                raise InternalError("barycentric system unsolvable in a fan triangle")
+            if any(x < 0 for x in bary):
+                raise InternalError("negative barycentric coordinate inside a triangle")
+            coeffs = [Fraction(0)] * k
+            for idx, lam in zip(support, bary):
+                coeffs[idx] += lam
+            # The other k - 3 coefficients are zero and add exactly 0.
+            reproduced = tuple(
+                sum((coeffs[s] * poly.vertices[s].ambient[i] for s in support), Fraction(0))
+                for i in range(len(target))
+            )
+            if reproduced != target:
+                raise InternalError("convex combination does not reproduce the point")
+            return tuple(coeffs)
+    raise OutsidePolygon(f"point {target} lies outside the section polygon")
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except (OutsidePolygon, InternalError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+def combine(weights, points):
+    return tuple(sum((w * p[i] for w, p in zip(weights, points)), Fraction(0))
+                 for i in range(len(points[0])))
+
+
+@st.composite
+def section_points(draw):
+    """A section polygon and points aimed at the corners of the fan:
+    vertices, edge midpoints, points on the diagonals (0, t) that two fan
+    triangles share, interior points with large denominators, the zero
+    point, off-plane points (each coordinate moved in turn, or the sum
+    scaled) and in-plane points outside the polygon."""
+    a, _ = draw(seven_row_sections())
+    poly = section_polygon(a)
+    verts = [v.ambient for v in poly.vertices]
+    k = len(verts)
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(
+            ["vertex", "midpoint", "diagonal", "interior", "zero", "off-plane",
+             "scaled", "outside"]
+        ))
+        t = draw(st.integers(0, k - 1))
+        if kind == "vertex":
+            point = verts[t]
+        elif kind == "midpoint":
+            point = combine((Fraction(1, 2), Fraction(1, 2)), (verts[t], verts[(t + 1) % k]))
+        elif kind == "diagonal":
+            mu = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3)]) | positive.map(
+                lambda x: x / (1 + x)))
+            point = combine((mu, 1 - mu), (verts[0], verts[max(t, 1)]))
+        elif kind == "interior":
+            w = [draw(positive) for _ in range(3)]
+            picks = [draw(st.integers(0, k - 1)) for _ in range(3)]
+            point = combine([x / sum(w) for x in w], [verts[i] for i in picks])
+        elif kind == "zero":
+            point = (Fraction(0),) * 7
+        elif kind == "off-plane":
+            # One point per coordinate moved, so that every row's
+            # consistency test is the one that must fail.
+            base = combine((Fraction(1, 2), Fraction(1, 2)), (verts[t], verts[(t + 2) % k]))
+            eps = draw(coordinates.filter(lambda x: x != 0))
+            points.extend(
+                tuple(x + eps if j == i else x for j, x in enumerate(base)) for i in range(7)
+            )
+            continue
+        elif kind == "scaled":
+            point = tuple(2 * x for x in verts[t])
+        else:
+            lam = draw(positive)
+            point = combine((1 + lam, -lam), (verts[t], verts[(t + 1 + draw(st.integers(0, k - 2))) % k]))
+        points.append(point)
+    return poly, points
+
+
+@settings(max_examples=150)
+@given(section_points())
+def test_convex_coefficients_match_oracle(case):
+    poly, points = case
+    for point in points:
+        assert outcome(convex_coefficients, poly, point) == outcome(
+            oracle_convex_coefficients, poly, point
+        )
+
+
+def oracle_weights(poly, columns):
+    """The right factor ``factor_seven_by_n`` built from the oracle: each
+    nonzero column normalized, its coefficients times its sum."""
+    out = []
+    for col in columns:
+        total = sum(col, Fraction(0))
+        if total == 0:
+            out.append((Fraction(0),) * poly.k)
+            continue
+        coeffs = oracle_convex_coefficients(poly, tuple(x / total for x in col))
+        out.append(tuple(c * total for c in coeffs))
+    return Matrix.from_columns(out)
+
+
+@settings(max_examples=150)
+@given(section_points(), st.data())
+def test_chunk_weights_match_oracle(case, data):
+    """The per-chunk path of ``factor_seven_by_n``: columns are points times
+    weights with large denominators, positive or, where the point's sum is
+    negative, negative (the path reads columns of positive sum); a zero
+    column gets zero weights, and any other failure is the oracle's first
+    one."""
+    poly, points = case
+    columns = []
+    for point in points:
+        weight = data.draw(positive) * (-1 if sum(point) < 0 else 1)
+        columns.append(tuple(x * weight for x in point))
+    a = Matrix.from_columns(columns)
+    assert outcome(section._convex_weights, poly, a) == outcome(oracle_weights, poly, columns)
