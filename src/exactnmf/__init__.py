@@ -40,7 +40,7 @@ from .errors import (
     TheoryViolation,
 )
 from .estimator import ExactNMF
-from .linalg import Matrix, column_space_basis, det3, rank, solve
+from .linalg import Matrix, rank, solve
 from .polygon import (
     ExtendedFormulation,
     Polygon,
@@ -92,9 +92,7 @@ __all__ = [
     "as_matrix",
     "build_extension",
     "canonical_matrix",
-    "column_space_basis",
     "convex_coefficients",
-    "det3",
     "detect_cyclic_labeling",
     "factor_canonical",
     "factor_cyclic",

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix input format (default: inferred from the extension)",
     )
 
-    p_selftest = sub.add_parser("selftest", help="run the seeded property suites")
+    p_selftest = sub.add_parser("selftest", help="run the seeded end-to-end checks")
     p_selftest.add_argument("--iterations", type=int, default=200)
     p_selftest.add_argument("--seed", type=int, default=0)
     return parser

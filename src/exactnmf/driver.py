@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .errors import InternalError, RankError
-from .linalg import Matrix, block_diag, insert_zero_lines, is_product, rank, vstack
+from .linalg import Matrix, block_diag, first_difference, insert_zero_lines, is_product, rank
 from .section import factor_low_rank, factor_seven_by_n
 from .validation import as_matrix, check_nonnegative
 
@@ -130,27 +130,19 @@ def nn_factor(a) -> Factorization:
         trace.append({"method": "identity", "inner_dim": core.rows, "rows": [0, core.rows]})
     else:
         lefts, rights = [], []
-        full, remainder = divmod(core.rows, 7)
-        position = 0
-        for g in range(full):
-            chunk = Matrix(core.data[position : position + 7])
-            cl, cr, record = _factor_chunk(chunk, position)
-            lefts.append(cl)
-            rights.append(cr)
-            trace.append(record)
-            log.info("chunk %s: %s", record["rows"], record["method"])
-            position += 7
-        if remainder:
-            chunk = Matrix(core.data[position:])
-            cl, cr, record = _factor_chunk(chunk, position)
+        for position in range(0, core.rows, 7):
+            rows = core.data[position : position + 7]
+            cl, cr, record = _factor_chunk(Matrix._raw(rows, len(rows), core.cols), position)
             lefts.append(cl)
             rights.append(cr)
             trace.append(record)
             log.info("chunk %s: %s", record["rows"], record["method"])
         left = block_diag(lefts)
-        right = rights[0]
-        for extra in rights[1:]:
-            right = vstack(right, extra)
+        right = Matrix._raw(
+            tuple(row for cr in rights for row in cr.data),
+            sum(cr.rows for cr in rights),
+            core.cols,
+        )
 
     if transposed:
         left, right = right.transpose(), left.transpose()
@@ -205,17 +197,11 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
     if shapes_ok and not is_product(left, right, a):
         # Build the product only to name the first disagreeing entry.
         product = left @ right
-        for i in range(a.rows):
-            for j in range(a.cols):
-                if product.data[i][j] != a.data[i][j]:
-                    report.failures.append(
-                        f"product disagrees with input at ({i}, {j}): "
-                        f"{product.data[i][j]} != {a.data[i][j]}"
-                    )
-                    break
-            else:
-                continue
-            break
+        i, j = first_difference(product, a)
+        report.failures.append(
+            f"product disagrees with input at ({i}, {j}): "
+            f"{product.data[i][j]} != {a.data[i][j]}"
+        )
     expected_bound = inner_dimension_bound(a.rows, a.cols)
     if fact.bound != expected_bound:
         report.failures.append(

@@ -38,11 +38,6 @@ class DegenerateSection(ExactNMFError):
     """The simplex section is empty, a point, or a segment."""
 
 
-class TangencyError(ExactNMFError):
-    """A section vertex with 7 distinct constraints has more than two
-    tight constraints, which convexity forbids."""
-
-
 class OutsidePolygon(ExactNMFError):
     """A point expected inside the section polygon lies outside it."""
 
@@ -65,6 +60,11 @@ class NotFittedError(ExactNMFError):
 
 class InternalError(ExactNMFError):
     """An invariant that cannot fail for valid inputs failed anyway."""
+
+
+# A 7-vertex section vertex with more than two tight constraints, which
+# convexity forbids, is one such invariant; the old name stays importable.
+TangencyError = InternalError
 
 
 class ParseError(ExactNMFError):

@@ -7,8 +7,8 @@ denominator, products are integer dot products, and rank and solve use
 fraction-free (Bareiss) elimination.  :func:`is_product` checks
 ``left @ right == target`` by cross-multiplying against the target's
 numerators and denominators, so it never builds a Fraction.  Pivoting is
-deterministic (first nonzero), so ranks, solutions and column bases are
-reproducible byte for byte across runs.
+deterministic (first nonzero), so ranks and solutions are reproducible
+byte for byte across runs.
 """
 
 from __future__ import annotations
@@ -120,30 +120,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix._raw(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
-            self.rows,
-            self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return Matrix._raw(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
-            self.rows,
-            self.cols,
-        )
-
-    def scale(self, factor: ScalarLike) -> "Matrix":
-        f = as_scalar(factor)
-        return Matrix._raw(
-            tuple(tuple(f * x for x in row) for row in self.data), self.rows, self.cols
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
@@ -213,6 +189,15 @@ def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
     return True
 
 
+def first_difference(a: Matrix, b: Matrix):
+    """(i, j) of the first entry, in row-major order, where two matrices of
+    one shape disagree, or None when they are equal."""
+    for i, (row_a, row_b) in enumerate(zip(a.data, b.data)):
+        if row_a != row_b:
+            return i, next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
+    return None
+
+
 def _integer_rows(columns):
     """Clear each column of denominators and return (integer rows, column
     denominators).  Scaling columns keeps the zero pattern of every
@@ -269,14 +254,6 @@ def rank(m: Matrix) -> int:
     return len(pivot_cols)
 
 
-def det3(m: Matrix) -> Fraction:
-    """Exact determinant of a 3x3 matrix by cofactor expansion."""
-    if m.shape != (3, 3):
-        raise DimensionError(f"det3 needs a 3x3 matrix, got {m.shape}")
-    (a, b, c), (d, e, f), (g, h, i) = m.data
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def solve(a: Matrix, b: Sequence[ScalarLike]):
     """Solve a x = b exactly.
 
@@ -310,24 +287,6 @@ def solve(a: Matrix, b: Sequence[ScalarLike]):
     return [Fraction(y * dj, d * dens[n]) for y, dj in zip(numer, dens)]
 
 
-def column_space_basis(m: Matrix) -> Matrix:
-    """Columns of ``m`` at its pivot positions: a basis of the column space."""
-    if m.rows == 0 or m.cols == 0:
-        return Matrix.zeros(m.rows, 0)
-    work, _ = _integer_rows(zip(*m.data))
-    pivot_cols, _ = _eliminate(work)
-    if not pivot_cols:
-        return Matrix.zeros(m.rows, 0)
-    return Matrix.from_columns([m.column(j) for j in pivot_cols])
-
-
-def from_columns_or_empty(columns: Sequence[Sequence[ScalarLike]], rows: int) -> Matrix:
-    """Like Matrix.from_columns but returns a rows x 0 matrix for no columns."""
-    if not columns:
-        return Matrix.zeros(rows, 0)
-    return Matrix.from_columns(columns)
-
-
 def insert_zero_lines(m: Matrix, zero_rows, zero_cols, rows: int, cols: int) -> Matrix:
     """The rows x cols matrix that is zero on the rows ``zero_rows`` and
     the columns ``zero_cols`` and holds the entries of ``m``, in order,
@@ -348,16 +307,6 @@ def insert_zero_lines(m: Matrix, zero_rows, zero_cols, rows: int, cols: int) -> 
             line[j] = x
         out.append(tuple(line))
     return Matrix._raw(tuple(out), rows, cols)
-
-
-def vstack(top: Matrix, bottom: Matrix) -> Matrix:
-    if top.cols != bottom.cols:
-        raise DimensionError("vstack needs equal column counts")
-    if top.rows == 0:
-        return bottom
-    if bottom.rows == 0:
-        return top
-    return Matrix._raw(top.data + bottom.data, top.rows + bottom.rows, top.cols)
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:

@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     NotConvex,
 )
-from .linalg import Matrix, clear_denominators, is_product, rank
+from .linalg import Matrix, clear_denominators, first_difference, is_product, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]
@@ -236,17 +236,11 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
         )
     else:
         product = ef.T @ ef.lifts
-        for i in range(n):
-            for t in range(n):
-                if product.data[i][t] != slack.data[i][t]:
-                    report.failures.append(
-                        f"slack reconstruction fails at facet {i}, vertex {t}: "
-                        f"{product.data[i][t]} != {slack.data[i][t]}"
-                    )
-                    break
-            else:
-                continue
-            break
+        i, t = first_difference(product, slack)
+        report.failures.append(
+            f"slack reconstruction fails at facet {i}, vertex {t}: "
+            f"{product.data[i][t]} != {slack.data[i][t]}"
+        )
 
     for t in range(n):
         lift = ef.lifts.column(t)

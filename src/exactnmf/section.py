@@ -29,16 +29,9 @@ from .errors import (
     InternalError,
     OutsidePolygon,
     RankError,
-    TangencyError,
 )
-from .linalg import (
-    Matrix,
-    clear_denominators,
-    from_columns_or_empty,
-    insert_zero_lines,
-    is_product,
-    rank,
-)
+from .linalg import Matrix, clear_denominators, insert_zero_lines, is_product, rank
+from .validation import check_nonnegative
 
 SIZE = 7
 _ZERO = Fraction(0)
@@ -84,16 +77,14 @@ def normalize_columns(a: Matrix):
         else:
             sums.append(total)
             kept.append(tuple(x / total for x in col))
-    return from_columns_or_empty(kept, a.rows), tuple(sums), tuple(zero_cols)
+    normalized = Matrix.from_columns(kept) if kept else Matrix.zeros(a.rows, 0)
+    return normalized, tuple(sums), tuple(zero_cols)
 
 
 def _check_seven_rows_rank3(a: Matrix):
     if a.rows != SIZE:
         raise DimensionError(f"expected 7 rows, got {a.rows}")
-    hit = a.first_negative_entry()
-    if hit is not None:
-        (i, j), x = hit
-        raise ValueError(f"matrix must be nonnegative; entry ({i}, {j}) is {x}")
+    check_nonnegative(a)
     r = rank(a)
     if r != 3:
         raise RankError(f"sectioning requires rank 3, got {r}")
@@ -279,7 +270,7 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
     if len(vertices) == SIZE:
         for t, vert in enumerate(vertices):
             if len(vert.tight) != 2:
-                raise TangencyError(
+                raise InternalError(
                     f"vertex {t} of a 7-vertex section has {len(vert.tight)} "
                     "tight constraints; exactly 2 are possible"
                 )
@@ -464,10 +455,7 @@ def factor_seven_by_n(a: Matrix):
 def factor_low_rank(a: Matrix):
     """Exact nonnegative factorization of a rank <= 2 nonnegative matrix
     with inner dimension equal to its rank."""
-    hit = a.first_negative_entry()
-    if hit is not None:
-        (i, j), x = hit
-        raise ValueError(f"matrix must be nonnegative; entry ({i}, {j}) is {x}")
+    check_nonnegative(a)
     r = rank(a)
     if r > 2:
         raise RankError(f"low-rank factorization requires rank <= 2, got {r}")

@@ -162,6 +162,16 @@ class TestVerifyFactorization:
         )
         assert any("disagrees with input" in failure for failure in report.failures)
 
+    def test_first_disagreeing_entry_named(self, h7_slack):
+        fact = nn_factor(h7_slack)
+        rows = h7_slack.tolist()
+        rows[2][3] += 1
+        rows[5][1] += 1
+        report = verify_factorization(Matrix(rows), fact)
+        assert report.failures == [
+            f"product disagrees with input at (2, 3): {h7_slack[2, 3]} != {rows[2][3]}"
+        ]
+
     def test_swapped_factors_report_dimensions(self):
         a = ngon_slack(67, 9)
         wide = Matrix([a.row(i) for i in range(7)])  # 7 x 9

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: rank, determinants, solves, column bases."""
+"""Exact linear algebra kernel: rank, solves, entry comparison."""
 
 from fractions import Fraction
 
@@ -9,8 +9,7 @@ from exactnmf.linalg import (
     Inconsistency,
     Matrix,
     block_diag,
-    column_space_basis,
-    det3,
+    first_difference,
     rank,
     solve,
 )
@@ -129,25 +128,6 @@ class TestRank:
             assert rank(m) == rank(m.transpose())
 
 
-class TestDet3:
-    def test_identity(self):
-        assert det3(Matrix.identity(3)) == 1
-
-    def test_repeated_rows(self):
-        m = Matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
-        assert det3(m) == 0
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            det3(Matrix.identity(4))
-
-    def test_leibniz_oracle_1000(self):
-        rng = SplitMix64(13)
-        for _ in range(1000):
-            m = random_matrix(rng, 3, 3)
-            assert det3(m) == leibniz_det3(m)
-
-
 class TestSolve:
     def test_identity(self):
         b = [Fraction(5), Fraction(-1, 3), Fraction(0)]
@@ -187,22 +167,8 @@ class TestSolve:
         assert sum(x) == 7
 
 
-class TestColumnSpaceBasis:
-    def test_identity(self):
-        m = Matrix.identity(4)
-        assert column_space_basis(m) == m
-
-    def test_rank_one_all_ones(self):
-        m = Matrix([[1, 1], [1, 1], [1, 1]])
-        basis = column_space_basis(m)
-        assert basis == Matrix([[1], [1], [1]])
-
-    def test_h7_every_column_in_basis_span(self, h7_slack):
-        basis = column_space_basis(h7_slack)
-        assert basis.cols == 3
-        for j in range(h7_slack.cols):
-            x = solve(basis, h7_slack.column(j))
-            assert not isinstance(x, Inconsistency)
-            for i in range(7):
-                got = sum(basis.data[i][t] * x[t] for t in range(3))
-                assert got == h7_slack[i, j]
+def test_first_difference_names_first_entry_in_row_order():
+    a = Matrix([[1, 2, 3], [4, 5, 6]])
+    assert first_difference(a, a) is None
+    assert first_difference(a, Matrix([[1, 2, 3], [4, 0, 0]])) == (1, 1)
+    assert first_difference(a, Matrix([[1, 2, 0], [0, 5, 6]])) == (0, 2)
