@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     DuplicateVertices,
     ExactNMFError,
+    NegativeEntryError,
     NotAdmissible,
     NotConvex,
     NotFittedError,
@@ -75,6 +76,7 @@ __all__ = [
     "Factorization",
     "Matrix",
     "MonomialMatrix",
+    "NegativeEntryError",
     "NotAdmissible",
     "NotConvex",
     "NotFittedError",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .errors import DimensionError, NotAdmissible, TheoryViolation
+from .errors import DimensionError, NegativeEntryError, NotAdmissible, TheoryViolation
 from .linalg import Matrix, as_scalar, clear_denominators, is_product
 
 SIZE = 7
@@ -70,7 +70,7 @@ class MonomialMatrix:
         if len(scales) != n:
             raise DimensionError("one scale per row required")
         if any(s <= 0 for s in scales):
-            raise ValueError("monomial scales must be strictly positive")
+            raise NegativeEntryError("monomial scales must be strictly positive")
         self.size = n
         self.perm = perm
         self.scales = scales

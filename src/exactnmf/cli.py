@@ -142,9 +142,6 @@ def run(argv=None) -> int:
     except ExactNMFError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: ValueError: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -58,15 +58,22 @@ class VerificationReport:
 
 
 def _strip_zero_lines(a: Matrix):
-    zero_rows = [i for i in range(a.rows) if all(x == 0 for x in a.row(i))]
-    zero_cols = [j for j in range(a.cols) if all(x == 0 for x in a.column(j))]
-    zero_row_set, zero_col_set = set(zero_rows), set(zero_cols)
-    keep_rows = [i for i in range(a.rows) if i not in zero_row_set]
-    keep_cols = [j for j in range(a.cols) if j not in zero_col_set]
-    if not keep_rows or not keep_cols:
+    """(core, zero_rows, zero_cols): core is ``a`` without its zero lines,
+    ``a`` itself when it has none, and None when every line is zero."""
+    zero_rows = [i for i, row in enumerate(a.data) if not any(row)]
+    zero_cols = [j for j, col in enumerate(zip(*a.data)) if not any(col)]
+    if len(zero_rows) == a.rows or len(zero_cols) == a.cols:
         return None, zero_rows, zero_cols
-    core = Matrix([[a.data[i][j] for j in keep_cols] for i in keep_rows])
-    return core, zero_rows, zero_cols
+    if not zero_rows and not zero_cols:
+        return a, zero_rows, zero_cols
+    drop_rows, drop_cols = set(zero_rows), set(zero_cols)
+    keep_cols = [j for j in range(a.cols) if j not in drop_cols]
+    data = tuple(
+        tuple(row[j] for j in keep_cols)
+        for i, row in enumerate(a.data)
+        if i not in drop_rows
+    )
+    return Matrix._raw(data, len(data), len(keep_cols)), zero_rows, zero_cols
 
 
 def _factor_chunk(chunk: Matrix, row_start: int):

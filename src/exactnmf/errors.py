@@ -13,6 +13,10 @@ class RankError(ExactNMFError):
     """Input rank is outside the range the operation supports."""
 
 
+class NegativeEntryError(ExactNMFError, ValueError):
+    """A matrix entry or scale that must be nonnegative is negative."""
+
+
 class NotAdmissible(ExactNMFError):
     """Parameter tuple fails the strict positivity pattern required here."""
 

@@ -40,9 +40,10 @@ def as_scalar(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major."""
+    """Immutable dense matrix of exact rationals, row-major.  ``rank``
+    stores its result in the ``_rank`` slot, so it runs once per matrix."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_rank")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         data = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -246,12 +247,17 @@ def _eliminate(data):
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    work, _ = _integer_rows(zip(*m.data))
-    pivot_cols, _ = _eliminate(work)
-    return len(pivot_cols)
+    """Exact rank by fraction-free Gaussian elimination, memoized on the
+    matrix: later calls on the same matrix read it back."""
+    r = getattr(m, "_rank", None)
+    if r is None:
+        r = 0
+        if m.rows and m.cols:
+            work, _ = _integer_rows(zip(*m.data))
+            pivot_cols, _ = _eliminate(work)
+            r = len(pivot_cols)
+        object.__setattr__(m, "_rank", r)
+    return r
 
 
 def solve(a: Matrix, b: Sequence[ScalarLike]):

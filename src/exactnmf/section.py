@@ -7,6 +7,13 @@ matrix through them; a 7-vertex section carries the cyclic zero pattern
 and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
 
+The vertices come from an integer cone: the chart's three columns,
+cleared to integers, are a basis B of the column space, and each vertex
+is an extreme ray ``B (b_i x b_j)`` of {B h >= 0}, for rows b_i of B; only
+the at most 7 vertices become Fractions.  Rank 2 is the same on a line:
+columns are placed on their segment and weighted against its two ends by
+integer 2x2 determinants.
+
 The convex coefficients come from one integer kernel per chunk
 (``_FanKernel``): the chart, the fan triangles and the vertex matrix are
 cleared to Python ints once per section, and each column is then located
@@ -30,7 +37,7 @@ from .errors import (
     OutsidePolygon,
     RankError,
 )
-from .linalg import Matrix, clear_denominators, insert_zero_lines, is_product, rank
+from .linalg import Matrix, clear_denominators, is_product, rank
 from .validation import check_nonnegative
 
 SIZE = 7
@@ -90,60 +97,6 @@ def _check_seven_rows_rank3(a: Matrix):
         raise RankError(f"sectioning requires rank 3, got {r}")
 
 
-def _proportional_groups(a: Matrix):
-    """Indices of the first row of each proportionality class, in order.
-
-    Zero rows carry no constraint (their coordinate vanishes identically
-    on the column space) and are excluded.
-    """
-    reps = []
-    for i in range(a.rows):
-        row = a.row(i)
-        if all(x == 0 for x in row):
-            continue
-        duplicate = False
-        for r in reps:
-            ref = a.row(r)
-            p = next(k for k, x in enumerate(ref) if x != 0)
-            lam = row[p] / ref[p]
-            if all(row[k] == lam * ref[k] for k in range(a.cols)):
-                duplicate = True
-                break
-        if not duplicate:
-            reps.append(i)
-    return reps
-
-
-def _extreme_points(lines):
-    """Chart points where two constraint lines meet and every constraint
-    u*x + v*y + o >= 0 holds, in discovery order and without repeats.
-
-    Each line (u, v, o) is scaled to integers by the positive lcm of its
-    denominators: the same line and the same half-plane.  Lines s and t
-    meet at (xn, yn) / det by Cramer's rule; with det made positive, a
-    constraint holds there iff o*det + u*xn + v*yn >= 0, so only the kept
-    points are built as Fractions.
-    """
-    lines = [clear_denominators(line)[0] for line in lines]
-    candidates = []
-    for s in range(len(lines)):
-        u1, v1, o1 = lines[s]
-        for t in range(s + 1, len(lines)):
-            u2, v2, o2 = lines[t]
-            det = u1 * v2 - u2 * v1
-            if det == 0:
-                continue
-            xn = o2 * v1 - o1 * v2
-            yn = u2 * o1 - u1 * o2
-            if det < 0:
-                det, xn, yn = -det, -xn, -yn
-            if all(o * det + u * xn + v * yn >= 0 for (u, v, o) in lines):
-                point = (Fraction(xn, det), Fraction(yn, det))
-                if point not in candidates:
-                    candidates.append(point)
-    return candidates
-
-
 def _angular_ccw_sort(points):
     """Sort chart points counterclockwise around their centroid using only
     exact sign tests; starts just above the positive-x direction."""
@@ -184,13 +137,26 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     return _section_polygon(a)
 
 
-def _normalized_columns(a: Matrix):
-    """Each nonzero column of a nonnegative matrix scaled to unit sum,
-    in order, normalized only when it is read."""
+def _cleared_columns(a: Matrix):
+    """(c, sum(c)) for each nonzero column of a nonnegative matrix, in
+    order, with c the column cleared to integers: its normalized form is
+    c / sum(c), and sum(c) == 0 only for a zero column."""
     for col in zip(*a.data):
-        total = sum(col, _ZERO)
-        if total:
-            yield tuple(x / total for x in col)
+        c, _ = clear_denominators(col)
+        s = sum(c)
+        if s:
+            yield c, s
+
+
+def _positive_minor(u, v):
+    """(i1, i2, m): the first nonzero 2x2 minor m = u[i1]*v[i2] - u[i2]*v[i1]
+    of two columns, its rows swapped where that makes it positive."""
+    for i1 in range(len(u)):
+        for i2 in range(i1 + 1, len(u)):
+            m = u[i1] * v[i2] - u[i2] * v[i1]
+            if m:
+                return (i1, i2, m) if m > 0 else (i2, i1, -m)
+    raise InternalError("section chart axes are parallel")
 
 
 def _section_polygon(a: Matrix) -> SectionPolygon:
@@ -198,75 +164,66 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
 
     The chart is the first normalized column, its first nonzero
     difference to a later one (u) and the first difference off the line
-    through u (v); only the columns up to v are normalized.
+    through u (v).  Those three columns, cleared to integers, are the
+    columns of an integer basis B of the column space, so the section is
+    the cone {B h >= 0} cut at unit sum: constraints i and j meet on the
+    ray h = b_i x b_j (rows of B), which is a vertex when B h has one
+    sign.  Zero and proportional rows have a zero cross product.
     """
-    columns = _normalized_columns(a)
-    origin = next(columns)
-    axis_u = None
-    for col in columns:
-        d = tuple(x - o for x, o in zip(col, origin))
-        if any(x != 0 for x in d):
-            axis_u = d
-            break
-    if axis_u is None:
+    columns = _cleared_columns(a)
+    c0, s0 = next(columns)
+    found = next(((c, s) for c, s in columns if any(x * s0 != y * s for x, y in zip(c, c0))), None)
+    if found is None:
         raise RankError("columns are all equal after normalization")
-    pivot = next(k for k, x in enumerate(axis_u) if x != 0)
+    cu, su = found
     # Columns before u lie on the origin and u itself on its own line, so
-    # the search for v continues after u.
-    axis_v = None
-    for col in columns:
-        d = tuple(x - o for x, o in zip(col, origin))
-        lam = d[pivot] / axis_u[pivot]
-        residual = tuple(x - lam * u for x, u in zip(d, axis_u))
-        if any(x != 0 for x in residual):
-            axis_v = d
-            break
-    if axis_v is None:
+    # the search for v continues after u.  c lies in the span of c0 and cu
+    # iff its 3x3 minors on the rows (p, q, i) vanish, for a nonzero 2x2
+    # minor of (c0, cu) on the rows p, q.
+    p, q, m = _positive_minor(c0, cu)
+    forms = [(c0[q] * y - x * cu[q], x * cu[p] - c0[p] * y) for x, y in zip(c0, cu)]
+    found = next((
+        (c, s) for c, s in columns
+        if any(c[p] * f + c[q] * g + ci * m for ci, (f, g) in zip(c, forms))
+    ), None)
+    if found is None:
         raise RankError("normalized columns span only a line")
+    cv, sv = found
 
-    # Constraint i: origin[i] + x*axis_u[i] + y*axis_v[i] >= 0.
-    reps = _proportional_groups(a)
-    candidates = _extreme_points([(axis_u[i], axis_v[i], origin[i]) for i in reps])
+    # A ray h meets the unit-sum plane at x / S, x = B h, S = sum(x), with
+    # chart coordinates (h[1] * su, h[2] * sv) / S; a vertex where more
+    # than two constraints are tight is found once per pair of them.
+    rows = list(zip(c0, cu, cv))
+    by_chart = {}
+    for i, (a0, a1, a2) in enumerate(rows):
+        for b0, b1, b2 in rows[i + 1 :]:
+            h = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+            if not any(h):
+                continue
+            x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
+            if min(x) < 0:
+                if max(x) > 0:
+                    continue
+                h, x = [-t for t in h], [-t for t in x]
+            total = sum(x)
+            chart = (Fraction(h[1] * su, total), Fraction(h[2] * sv, total))
+            if chart not in by_chart:
+                by_chart[chart] = SectionVertex(
+                    chart=chart,
+                    ambient=tuple(Fraction(t, total) for t in x),
+                    tight=tuple(k for k, t in enumerate(x) if t == 0),
+                )
 
-    if len(candidates) < 3:
+    if len(by_chart) < 3:
         raise DegenerateSection(
-            f"section has only {len(candidates)} extreme points; "
+            f"section has only {len(by_chart)} extreme points; "
             "expected a two-dimensional polygon"
         )
-    base = candidates[0]
-    d0 = None
-    flat = True
-    for p in candidates[1:]:
-        d = (p[0] - base[0], p[1] - base[1])
-        if d0 is None:
-            d0 = d
-        elif d0[0] * d[1] - d0[1] * d[0] != 0:
-            flat = False
-            break
-    if flat:
-        raise DegenerateSection("section degenerates to a segment")
-
-    ordered = _angular_ccw_sort(candidates)
-
-    vertices = []
-    columns = []
-    for chart_point in ordered:
-        ambient = tuple(
-            o + chart_point[0] * u + chart_point[1] * v
-            for o, u, v in zip(origin, axis_u, axis_v)
-        )
-        if any(x < 0 for x in ambient):
-            raise InternalError("section vertex has a negative coordinate")
-        if sum(ambient, Fraction(0)) != 1:
-            raise InternalError("section vertex does not sum to one")
-        tight = tuple(i for i, x in enumerate(ambient) if x == 0)
-        vertices.append(SectionVertex(chart=chart_point, ambient=ambient, tight=tight))
-        columns.append(ambient)
-
-    if len(vertices) > SIZE:
+    if len(by_chart) > SIZE:
         raise InternalError(
-            f"section produced {len(vertices)} vertices; at most 7 are possible"
+            f"section produced {len(by_chart)} vertices; at most 7 are possible"
         )
+    vertices = tuple(by_chart[chart] for chart in _angular_ccw_sort(list(by_chart)))
     if len(vertices) == SIZE:
         for t, vert in enumerate(vertices):
             if len(vert.tight) != 2:
@@ -276,11 +233,13 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
                 )
 
     return SectionPolygon(
-        chart_origin=tuple(origin),
-        chart_u=axis_u,
-        chart_v=axis_v,
-        vertices=tuple(vertices),
-        vertex_matrix=Matrix.from_columns(columns),
+        chart_origin=tuple(Fraction(x, s0) for x in c0),
+        chart_u=tuple(Fraction(y * s0 - x * su, su * s0) for x, y in zip(c0, cu)),
+        chart_v=tuple(Fraction(y * s0 - x * sv, sv * s0) for x, y in zip(c0, cv)),
+        vertices=vertices,
+        vertex_matrix=Matrix._raw(
+            tuple(zip(*(vert.ambient for vert in vertices))), len(c0), len(vertices)
+        ),
     )
 
 
@@ -306,18 +265,7 @@ class _FanKernel:
         self.origin, self.d_origin = clear_denominators(poly.chart_origin)
         self.u, d_u = clear_denominators(poly.chart_u)
         self.v, d_v = clear_denominators(poly.chart_v)
-        u, v = self.u, self.v
-        minors = (
-            (i1, i2, u[i1] * v[i2] - u[i2] * v[i1])
-            for i1 in range(dim)
-            for i2 in range(i1 + 1, dim)
-        )
-        i1, i2, minor = next((m for m in minors if m[2]), (0, 0, 0))
-        if minor == 0:
-            raise InternalError("section chart axes are parallel")
-        if minor < 0:  # swapping the two rows makes the minor positive
-            i1, i2, minor = i2, i1, -minor
-        self.minor = (i1, i2, minor)
+        self.minor = _, _, minor = _positive_minor(self.u, self.v)
 
         # A point with chart coordinates (x, y) = (xn * d_u, yn * d_v) / e,
         # e = minor * s * d_origin, sits at (xn * kx, yn * ky) / e once each
@@ -463,55 +411,63 @@ def factor_low_rank(a: Matrix):
     if r == 0:
         return Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), {"method": "zero", "inner_dim": 0}
 
+    cleared = [clear_denominators(col) for col in zip(*a.data)]
     if r == 1:
-        pivot_col = next(
-            j for j in range(a.cols) if any(x != 0 for x in a.column(j))
-        )
-        base = a.column(pivot_col)
-        p = next(i for i, x in enumerate(base) if x != 0)
-        ratios = []
-        for j in range(a.cols):
-            lam = a.data[p][j] / base[p]
-            if any(a.data[i][j] != lam * base[i] for i in range(a.rows)):
+        pivot_col = next(j for j, (c, _) in enumerate(cleared) if any(c))
+        base, cb = a.column(pivot_col), cleared[pivot_col][0]
+        p = next(i for i, x in enumerate(cb) if x)
+        for c, _ in cleared:
+            if any(x * cb[p] != y * c[p] for x, y in zip(c, cb)):
                 raise InternalError("rank-1 matrix has a non-proportional column")
-            ratios.append(lam)
-        left = Matrix.from_columns([base])
-        right = Matrix([ratios])
+        left = Matrix._raw(tuple((x,) for x in base), a.rows, 1)
+        right = Matrix._raw((tuple(x / base[p] for x in a.data[p]),), 1, a.cols)
         return left, right, {"method": "single-column", "inner_dim": 1}
 
-    normalized, sums, zero_cols = normalize_columns(a)
-    origin = normalized.column(0)
-    direction = None
-    for j in range(1, normalized.cols):
-        d = tuple(x - o for x, o in zip(normalized.column(j), origin))
-        if any(x != 0 for x in d):
-            direction = d
-            break
-    if direction is None:
+    # Column j is c / d_j with integer c, and positions on the segment are
+    # compared by cross-multiplication, so only the left factor's entries
+    # and the nonzero weights become Fractions.
+    sums = [sum(c) for c, _ in cleared]
+    kept = [j for j, s in enumerate(sums) if s]
+    c_o, s_o = cleared[kept[0]][0], sums[kept[0]]
+    u = next((j for j in kept if any(x * s_o != y * sums[j] for x, y in zip(cleared[j][0], c_o))), None)
+    if u is None:
         raise InternalError("rank-2 matrix has a single normalized column")
-    p = next(i for i, x in enumerate(direction) if x != 0)
+    c_u = cleared[u][0]
+    p, q, minor = _positive_minor(c_o, c_u)
 
-    positions = []
-    for j in range(normalized.cols):
-        col = normalized.column(j)
-        t = (col[p] - origin[p]) / direction[p]
-        if any(col[i] != origin[i] + t * direction[i] for i in range(a.rows)):
+    # By Cramer on the rows p, q, minor * c = det(c, c_u) * c_o + det(c_o, c) * c_u
+    # for every column c in the span; the normalized column then sits at
+    # det(c_o, c) * s_u / (minor * sum(c)) on the line, and s_u / minor > 0.
+    position = {}
+    for j in kept:
+        c = cleared[j][0]
+        det_o = c_o[p] * c[q] - c_o[q] * c[p]
+        det_u = c[p] * c_u[q] - c[q] * c_u[p]
+        if any(minor * x != det_u * y + det_o * z for x, y, z in zip(c, c_o, c_u)):
             raise InternalError("normalized columns of a rank-2 matrix left their line")
-        positions.append(t)
-    t_min, t_max = min(positions), max(positions)
-    j_min = positions.index(t_min)
-    j_max = positions.index(t_max)
-    end_low = normalized.column(j_min)
-    end_high = normalized.column(j_max)
-    span = t_max - t_min
+        position[j] = det_o
+    low = high = kept[0]  # the first minimum and the first maximum
+    for j in kept:
+        if position[j] * sums[low] < position[low] * sums[j]:
+            low = j
+        if position[j] * sums[high] > position[high] * sums[j]:
+            high = j
 
-    weight_cols = []
-    for j, t in enumerate(positions):
-        mu = (t_max - t) / span
-        weight_cols.append((mu * sums[j], (1 - mu) * sums[j]))
-    right = insert_zero_lines(Matrix.from_columns(weight_cols), (), zero_cols, 2, a.cols)
-    left = Matrix.from_columns([end_low, end_high])
+    # Weights against the two ends, again by Cramer on the rows p, q.
+    c_low, c_high = cleared[low][0], cleared[high][0]
+    s_low, s_high = sums[low], sums[high]
+    span = c_low[p] * c_high[q] - c_low[q] * c_high[p]
+    w_low, w_high = [_ZERO] * a.cols, [_ZERO] * a.cols
+    for j in kept:
+        c, d = cleared[j]
+        w_low[j] = Fraction((c[p] * c_high[q] - c[q] * c_high[p]) * s_low, span * d)
+        w_high[j] = Fraction((c_low[p] * c[q] - c_low[q] * c[p]) * s_high, span * d)
+    right = Matrix._raw((tuple(w_low), tuple(w_high)), 2, a.cols)
+    left = Matrix._raw(
+        tuple((Fraction(x, s_low), Fraction(y, s_high)) for x, y in zip(c_low, c_high)),
+        a.rows,
+        2,
+    )
     if not is_product(left, right, a):
         raise InternalError("rank-2 factorization failed to reproduce the input")
     return left, right, {"method": "segment", "inner_dim": 2}
-

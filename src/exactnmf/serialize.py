@@ -246,7 +246,7 @@ def load_json(path: str):
                 parse_float=lambda s: Fraction(_check_token_size(s)),
                 parse_int=lambda s: int(_check_token_size(s)),
             )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
@@ -263,7 +263,7 @@ def load_matrix_file(path: str, fmt: str = "auto") -> Matrix:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 m = matrix_from_csv(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {path}: {exc}") from None
     else:
         m = matrix_from_jsonable(load_json(path))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, NegativeEntryError
 from .linalg import Matrix
 
 
@@ -28,11 +28,11 @@ def as_matrix(data) -> Matrix:
 
 
 def check_nonnegative(m: Matrix, name: str = "matrix") -> Matrix:
-    """Raise ValueError if any entry of ``m`` is negative."""
+    """Raise NegativeEntryError if any entry of ``m`` is negative."""
     hit = m.first_negative_entry()
     if hit is not None:
         (i, j), value = hit
-        raise ValueError(f"{name} has negative entry {value} at ({i}, {j})")
+        raise NegativeEntryError(f"{name} has negative entry {value} at ({i}, {j})")
     return m
 
 

@@ -158,12 +158,20 @@ class TestFactorCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["bytes.json", "bytes.csv"])
+    def test_undecodable_file_exits_two(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"\x80[[1]]")
+        code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
+
     def test_negative_entry_exits_one(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         save_text(str(path), dumps({"entries": [["1", "-2"], ["0", "1"]]}))
         code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
         assert code == 1
-        assert "ValueError" in capsys.readouterr().err
+        assert "NegativeEntryError" in capsys.readouterr().err
 
 
 class TestExtendCommand:

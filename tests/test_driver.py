@@ -10,7 +10,8 @@ from exactnmf.driver import (
     nn_factor,
     verify_factorization,
 )
-from exactnmf.errors import RankError
+from exactnmf.canonical import MonomialMatrix
+from exactnmf.errors import ExactNMFError, NegativeEntryError, RankError
 from exactnmf.generate import random_convex_polygon, random_rank_two
 from exactnmf.linalg import Matrix, rank
 from exactnmf.polygon import slack_matrix
@@ -106,6 +107,13 @@ class TestNNFactor:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             nn_factor(Matrix([[1, -1], [0, 1]]))
+
+    def test_negative_entry_error_is_structured(self):
+        assert issubclass(NegativeEntryError, ExactNMFError)
+        with pytest.raises(NegativeEntryError, match=r"input matrix has negative entry -1 at \(0, 1\)"):
+            nn_factor(Matrix([[1, -1], [0, 1]]))
+        with pytest.raises(NegativeEntryError):
+            MonomialMatrix((0, 1), (Fraction(1), Fraction(-2)))
 
     def test_trace_records_chunks(self):
         a = ngon_slack(66, 16)

@@ -12,9 +12,11 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from exactnmf import linalg
 from exactnmf.linalg import (
     Inconsistency,
     Matrix,
+    insert_zero_lines,
     is_product,
     rank,
     solve,
@@ -229,3 +231,36 @@ def test_is_product_matches_oracle(data):
     else:
         target = data.draw(matrices())
     assert is_product(a, b, target) == (product == target)
+
+
+# -- the rank memo ----------------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(st.one_of(matrices(), products()))
+def test_rank_memo_matches_fresh_elimination(m):
+    """A memoized rank changes neither ``==`` nor ``hash``, and matrices
+    built from a ranked one (``_raw`` on its data, its transpose, it with
+    zero lines inserted) get their own rank, equal to a fresh elimination."""
+    fresh = Matrix._raw(m.data, m.rows, m.cols)
+    assert rank(m) == oracle_rank(m)
+    assert m == fresh and hash(m) == hash(fresh)
+    derived = (
+        Matrix._raw(m.data, m.rows, m.cols),
+        m.transpose(),
+        insert_zero_lines(m, [0], [m.cols], m.rows + 1, m.cols + 1),
+    )
+    for d in derived:
+        assert rank(d) == oracle_rank(d)
+
+
+def test_rank_eliminates_once_per_matrix(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda data: calls.append(1) or eliminate(data))
+    m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert rank(m) == 2
+    assert rank(m) == 2
+    assert len(calls) == 1
+    assert rank(Matrix(m.data)) == 2  # an equal but new matrix is eliminated anew
+    assert len(calls) == 2

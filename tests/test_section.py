@@ -1,29 +1,48 @@
 """Simplex sectioning, convex coefficients, and the rank dispatchers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactnmf import section
-from exactnmf.errors import DimensionError, InternalError, OutsidePolygon, RankError
+from exactnmf.errors import (
+    DegenerateSection,
+    DimensionError,
+    ExactNMFError,
+    InternalError,
+    OutsidePolygon,
+    RankError,
+)
 from exactnmf.generate import (
     random_convex_polygon,
     random_rank3_seven_by_n,
     random_rank_one,
     random_rank_two,
 )
-from exactnmf.linalg import Inconsistency, Matrix, clear_denominators, rank, solve
+from exactnmf.linalg import (
+    Inconsistency,
+    Matrix,
+    clear_denominators,
+    insert_zero_lines,
+    is_product,
+    rank,
+    solve,
+)
 from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
 from exactnmf.section import (
+    SectionPolygon,
+    SectionVertex,
     convex_coefficients,
     factor_low_rank,
     factor_seven_by_n,
     normalize_columns,
     section_polygon,
 )
+from exactnmf.validation import check_nonnegative
 
 
 def identity_columns(count):
@@ -252,6 +271,168 @@ class TestFactorLowRank:
             factor_low_rank(h7_slack)
 
 
+# -- the Fraction section code the integer cone replaced, verbatim ----------
+
+SIZE = 7
+_ZERO = Fraction(0)
+_angular_ccw_sort = section._angular_ccw_sort
+
+
+def _proportional_groups(a: Matrix):
+    """Indices of the first row of each proportionality class, in order.
+
+    Zero rows carry no constraint (their coordinate vanishes identically
+    on the column space) and are excluded.
+    """
+    reps = []
+    for i in range(a.rows):
+        row = a.row(i)
+        if all(x == 0 for x in row):
+            continue
+        duplicate = False
+        for r in reps:
+            ref = a.row(r)
+            p = next(k for k, x in enumerate(ref) if x != 0)
+            lam = row[p] / ref[p]
+            if all(row[k] == lam * ref[k] for k in range(a.cols)):
+                duplicate = True
+                break
+        if not duplicate:
+            reps.append(i)
+    return reps
+
+
+def _extreme_points(lines):
+    """Chart points where two constraint lines meet and every constraint
+    u*x + v*y + o >= 0 holds, in discovery order and without repeats.
+
+    Each line (u, v, o) is scaled to integers by the positive lcm of its
+    denominators: the same line and the same half-plane.  Lines s and t
+    meet at (xn, yn) / det by Cramer's rule; with det made positive, a
+    constraint holds there iff o*det + u*xn + v*yn >= 0, so only the kept
+    points are built as Fractions.
+    """
+    lines = [clear_denominators(line)[0] for line in lines]
+    candidates = []
+    for s in range(len(lines)):
+        u1, v1, o1 = lines[s]
+        for t in range(s + 1, len(lines)):
+            u2, v2, o2 = lines[t]
+            det = u1 * v2 - u2 * v1
+            if det == 0:
+                continue
+            xn = o2 * v1 - o1 * v2
+            yn = u2 * o1 - u1 * o2
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            if all(o * det + u * xn + v * yn >= 0 for (u, v, o) in lines):
+                point = (Fraction(xn, det), Fraction(yn, det))
+                if point not in candidates:
+                    candidates.append(point)
+    return candidates
+
+
+def _normalized_columns(a: Matrix):
+    """Each nonzero column of a nonnegative matrix scaled to unit sum,
+    in order, normalized only when it is read."""
+    for col in zip(*a.data):
+        total = sum(col, _ZERO)
+        if total:
+            yield tuple(x / total for x in col)
+
+
+def oracle_section_polygon(a: Matrix) -> SectionPolygon:
+    """section_polygon for a matrix that passed _check_seven_rows_rank3.
+
+    The chart is the first normalized column, its first nonzero
+    difference to a later one (u) and the first difference off the line
+    through u (v); only the columns up to v are normalized.
+    """
+    columns = _normalized_columns(a)
+    origin = next(columns)
+    axis_u = None
+    for col in columns:
+        d = tuple(x - o for x, o in zip(col, origin))
+        if any(x != 0 for x in d):
+            axis_u = d
+            break
+    if axis_u is None:
+        raise RankError("columns are all equal after normalization")
+    pivot = next(k for k, x in enumerate(axis_u) if x != 0)
+    # Columns before u lie on the origin and u itself on its own line, so
+    # the search for v continues after u.
+    axis_v = None
+    for col in columns:
+        d = tuple(x - o for x, o in zip(col, origin))
+        lam = d[pivot] / axis_u[pivot]
+        residual = tuple(x - lam * u for x, u in zip(d, axis_u))
+        if any(x != 0 for x in residual):
+            axis_v = d
+            break
+    if axis_v is None:
+        raise RankError("normalized columns span only a line")
+
+    # Constraint i: origin[i] + x*axis_u[i] + y*axis_v[i] >= 0.
+    reps = _proportional_groups(a)
+    candidates = _extreme_points([(axis_u[i], axis_v[i], origin[i]) for i in reps])
+
+    if len(candidates) < 3:
+        raise DegenerateSection(
+            f"section has only {len(candidates)} extreme points; "
+            "expected a two-dimensional polygon"
+        )
+    base = candidates[0]
+    d0 = None
+    flat = True
+    for p in candidates[1:]:
+        d = (p[0] - base[0], p[1] - base[1])
+        if d0 is None:
+            d0 = d
+        elif d0[0] * d[1] - d0[1] * d[0] != 0:
+            flat = False
+            break
+    if flat:
+        raise DegenerateSection("section degenerates to a segment")
+
+    ordered = _angular_ccw_sort(candidates)
+
+    vertices = []
+    columns = []
+    for chart_point in ordered:
+        ambient = tuple(
+            o + chart_point[0] * u + chart_point[1] * v
+            for o, u, v in zip(origin, axis_u, axis_v)
+        )
+        if any(x < 0 for x in ambient):
+            raise InternalError("section vertex has a negative coordinate")
+        if sum(ambient, Fraction(0)) != 1:
+            raise InternalError("section vertex does not sum to one")
+        tight = tuple(i for i, x in enumerate(ambient) if x == 0)
+        vertices.append(SectionVertex(chart=chart_point, ambient=ambient, tight=tight))
+        columns.append(ambient)
+
+    if len(vertices) > SIZE:
+        raise InternalError(
+            f"section produced {len(vertices)} vertices; at most 7 are possible"
+        )
+    if len(vertices) == SIZE:
+        for t, vert in enumerate(vertices):
+            if len(vert.tight) != 2:
+                raise InternalError(
+                    f"vertex {t} of a 7-vertex section has {len(vert.tight)} "
+                    "tight constraints; exactly 2 are possible"
+                )
+
+    return SectionPolygon(
+        chart_origin=tuple(origin),
+        chart_u=axis_u,
+        chart_v=axis_v,
+        vertices=tuple(vertices),
+        vertex_matrix=Matrix.from_columns(columns),
+    )
+
+
+
 # -- the integer candidate loop against the Fraction loop it replaced -------
 
 
@@ -305,7 +486,7 @@ def constraint_lines(draw):
 @settings(max_examples=400)
 @given(constraint_lines())
 def test_extreme_points_match_fraction_loop(lines):
-    assert section._extreme_points(lines) == fraction_extreme_points(lines)
+    assert _extreme_points(lines) == fraction_extreme_points(lines)
 
 
 @st.composite
@@ -340,7 +521,7 @@ def test_section_vertices_match_fraction_loop(case):
     poly = section_polygon(a)
     lines = [
         (poly.chart_u[i], poly.chart_v[i], poly.chart_origin[i])
-        for i in section._proportional_groups(a)
+        for i in _proportional_groups(a)
     ]
     expected = section._angular_ccw_sort(fraction_extreme_points(lines))
     assert [v.chart for v in poly.vertices] == expected
@@ -411,7 +592,7 @@ def outcome(fn, *args):
     """The result of ``fn``, or the class and message of what it raised."""
     try:
         return fn(*args)
-    except (OutsidePolygon, InternalError, DimensionError) as exc:
+    except (ExactNMFError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -509,3 +690,164 @@ def test_chunk_weights_match_oracle(case, data):
         columns.append(tuple(x * weight for x in point))
     a = Matrix.from_columns(columns)
     assert outcome(section._convex_weights, poly, a) == outcome(oracle_weights, poly, columns)
+
+
+# -- the integer cone against the Fraction section code ----------------------
+
+
+@st.composite
+def section_inputs(draw):
+    """``seven_row_sections`` with columns in the column space added in
+    front: zero columns, positive multiples of a column, and positive
+    combinations of the first two (on the line through them), so the
+    chart search skips columns on its way to u and to v."""
+    a, k = draw(seven_row_sections())
+    columns = a.columns()
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "multiple", "on-line"]))
+        if kind == "zero":
+            col = (Fraction(0),) * 7
+        elif kind == "multiple":
+            lam = draw(positive)
+            col = tuple(lam * x for x in columns[draw(st.integers(0, len(columns) - 1))])
+        else:
+            lam, mu = draw(positive), draw(positive)
+            col = tuple(lam * x + mu * y for x, y in zip(columns[0], columns[1]))
+        columns.insert(draw(st.integers(0, 2)), col)
+    return Matrix.from_columns(columns), k
+
+
+@settings(max_examples=200)
+@given(section_inputs())
+def test_section_polygon_matches_fraction_code(case):
+    """Chart, vertex order, ambient points, tight sets and vertex matrix."""
+    a, k = case
+    poly = section_polygon(a)
+    assert poly == oracle_section_polygon(a)
+    assert poly.k == k
+
+
+# -- the integer segment against the Fraction rank <= 2 code -----------------
+
+
+def oracle_factor_low_rank(a: Matrix):
+    """``factor_low_rank`` as it was on Fractions, verbatim."""
+    check_nonnegative(a)
+    r = rank(a)
+    if r > 2:
+        raise RankError(f"low-rank factorization requires rank <= 2, got {r}")
+
+    if r == 0:
+        return Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), {"method": "zero", "inner_dim": 0}
+
+    if r == 1:
+        pivot_col = next(
+            j for j in range(a.cols) if any(x != 0 for x in a.column(j))
+        )
+        base = a.column(pivot_col)
+        p = next(i for i, x in enumerate(base) if x != 0)
+        ratios = []
+        for j in range(a.cols):
+            lam = a.data[p][j] / base[p]
+            if any(a.data[i][j] != lam * base[i] for i in range(a.rows)):
+                raise InternalError("rank-1 matrix has a non-proportional column")
+            ratios.append(lam)
+        left = Matrix.from_columns([base])
+        right = Matrix([ratios])
+        return left, right, {"method": "single-column", "inner_dim": 1}
+
+    normalized, sums, zero_cols = normalize_columns(a)
+    origin = normalized.column(0)
+    direction = None
+    for j in range(1, normalized.cols):
+        d = tuple(x - o for x, o in zip(normalized.column(j), origin))
+        if any(x != 0 for x in d):
+            direction = d
+            break
+    if direction is None:
+        raise InternalError("rank-2 matrix has a single normalized column")
+    p = next(i for i, x in enumerate(direction) if x != 0)
+
+    positions = []
+    for j in range(normalized.cols):
+        col = normalized.column(j)
+        t = (col[p] - origin[p]) / direction[p]
+        if any(col[i] != origin[i] + t * direction[i] for i in range(a.rows)):
+            raise InternalError("normalized columns of a rank-2 matrix left their line")
+        positions.append(t)
+    t_min, t_max = min(positions), max(positions)
+    j_min = positions.index(t_min)
+    j_max = positions.index(t_max)
+    end_low = normalized.column(j_min)
+    end_high = normalized.column(j_max)
+    span = t_max - t_min
+
+    weight_cols = []
+    for j, t in enumerate(positions):
+        mu = (t_max - t) / span
+        weight_cols.append((mu * sums[j], (1 - mu) * sums[j]))
+    right = insert_zero_lines(Matrix.from_columns(weight_cols), (), zero_cols, 2, a.cols)
+    left = Matrix.from_columns([end_low, end_high])
+    if not is_product(left, right, a):
+        raise InternalError("rank-2 factorization failed to reproduce the input")
+    return left, right, {"method": "segment", "inner_dim": 2}
+
+
+multipliers = st.one_of(
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(10**15, 10**20), st.integers(10**15, 10**20)),
+)
+
+
+@st.composite
+def low_rank_inputs(draw):
+    """Nonnegative matrices whose columns are multiples of 1, 2 or 3
+    generator columns (rank 1, 2 or 3 when the generators are independent)
+    or positive combinations of them: zero columns, generators repeated at
+    both ends of the segment (ties for the first minimum and maximum),
+    repeats of earlier columns, and now and then a negative entry."""
+    rows = draw(st.sampled_from(range(1, 8)))
+    count = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    entry = st.builds(Fraction, st.sampled_from(range(10)), st.integers(1, 4))
+    generators = [[draw(entry) for _ in range(rows)] for _ in range(count)]
+    columns = []
+    for _ in range(draw(st.sampled_from(range(1, 9)))):
+        kind = draw(st.sampled_from(["zero", "end", "end", "end", "repeat", "mix", "mix"]))
+        if kind == "zero":
+            col = [Fraction(0)] * rows
+        elif kind == "end":
+            lam = draw(multipliers)
+            col = [lam * x for x in generators[draw(st.integers(0, count - 1))]]
+        elif kind == "repeat" and columns:
+            lam = draw(multipliers)
+            col = [lam * x for x in draw(st.sampled_from(columns))]
+        else:
+            weights = [draw(multipliers) for _ in generators]
+            col = [sum(w * g[i] for w, g in zip(weights, generators)) for i in range(rows)]
+        columns.insert(draw(st.integers(0, len(columns))), col)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        j = draw(st.integers(0, len(columns) - 1))
+        i = draw(st.integers(0, rows - 1))
+        columns[j][i] = -draw(multipliers)
+    return Matrix.from_columns(columns)
+
+
+@settings(max_examples=400)
+@given(low_rank_inputs())
+def test_factor_low_rank_matches_fraction_code(a):
+    """Left, right and info, or the class and message of the exception."""
+    assert outcome(factor_low_rank, a) == outcome(oracle_factor_low_rank, a)
+
+
+@settings(max_examples=200)
+@given(low_rank_inputs(), st.sampled_from([1, 2]))
+def test_factor_low_rank_guards_match_fraction_code(a, claimed):
+    """With ``rank`` made to claim rank 1 or 2 whatever the input, the
+    guards that only a wrong rank can trip (a non-proportional column, a
+    column off the segment, a single normalized column) raise as the old
+    code did."""
+    assume(any(x for row in a.data for x in row))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(section, "rank", lambda m: claimed)
+        patch.setattr(sys.modules[__name__], "rank", lambda m: claimed)
+        assert outcome(factor_low_rank, a) == outcome(oracle_factor_low_rank, a)
