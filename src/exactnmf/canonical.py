@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DimensionError, NegativeEntryError, NotAdmissible, TheoryViolation
-from .linalg import Matrix, as_scalar, clear_denominators, is_product
+from .linalg import Matrix, as_scalar, clear_denominators, is_certificate
 
 SIZE = 7
 
@@ -76,17 +76,20 @@ class MonomialMatrix:
         self.scales = scales
 
     @classmethod
+    def _raw(cls, perm: tuple, scales: tuple) -> "MonomialMatrix":
+        """A monomial from a permutation and positive Fraction scales that
+        the caller built itself, without re-checking them."""
+        m = object.__new__(cls)
+        m.size, m.perm, m.scales = len(perm), perm, scales
+        return m
+
+    @classmethod
     def diagonal(cls, scales) -> "MonomialMatrix":
         scales = tuple(scales)
         return cls(range(len(scales)), scales)
 
     def to_matrix(self) -> Matrix:
-        rows = []
-        for i in range(self.size):
-            row = [Fraction(0)] * self.size
-            row[self.perm[i]] = self.scales[i]
-            rows.append(row)
-        return Matrix(rows)
+        return self.apply_left(Matrix.identity(self.size))
 
     def apply_left(self, m: Matrix) -> Matrix:
         """``self.to_matrix() @ m``: row i is row perm[i] of m, scaled."""
@@ -108,6 +111,14 @@ class MonomialMatrix:
                 out[p] = s * x
             data.append(tuple(out))
         return Matrix._raw(tuple(data), m.rows, m.cols)
+
+    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        """The monomial product ``self @ other``: row i of ``self`` picks row
+        perm[i] of ``other``."""
+        return MonomialMatrix._raw(
+            tuple(other.perm[p] for p in self.perm),
+            tuple(s * other.scales[p] for p, s in zip(self.perm, self.scales)),
+        )
 
     def inverse(self) -> "MonomialMatrix":
         inv_perm = [0] * self.size
@@ -164,28 +175,12 @@ def _cross3(s, t):
     )
 
 
-def _integer_base(params: CanonicalParams):
-    """Base points cleared to integers: (rows, row scales).
-
-    Each parameter row (a, 1, b) is multiplied by the lcm d of its
-    denominators; the fixed rows keep scale 1.  A determinant of three
-    cleared rows is the true one times the product of their positive
-    scales, so it has the same sign.
-    """
-    rows = [(0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
-    scales = [1, 1, 1, 1]
-    for pair in ((params.a1, params.b1), (params.a2, params.b2), (params.a3, params.b3)):
-        (a, b), d = clear_denominators(pair)
-        rows.append((a, d, b))
-        scales.append(d)
-    return rows, scales
-
-
 def _integer_dets(params: CanonicalParams):
     """Yield (i, j, det, scale) for every 1-based position of the canonical
-    matrix, column by column: det of the cleared base rows (i-1, j-2, j-1)
-    as an integer, and the product of their scales."""
-    w, d = _integer_base(params)
+    matrix, column by column: det of the base rows (i-1, j-2, j-1), each
+    cleared over its own denominator, as an integer, and the product of
+    their denominators.  Positive row scales keep every sign."""
+    w, d = zip(*map(clear_denominators, base_points(params).data))
     for j in range(1, SIZE + 1):
         s, t = _rep7(j - 2) - 1, _rep7(j - 1) - 1
         c = _cross3(w[s], w[t])
@@ -207,7 +202,7 @@ def canonical_matrix(params: CanonicalParams) -> Matrix:
     out = [[None] * SIZE for _ in range(SIZE)]
     for i, j, x, scale in _integer_dets(params):
         out[i - 1][j - 1] = Fraction(x, scale)
-    return Matrix(out)
+    return Matrix._raw(tuple(map(tuple, out)), SIZE, SIZE)
 
 
 def is_structural_zero(i: int, j: int) -> bool:
@@ -242,10 +237,7 @@ def reversal(params: CanonicalParams):
     and the unit-scale monomials satisfy
     row_perm @ canonical(mirror) @ col_perm == canonical(params).
     """
-    mirror = params.reversed_tuple()
-    row_perm = MonomialMatrix(_REVERSAL_ROWS)
-    col_perm = MonomialMatrix(_REVERSAL_COLS)
-    return mirror, row_perm, col_perm
+    return params.reversed_tuple(), MonomialMatrix(_REVERSAL_ROWS), MonomialMatrix(_REVERSAL_COLS)
 
 
 def step(params: CanonicalParams):
@@ -261,10 +253,21 @@ def step(params: CanonicalParams):
     """
     if not is_admissible(params):
         raise NotAdmissible(f"step requires an admissible tuple, got {params}")
+    return _step(params)
+
+
+_Q1_PERM = (1, 2, 3, 4, 5, 6, 0)
+_Q2_PERM = (6, 0, 1, 2, 3, 4, 5)
+
+
+def _step(params: CanonicalParams):
+    """``step`` for a tuple its caller proved admissible, which makes the
+    divisors 1-b3, a1, a2, a3 strictly positive.  Tests only the tuple it
+    makes, once, since the next step divides by its entries."""
     a1, a2, a3, b1, b2, b3 = params.astuple()
-    # Divisors 1-b3, a1, a2, a3 are strictly positive for admissible input.
+    c = 1 - b3
     nxt = CanonicalParams(
-        (1 - a3 - b3) / (1 - b3),
+        (1 - a3 - b3) / c,
         (a1 - a1 * b3 - a3 + a3 * b1) / (a1 - a1 * b3),
         (a2 - a2 * b3 - a3 + a3 * b2) / (a2 - a2 * b3),
         a3,
@@ -272,32 +275,11 @@ def step(params: CanonicalParams):
         a3 / a2,
     )
     if not is_admissible(nxt):
-        raise TheoryViolation(
-            f"stepped tuple lost admissibility: {params} -> {nxt}"
-        )
-    q1 = MonomialMatrix(
-        (1, 2, 3, 4, 5, 6, 0),
-        (
-            Fraction(1),
-            Fraction(1),
-            1 / (1 - b3),
-            1 / a3,
-            1 / a3,
-            a1 / a3,
-            a2 / a3,
-        ),
-    )
-    q2 = MonomialMatrix(
-        (6, 0, 1, 2, 3, 4, 5),
-        (
-            a1 * a2 * (1 - b3) / a3,
-            a2 * (1 - b3),
-            a3 * (1 - b3),
-            a3,
-            Fraction(1),
-            (1 - b3) / a3,
-            a1 * (1 - b3) / a3,
-        ),
+        raise TheoryViolation(f"stepped tuple lost admissibility: {params} -> {nxt}")
+    one = Fraction(1)
+    q1 = MonomialMatrix._raw(_Q1_PERM, (one, one, 1 / c, 1 / a3, 1 / a3, a1 / a3, a2 / a3))
+    q2 = MonomialMatrix._raw(
+        _Q2_PERM, (a1 * a2 * c / a3, a2 * c, a3 * c, a3, one, c / a3, a1 * c / a3)
     )
     return nxt, q1, q2
 
@@ -331,36 +313,37 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
         raise NotAdmissible("direct_factor requires an admissible tuple")
     if not middle_min_condition(params):
         return None
-    a1, a2, a3, b1, b2, b3 = params.astuple()
     vm = canonical_matrix(params)
+    left, right = _direct_factor(params, vm)
+    if not is_certificate(left, right, vm):
+        raise TheoryViolation(f"direct factor failed its verification for {params}")
+    return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
+
+
+def _direct_factor(params: CanonicalParams, vm: Matrix):
+    """(left, right) of ``direct_factor`` for an admissible tuple that meets
+    the middle-min condition, ``vm`` its canonical matrix; tests nothing."""
+    a1, a2, a3, b1, b2, b3 = params.astuple()
     v = lambda i, j: vm.data[i - 1][j - 1]  # noqa: E731 - 1-based view
     one, zero = Fraction(1), Fraction(0)
-    left = Matrix(
-        [
-            (zero, zero, one, v(4, 1) + v(4, 7), v(6, 1), zero),
-            (zero, zero, zero, one, a1 - a2 + b1 - b2, one),
-            (v(3, 1), zero, zero, one, v(3, 7), zero),
-            (v(4, 1), one, zero, zero, v(4, 7), zero),
-            (-a2 + a3 - b2 + b3, one, zero, zero, zero, one),
-            (v(6, 1), v(3, 1) + v(3, 7), one, zero, zero, zero),
-            (zero, v(3, 1), one, v(4, 7), zero, zero),
-        ]
+    left = (
+        (zero, zero, one, v(4, 1) + v(4, 7), v(6, 1), zero),
+        (zero, zero, zero, one, a1 - a2 + b1 - b2, one),
+        (v(3, 1), zero, zero, one, v(3, 7), zero),
+        (v(4, 1), one, zero, zero, v(4, 7), zero),
+        (-a2 + a3 - b2 + b3, one, zero, zero, zero, one),
+        (v(6, 1), v(3, 1) + v(3, 7), one, zero, zero, zero),
+        (zero, v(3, 1), one, v(4, 7), zero, zero),
     )
-    right = Matrix(
-        [
-            (one, v(3, 2) / v(3, 1), zero, zero, zero, zero, zero),
-            (zero, v(2, 1) / v(3, 1), one, zero, zero, zero, zero),
-            (zero, zero, v(1, 3), one, v(6, 5), zero, zero),
-            (zero, zero, zero, zero, one, v(5, 7) / v(4, 7), zero),
-            (zero, zero, zero, zero, zero, v(6, 5) / v(4, 7), one),
-            (v(7, 2), zero, zero, one, zero, zero, v(5, 7)),
-        ]
+    right = (
+        (one, v(3, 2) / v(3, 1), zero, zero, zero, zero, zero),
+        (zero, v(2, 1) / v(3, 1), one, zero, zero, zero, zero),
+        (zero, zero, v(1, 3), one, v(6, 5), zero, zero),
+        (zero, zero, zero, zero, one, v(5, 7) / v(4, 7), zero),
+        (zero, zero, zero, zero, zero, v(6, 5) / v(4, 7), one),
+        (v(7, 2), zero, zero, one, zero, zero, v(5, 7)),
     )
-    if not (left.is_nonnegative() and right.is_nonnegative()):
-        raise TheoryViolation(f"direct factor produced a negative entry for {params}")
-    if not is_product(left, right, vm):
-        raise TheoryViolation(f"direct factor does not reproduce the matrix for {params}")
-    return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
+    return Matrix._raw(left, SIZE, 6), Matrix._raw(right, 6, SIZE)
 
 
 MAX_SEARCH_STEPS = 14  # 7 on the tuple itself, then 7 on its mirror
@@ -378,44 +361,39 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
     """
     if not is_admissible(params):
         raise NotAdmissible("factor_canonical requires an admissible tuple")
+    target = canonical_matrix(params)
+    q_left, cert, q_right = _factor_canonical(params, target)
+    left, right = q_left.apply_left(cert.left), q_right.apply_right(cert.right)
+    if not is_certificate(left, right, target):
+        raise TheoryViolation(f"assembled certificate failed verification for {params}")
+    return Rank6Certificate(left, right, cert.steps_taken, cert.used_reversal)
 
-    def search(start: CanonicalParams):
-        current = start
-        q1s, q2s = [], []
+
+def _factor_canonical(params: CanonicalParams, matrix: Matrix):
+    """The search of ``factor_canonical`` for a tuple its caller proved
+    admissible, ``matrix`` its canonical matrix: (q_left, cert, q_right)
+    with ``matrix == q_left @ cert.left @ cert.right @ q_right``, ``cert``
+    the direct factorization where the search stopped and the monomials
+    every step and the mirror on the way there, composed for the caller
+    to apply once."""
+    identity = MonomialMatrix._raw(tuple(range(SIZE)), (Fraction(1),) * SIZE)
+    for mirrored in (False, True):
+        current = params.reversed_tuple() if mirrored else params
+        q_left = q_right = identity
         for t in range(7):
             if middle_min_condition(current):
-                cert = direct_factor(current)
-                left, right = cert.left, cert.right
-                # target == q1(0) @ ... @ q1(t-1) @ left @ right @ q2(t-1) @ ... @ q2(0)
-                for q1 in reversed(q1s):
-                    left = q1.apply_left(left)
-                for q2 in reversed(q2s):
-                    right = q2.apply_right(right)
-                return left, right, t
-            current, q1, q2 = step(current)
-            q1s.append(q1)
-            q2s.append(q2)
-        return None
-
-    target = canonical_matrix(params)
-    hit = search(params)
-    used_reversal = False
-    if hit is None:
-        mirror, row_perm, col_perm = reversal(params)
-        hit = search(mirror)
-        if hit is None:
-            raise TheoryViolation(
-                f"no factorization within {MAX_SEARCH_STEPS} search steps for "
-                f"{params}; this state is impossible for exact admissible input"
-            )
-        left, right, t = hit
-        left = row_perm.apply_left(left)
-        right = col_perm.apply_right(right)
-        used_reversal = True
-    else:
-        left, right, t = hit
-    if not is_product(left, right, target) or not (
-        left.is_nonnegative() and right.is_nonnegative()
-    ):
-        raise TheoryViolation(f"assembled certificate failed verification for {params}")
-    return Rank6Certificate(left, right, steps_taken=t, used_reversal=used_reversal)
+                vm = matrix if current is params else canonical_matrix(current)
+                left, right = _direct_factor(current, vm)
+                if mirrored:
+                    _, row_perm, col_perm = reversal(params)
+                    q_left, q_right = row_perm @ q_left, q_right @ col_perm
+                return q_left, Rank6Certificate(left, right, t, mirrored), q_right
+            if t == 6:
+                break  # a seventh step closes the period
+            current, q1, q2 = _step(current)
+            # matrix == q_left @ canonical(current) @ q_right
+            q_left, q_right = q_left @ q1, q2 @ q_right
+    raise TheoryViolation(
+        f"no factorization within {MAX_SEARCH_STEPS} search steps for "
+        f"{params}; this state is impossible for exact admissible input"
+    )

@@ -6,6 +6,11 @@ factors through its simplex section (inner dimension <= 6 per group) and
 the blocks assemble into one certificate.  Every certificate carries the
 exact factors plus a provenance trace and can be re-verified entry by
 entry.
+
+Chunks go to the trusting cores of the section, cyclic and canonical
+layers, which take the rank and nonnegativity proved here as given; one
+closing ``verify_factorization`` checks the certificate, and if it fails
+a block-wise re-check names the first bad chunk by rows and trace method.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .errors import InternalError, RankError
-from .linalg import Matrix, block_diag, first_difference, insert_zero_lines, is_product, rank
-from .section import factor_low_rank, factor_seven_by_n
+from .linalg import Matrix, block_diag, first_difference, insert_zero_lines, rank
+from .linalg import is_certificate, is_product
+from .section import _factor_low_rank, _factor_seven_by_n
 from .validation import as_matrix, check_nonnegative
 
 log = logging.getLogger("exactnmf")
@@ -77,20 +83,19 @@ def _strip_zero_lines(a: Matrix):
 
 
 def _factor_chunk(chunk: Matrix, row_start: int):
-    """Factor one row chunk (7 rows, or the final remainder)."""
+    """Factor one row chunk (7 rows, or the final remainder) with the
+    trusting cores; ``nn_factor`` checks the assembled certificate."""
     r = rank(chunk)
     if chunk.rows == 7 and r == 3:
-        left, right, info = factor_seven_by_n(chunk)
+        left, right, info = _factor_seven_by_n(chunk)
     elif r <= 2:
-        left, right, info = factor_low_rank(chunk)
+        left, right, info = _factor_low_rank(chunk, r)
     else:
         # remainder of fewer than 7 rows with rank 3
         left = Matrix.identity(chunk.rows)
         right = chunk
         info = {"method": "identity", "inner_dim": chunk.rows}
-    record = dict(info)
-    record["rows"] = [row_start, row_start + chunk.rows]
-    return left, right, record
+    return left, right, dict(info, rows=[row_start, row_start + chunk.rows])
 
 
 def nn_factor(a) -> Factorization:
@@ -129,27 +134,24 @@ def nn_factor(a) -> Factorization:
     if r > 3:
         raise RankError(f"input has rank {r}; only ranks 0..3 are supported")
 
-    if r <= 2:
-        left, right, info = factor_low_rank(core)
-        trace.append(dict(info, rows=[0, core.rows]))
-    elif core.rows <= 6:
-        left, right = Matrix.identity(core.rows), core
-        trace.append({"method": "identity", "inner_dim": core.rows, "rows": [0, core.rows]})
+    # A rank <= 2 core factors whole; a rank-3 one in chunks of 7 rows.
+    if r <= 2 or core.rows <= 7:
+        chunks = [core]
     else:
-        lefts, rights = [], []
-        for position in range(0, core.rows, 7):
-            rows = core.data[position : position + 7]
-            cl, cr, record = _factor_chunk(Matrix._raw(rows, len(rows), core.cols), position)
-            lefts.append(cl)
-            rights.append(cr)
-            trace.append(record)
-            log.info("chunk %s: %s", record["rows"], record["method"])
-        left = block_diag(lefts)
-        right = Matrix._raw(
-            tuple(row for cr in rights for row in cr.data),
-            sum(cr.rows for cr in rights),
-            core.cols,
-        )
+        parts = [core.data[p : p + 7] for p in range(0, core.rows, 7)]
+        chunks = [Matrix._raw(part, len(part), core.cols) for part in parts]
+    blocks = []
+    position = 0
+    for chunk in chunks:
+        cl, cr, record = _factor_chunk(chunk, position)
+        blocks.append((chunk, cl, cr, record))
+        position += chunk.rows
+        trace.append(record)
+        log.info("chunk %s: %s", record["rows"], record["method"])
+    left = block_diag([cl for _, cl, _, _ in blocks])
+    right = Matrix._raw(
+        tuple(row for _, _, cr, _ in blocks for row in cr.data), left.cols, core.cols
+    )
 
     if transposed:
         left, right = right.transpose(), left.transpose()
@@ -159,7 +161,13 @@ def nn_factor(a) -> Factorization:
     fact = Factorization(left, right, left.cols, bound, tuple(trace))
     report = verify_factorization(a, fact)
     if not report.ok:
-        raise InternalError(f"internal certificate verification failed: {report}")
+        # Name the first chunk whose block does not factor its rows.
+        where = next((
+            f" in chunk rows {record['rows']} ({record['method']})"
+            for chunk, cl, cr, record in blocks
+            if not is_certificate(cl, cr, chunk)
+        ), "")
+        raise InternalError(f"internal certificate verification failed{where}: {report}")
     return fact
 
 

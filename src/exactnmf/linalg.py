@@ -190,6 +190,11 @@ def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
     return True
 
 
+def is_certificate(left: Matrix, right: Matrix, target: Matrix) -> bool:
+    """Both factors nonnegative and ``left @ right == target`` exactly."""
+    return left.is_nonnegative() and right.is_nonnegative() and is_product(left, right, target)
+
+
 def first_difference(a: Matrix, b: Matrix):
     """(i, j) of the first entry, in row-major order, where two matrices of
     one shape disagree, or None when they are equal."""
@@ -328,4 +333,4 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
         c0 += b.cols
     if total_rows == 0 or total_cols == 0:
         return Matrix.zeros(total_rows, total_cols)
-    return Matrix(out)
+    return Matrix._raw(tuple(map(tuple, out)), total_rows, total_cols)

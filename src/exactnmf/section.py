@@ -15,11 +15,17 @@ columns are placed on their segment and weighted against its two ends by
 integer 2x2 determinants.
 
 The convex coefficients come from one integer kernel per chunk
-(``_FanKernel``): the chart, the fan triangles and the vertex matrix are
-cleared to Python ints once per section, and each column is then located
-and checked with integer Cramer, orientation and cross-multiplication
-tests, with no ``solve`` and no Fraction until its nonzero weights.
-``convex_coefficients`` is the same kernel on one point.
+(``_FanKernel``): the chart and the fan triangles are cleared to Python
+ints once per section, and each column is then located with integer
+Cramer and orientation tests, with no ``solve`` and no Fraction until its
+nonzero weights.  ``convex_coefficients`` is the same kernel on one
+point, and checks that its weights reproduce the point.
+
+``factor_seven_by_n`` and ``factor_low_rank`` check input and product
+for direct callers; ``nn_factor`` calls their cores, which trust its rank
+and nonnegativity and leave the product to its one closing check.  A
+7-vertex section hands the cyclic core its integer vertex rays and the
+relabeling its tight sets fix.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .cyclic import factor_cyclic
+from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import (
     DegenerateSection,
     DimensionError,
@@ -99,21 +105,25 @@ def _check_seven_rows_rank3(a: Matrix):
 
 def _angular_ccw_sort(points):
     """Sort chart points counterclockwise around their centroid using only
-    exact sign tests; starts just above the positive-x direction."""
-    n = len(points)
-    cx = sum((p[0] for p in points), Fraction(0)) / n
-    cy = sum((p[1] for p in points), Fraction(0)) / n
+    exact sign tests; starts just above the positive-x direction.
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
+    Each axis is cleared over its own denominator: a positive scale per
+    axis keeps every half-plane and cross-product sign, and so does
+    measuring from n times the centroid, so the tests run on ints."""
+    n = len(points)
+    xs, _ = clear_denominators([p[0] for p in points])
+    ys, _ = clear_denominators([p[1] for p in points])
+    sx, sy = sum(xs), sum(ys)
+    offset = {p: (n * x - sx, n * y - sy) for p, x, y in zip(points, xs, ys)}
+
+    def half(dx, dy):
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
     def compare(p, q):
-        hp, hq = half(p), half(q)
+        (px, py), (qx, qy) = offset[p], offset[q]
+        hp, hq = half(px, py), half(qx, qy)
         if hp != hq:
             return -1 if hp < hq else 1
-        px, py = p[0] - cx, p[1] - cy
-        qx, qy = q[0] - cx, q[1] - cy
         cross = px * qy - py * qx
         if cross == 0:
             raise InternalError("two section vertices share a centroid ray")
@@ -124,17 +134,12 @@ def _angular_ccw_sort(points):
 
 def section_polygon(a: Matrix) -> SectionPolygon:
     """Intersect the unit-sum nonnegative orthant slice with the column
-    space of ``a`` (7 rows, nonnegative, rank 3).
-
-    The polygon is computed in an exact affine chart of the intersection
-    plane: every pair of distinct constraint lines is intersected, points
-    satisfying all constraints are kept and ordered counterclockwise.
-    Zero rows and proportional rows contribute no constraint line of
-    their own, so a 7-vertex section always has 7 genuinely distinct
-    constraints.
-    """
+    space of ``a`` (7 rows, nonnegative, rank 3), vertices counterclockwise
+    in an exact affine chart of the plane.  Zero and proportional rows add
+    no constraint line of their own, so a 7-vertex section always has 7
+    distinct constraints."""
     _check_seven_rows_rank3(a)
-    return _section_polygon(a)
+    return _section_polygon(a)[0]
 
 
 def _cleared_columns(a: Matrix):
@@ -159,8 +164,10 @@ def _positive_minor(u, v):
     raise InternalError("section chart axes are parallel")
 
 
-def _section_polygon(a: Matrix) -> SectionPolygon:
-    """section_polygon for a matrix that passed _check_seven_rows_rank3.
+def _section_polygon(a: Matrix):
+    """(section_polygon(a), rays) for a matrix that passed
+    _check_seven_rows_rank3: vertex t is rays[t] = (x, S) with integer x,
+    ambient coordinates x / S and S = sum(x).
 
     The chart is the first normalized column, its first nonzero
     difference to a later one (u) and the first difference off the line
@@ -208,11 +215,7 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
             total = sum(x)
             chart = (Fraction(h[1] * su, total), Fraction(h[2] * sv, total))
             if chart not in by_chart:
-                by_chart[chart] = SectionVertex(
-                    chart=chart,
-                    ambient=tuple(Fraction(t, total) for t in x),
-                    tight=tuple(k for k, t in enumerate(x) if t == 0),
-                )
+                by_chart[chart] = (x, total)
 
     if len(by_chart) < 3:
         raise DegenerateSection(
@@ -223,7 +226,13 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
         raise InternalError(
             f"section produced {len(by_chart)} vertices; at most 7 are possible"
         )
-    vertices = tuple(by_chart[chart] for chart in _angular_ccw_sort(list(by_chart)))
+    charts = _angular_ccw_sort(list(by_chart))
+    rays = [by_chart[chart] for chart in charts]
+    vertices = tuple(
+        SectionVertex(chart, tuple(Fraction(t, total) for t in x),
+                      tuple(k for k, t in enumerate(x) if not t))
+        for chart, (x, total) in zip(charts, rays)
+    )
     if len(vertices) == SIZE:
         for t, vert in enumerate(vertices):
             if len(vert.tight) != 2:
@@ -232,7 +241,7 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
                     "tight constraints; exactly 2 are possible"
                 )
 
-    return SectionPolygon(
+    poly = SectionPolygon(
         chart_origin=tuple(Fraction(x, s0) for x in c0),
         chart_u=tuple(Fraction(y * s0 - x * su, su * s0) for x, y in zip(c0, cu)),
         chart_v=tuple(Fraction(y * s0 - x * sv, sv * s0) for x, y in zip(c0, cv)),
@@ -241,6 +250,7 @@ def _section_polygon(a: Matrix) -> SectionPolygon:
             tuple(zip(*(vert.ambient for vert in vertices))), len(c0), len(vertices)
         ),
     )
+    return poly, rays
 
 
 class _FanKernel:
@@ -251,17 +261,15 @@ class _FanKernel:
     denominator) with their first nonzero 2x2 minor, the vertex chart
     coordinates (each axis over its own denominator, which keeps the
     sign of every orientation), the fan triangles (0, t, t + 1) as three
-    integer edge forms and a determinant each, and the ambient vertex
-    matrix over one denominator.  A point ``c / s`` (integer ``c``,
-    positive ``s``) then costs Cramer's rule and a consistency test on
-    every row, the orientation tests of the fan in order, and the
-    reproduction test, all on ints; only nonzero weights become
-    Fractions.
+    integer edge forms and a determinant each.  A point ``c / s``
+    (integer ``c``, positive ``s``) then costs Cramer's rule and a
+    consistency test on every row and the orientation tests of the fan in
+    order, all on ints; only nonzero weights become Fractions.  Weights
+    are not multiplied back: the caller's one product check covers them.
     """
 
     def __init__(self, poly: SectionPolygon):
         self.k = poly.k
-        dim = len(poly.chart_origin)
         self.origin, self.d_origin = clear_denominators(poly.chart_origin)
         self.u, d_u = clear_denominators(poly.chart_u)
         self.v, d_v = clear_denominators(poly.chart_v)
@@ -288,19 +296,13 @@ class _FanKernel:
             det = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
             self.fan.append(((a, b, c), edge(a, b), edge(b, c), edge(c, a), det * ks))
 
-        ambient, d_ambient = clear_denominators(
-            [x for row in poly.vertex_matrix.data for x in row]
-        )
-        self.ambient = [ambient[i * self.k : (i + 1) * self.k] for i in range(dim)]
-        self.d_ambient = d_ambient
-
     def weights(self, c, s: int, d: int) -> Tuple[Fraction, ...]:
         """Convex coefficients of the point ``c / s``, each times ``s / d``;
         ``s`` must be positive, as it fixes the sign of every orientation.
 
         Raises OutsidePolygon when the point is off the section plane or
         outside the polygon, InternalError when a located coefficient is
-        negative or the combination does not reproduce the point.
+        negative.
         """
         u, v, d_origin = self.u, self.v, self.d_origin
         i1, i2, minor = self.minor
@@ -327,11 +329,6 @@ class _FanKernel:
                 nums, scale = tuple(-x for x in nums), -scale
             if any(x < 0 for x in nums):
                 raise InternalError("negative barycentric coordinate inside a triangle")
-            # sum(nums * ambient) / (s * scale * d_ambient) == c / s
-            bound = scale * self.d_ambient
-            for row, ci in zip(self.ambient, c):
-                if sum(x * row[idx] for x, idx in zip(nums, support)) != ci * bound:
-                    raise InternalError("convex combination does not reproduce the point")
             out = [_ZERO] * self.k
             den = scale * d
             for idx, x in zip(support, nums):
@@ -350,7 +347,11 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
     if len(target) != len(poly.chart_origin):
         raise DimensionError("point dimension does not match the section")
     c, d = clear_denominators(target)
-    return _FanKernel(poly).weights(c, d, d)
+    weights = _FanKernel(poly).weights(c, d, d)
+    used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
+    if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(c))) != target:
+        raise InternalError("convex combination does not reproduce the point")
+    return weights
 
 
 def _convex_weights(poly: SectionPolygon, a: Matrix) -> Matrix:
@@ -378,26 +379,35 @@ def factor_seven_by_n(a: Matrix):
     7-vertex section is factored once more through its cyclic pattern.
     """
     _check_seven_rows_rank3(a)
-    poly = _section_polygon(a)
-    right = _convex_weights(poly, a)
-
-    if poly.k <= 6:
-        left = poly.vertex_matrix
-        info = {"method": "section", "vertices": poly.k, "inner_dim": poly.k}
-    else:
-        cert = factor_cyclic(poly.vertex_matrix)
-        left = cert.left
-        right = cert.right @ right
-        info = {
-            "method": "section+cyclic",
-            "vertices": poly.k,
-            "inner_dim": 6,
-            "search_steps": cert.steps_taken,
-            "mirrored": cert.used_reversal,
-        }
+    left, right, info = _factor_seven_by_n(a)
     if not is_product(left, right, a):
         raise InternalError("seven-row factorization failed to reproduce the input")
     return left, right, info
+
+
+def _factor_seven_by_n(a: Matrix):
+    """``factor_seven_by_n`` for a matrix that passed
+    _check_seven_rows_rank3, with no product check of its own.  The
+    counterclockwise vertices t and t + 1 of a 7-vertex section share one
+    tight row, their edge, which the labeling puts at t: the labeling
+    ``detect_cyclic_labeling`` finds on the vertex matrix."""
+    poly, rays = _section_polygon(a)
+    right = _convex_weights(poly, a)
+    if poly.k <= 6:
+        info = {"method": "section", "vertices": poly.k, "inner_dim": poly.k}
+        return poly.vertex_matrix, right, info
+    tight = [set(vert.tight) for vert in poly.vertices]
+    edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
+    labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
+    cert = _factor_cyclic([x for x, _ in rays], [total for _, total in rays], labeling)
+    info = {
+        "method": "section+cyclic",
+        "vertices": poly.k,
+        "inner_dim": 6,
+        "search_steps": cert.steps_taken,
+        "mirrored": cert.used_reversal,
+    }
+    return cert.left, cert.right @ right, info
 
 
 def factor_low_rank(a: Matrix):
@@ -407,7 +417,16 @@ def factor_low_rank(a: Matrix):
     r = rank(a)
     if r > 2:
         raise RankError(f"low-rank factorization requires rank <= 2, got {r}")
+    left, right, info = _factor_low_rank(a, r)
+    if not is_product(left, right, a):
+        raise InternalError(f"rank-{r} factorization failed to reproduce the input")
+    return left, right, info
 
+
+def _factor_low_rank(a: Matrix, r: int):
+    """``factor_low_rank`` for a nonnegative ``a`` of rank ``r`` <= 2, with no
+    product check; its proportionality and on-the-segment tests keep the
+    divisions below defined if ``r`` is wrong."""
     if r == 0:
         return Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), {"method": "zero", "inner_dim": 0}
 
@@ -468,6 +487,4 @@ def factor_low_rank(a: Matrix):
         a.rows,
         2,
     )
-    if not is_product(left, right, a):
-        raise InternalError("rank-2 factorization failed to reproduce the input")
     return left, right, {"method": "segment", "inner_dim": 2}

@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactnmf import ExactNMF
+from exactnmf.cli import run
 from exactnmf.driver import inner_dimension_bound, nn_factor, verify_factorization
 from exactnmf.generate import random_convex_polygon
 from exactnmf.linalg import Matrix
 from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
+from exactnmf.serialize import dumps, matrix_to_jsonable, save_text
 
 CHUNK_METHODS = {
     "section",
@@ -164,3 +166,13 @@ def test_splitmix_corpus_reaches_every_chunk_method():
     for a in splitmix_corpus():
         reached |= check_through_driver(a)
     assert CHUNK_METHODS <= reached, CHUNK_METHODS - reached
+
+
+def test_corpus_products_through_the_command_line(tmp_path):
+    """The first products of the corpus, hexagon and heptagon slack rows
+    among them, written to a file, factored and verified by the CLI."""
+    for index, a in enumerate(splitmix_corpus()[:9]):
+        matrix, cert = str(tmp_path / f"m{index}.json"), str(tmp_path / f"c{index}.json")
+        save_text(matrix, dumps(matrix_to_jsonable(a)))
+        assert run(["factor", "--input", matrix, "--output", cert]) == 0
+        assert run(["verify", "--input", matrix, "--cert", cert]) == 0

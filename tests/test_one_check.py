@@ -1,0 +1,213 @@
+"""One exact check per boundary.
+
+``nn_factor`` reaches only the trusting cores of the section, cyclic and
+canonical layers and verifies the assembled certificate once; the public
+functions keep their own checks for direct callers.  These tests count
+the checks on the heptagon path, corrupt one core to see the closing
+check name the chunk, and check that each public wrapper still rejects
+bad direct input with its old error class.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from exactnmf import canonical, cyclic, linalg, section
+from exactnmf.canonical import (
+    CanonicalParams,
+    canonical_matrix,
+    direct_factor,
+    factor_canonical,
+    step,
+)
+from exactnmf.cyclic import detect_cyclic_labeling, factor_cyclic, scale_to_canonical
+from exactnmf.driver import nn_factor, verify_factorization
+from exactnmf.errors import (
+    InternalError,
+    NotAdmissible,
+    PatternError,
+    RankError,
+    TheoryViolation,
+)
+from exactnmf.generate import random_convex_polygon
+from exactnmf.linalg import Matrix
+from exactnmf.polygon import slack_matrix
+from exactnmf.rng import SplitMix64
+from exactnmf.section import factor_low_rank, factor_seven_by_n, section_polygon
+
+from test_driver_properties import splitmix_corpus
+
+NOT_ADMISSIBLE = CanonicalParams(*(Fraction(0),) * 6)
+
+
+def heptagons(seed=1, count=105):
+    """Slack matrices of the first ``count`` heptagons of SplitMix64(seed),
+    copied so that no rank is memoized on them yet."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        s = slack_matrix(random_convex_polygon(rng, 7)).matrix
+        out.append(Matrix._raw(s.data, s.rows, s.cols))
+    return out
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the function ``name`` at every exactnmf module that binds it;
+    returns the list its calls append to."""
+    calls = []
+    real = getattr(linalg, name, None) or getattr(canonical, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("exactnmf") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_heptagon_call_counts(monkeypatch):
+    """Per heptagon: one product check (the closing one), one elimination,
+    one admissibility test per tuple the search meets (the start and each
+    stepped tuple) and one canonical matrix per tuple factored there."""
+    matrices = heptagons()
+    counts = {name: count_calls(monkeypatch, name)
+              for name in ("is_product", "_eliminate", "is_admissible", "canonical_matrix")}
+    traces = [nn_factor(m).trace for m in matrices]
+    records = [record for trace in traces for record in trace]
+    assert {record["method"] for record in records} == {"section+cyclic"}
+    steps = [r["search_steps"] + (6 if r["mirrored"] else 0) for r in records]
+    moved = [r["search_steps"] > 0 or r["mirrored"] for r in records]
+    n = len(matrices)
+    assert len(counts["is_product"]) == n
+    assert len(counts["_eliminate"]) == n
+    assert len(counts["is_admissible"]) == n + sum(steps)
+    assert len(counts["canonical_matrix"]) == n + sum(moved)
+    tested = [params for (params,) in counts["is_admissible"]]
+    assert len(set(tested)) == len(tested)  # no tuple tested twice
+
+
+def test_nonnegativity_scanned_once_per_matrix(monkeypatch):
+    """The input once, then each factor once in the closing verification;
+    an all-zero input returns before it."""
+    real = Matrix.first_negative_entry
+    scans = []
+
+    def counted(self):
+        scans.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "first_negative_entry", counted)
+    for a in splitmix_corpus():
+        del scans[:]
+        nn_factor(a)
+        assert len(scans) == (3 if any(x for row in a.data for x in row) else 1)
+
+
+def bumped(m):
+    """``m`` with its (0, 0) entry raised by one."""
+    rows = [list(row) for row in m.data]
+    rows[0][0] += 1
+    return Matrix(rows)
+
+
+def corrupt(module, core):
+    """The core ``module.core`` made to return a left factor with one
+    entry changed; cores return either (left, right) or a certificate."""
+    real = getattr(module, core)
+
+    def bad(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            return bumped(out[0]), out[1]
+        return canonical.Rank6Certificate(
+            bumped(out.left), out.right, out.steps_taken, out.used_reversal
+        )
+
+    return bad
+
+
+@pytest.mark.parametrize("module, core", [(section, "_factor_cyclic"), (canonical, "_direct_factor")])
+def test_closing_check_names_the_corrupted_chunk(monkeypatch, h7_slack, module, core):
+    monkeypatch.setattr(module, core, corrupt(module, core))
+    with pytest.raises(InternalError, match=r"chunk rows \[0, 7\] \(section\+cyclic\)"):
+        nn_factor(h7_slack)
+
+
+@pytest.mark.parametrize("module, core, call, error", [
+    (canonical, "_direct_factor", lambda s, p, v: direct_factor(p), TheoryViolation),
+    (canonical, "_direct_factor", lambda s, p, v: factor_canonical(p), TheoryViolation),
+    (canonical, "_direct_factor", lambda s, p, v: factor_cyclic(v), TheoryViolation),
+    (cyclic, "_factor_cyclic", lambda s, p, v: factor_cyclic(v), TheoryViolation),
+    (section, "_factor_cyclic", lambda s, p, v: factor_seven_by_n(s), InternalError),
+])
+def test_public_wrappers_check_their_cores(monkeypatch, h7_slack, h7_params, module, core,
+                                           call, error):
+    monkeypatch.setattr(module, core, corrupt(module, core))
+    with pytest.raises(error):
+        call(h7_slack, h7_params, canonical_matrix(h7_params))
+
+
+def test_public_wrappers_reject_bad_direct_input(h7_slack, h7_params):
+    for fn in (direct_factor, factor_canonical, step):
+        with pytest.raises(NotAdmissible):
+            fn(NOT_ADMISSIBLE)
+    off_pattern = Matrix.identity(7)
+    for fn in (factor_cyclic, scale_to_canonical):
+        with pytest.raises(PatternError):
+            fn(off_pattern)
+    # the canonical pattern with one entry raised: rank 4 and more
+    rows = canonical_matrix(h7_params).tolist()
+    rows[0][2] += 1
+    for fn in (factor_cyclic, scale_to_canonical):
+        with pytest.raises(RankError):
+            fn(Matrix(rows))
+    rank_two = Matrix([[1, 2, 3], [2, 4, 7], [1, 2, 4], [3, 6, 10], [0, 0, 1], [1, 2, 3],
+                       [5, 10, 15]])
+    with pytest.raises(RankError):
+        factor_seven_by_n(rank_two)
+    with pytest.raises(RankError):
+        factor_low_rank(h7_slack)
+
+
+def test_section_labeling_is_the_detected_one():
+    """The labeling the section core reads off its tight sets is the one
+    ``detect_cyclic_labeling`` finds on the vertex matrix."""
+    seen = []
+    real = section._factor_cyclic
+
+    def spy(columns, divisors, labeling):
+        seen.append(labeling)
+        return real(columns, divisors, labeling)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(section, "_factor_cyclic", spy)
+        for m in heptagons(seed=7919, count=40):
+            del seen[:]
+            nn_factor(m)
+            (labeling,) = seen
+            assert labeling == detect_cyclic_labeling(section_polygon(m).vertex_matrix)
+
+
+def test_several_cyclic_chunks_in_one_matrix():
+    """Slack matrices of 14- and 21-gons whose trace shows two or more
+    ``section+cyclic`` chunks: the certificate verifies, and each such
+    chunk's record is the one the checked ``factor_seven_by_n`` gives."""
+    kept = 0
+    for n, seed in ((14, 14), (14, 15), (21, 21), (21, 22)):
+        s = slack_matrix(random_convex_polygon(SplitMix64(seed), n)).matrix
+        fact = nn_factor(s)
+        cyclic_chunks = [r for r in fact.trace if r["method"] == "section+cyclic"]
+        if len(cyclic_chunks) < 2:
+            continue
+        kept += 1
+        assert verify_factorization(s, fact).ok
+        assert fact.inner_dim <= fact.bound
+        for record in cyclic_chunks:
+            start, stop = record["rows"]
+            chunk = Matrix(s.data[start:stop])
+            _, _, info = factor_seven_by_n(chunk)
+            assert dict(info, rows=record["rows"]) == record
+    assert kept >= 2

@@ -1,5 +1,6 @@
 """Simplex sectioning, convex coefficients, and the rank dispatchers."""
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -275,7 +276,31 @@ class TestFactorLowRank:
 
 SIZE = 7
 _ZERO = Fraction(0)
-_angular_ccw_sort = section._angular_ccw_sort
+
+
+def _angular_ccw_sort(points):
+    """Sort chart points counterclockwise around their centroid using only
+    exact sign tests; starts just above the positive-x direction."""
+    n = len(points)
+    cx = sum((p[0] for p in points), Fraction(0)) / n
+    cy = sum((p[1] for p in points), Fraction(0)) / n
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def compare(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        px, py = p[0] - cx, p[1] - cy
+        qx, qy = q[0] - cx, q[1] - cy
+        cross = px * qy - py * qx
+        if cross == 0:
+            raise InternalError("two section vertices share a centroid ray")
+        return -1 if cross > 0 else 1
+
+    return sorted(points, key=functools.cmp_to_key(compare))
 
 
 def _proportional_groups(a: Matrix):
@@ -523,7 +548,7 @@ def test_section_vertices_match_fraction_loop(case):
         (poly.chart_u[i], poly.chart_v[i], poly.chart_origin[i])
         for i in _proportional_groups(a)
     ]
-    expected = section._angular_ccw_sort(fraction_extreme_points(lines))
+    expected = _angular_ccw_sort(fraction_extreme_points(lines))
     assert [v.chart for v in poly.vertices] == expected
     assert poly.k == k
 
@@ -594,6 +619,32 @@ def outcome(fn, *args):
         return fn(*args)
     except (ExactNMFError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+@st.composite
+def chart_points(draw):
+    """Distinct chart points; now and then three more whose deviations
+    from the centroid are l*d, m*d and -(l+m)*d for the deviation d of one
+    point, which keeps the centroid and puts two points on one ray."""
+    points = draw(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=7,
+                           unique=True))
+    if draw(st.booleans()):
+        n = len(points)
+        cx, cy = (sum(axis, _ZERO) / n for axis in zip(*points))
+        px, py = draw(st.sampled_from(points))
+        lam, mu = draw(positive), draw(positive)
+        for t in (lam, mu, -(lam + mu)):
+            points.append((cx + t * (px - cx), cy + t * (py - cy)))
+        assume(len(set(points)) == len(points))
+    return points
+
+
+@settings(max_examples=300)
+@given(chart_points())
+def test_angular_sort_matches_fraction_code(points):
+    """The integer sort against the Fraction sort it replaced: the same
+    order, or the same InternalError for a shared centroid ray."""
+    assert outcome(section._angular_ccw_sort, points) == outcome(_angular_ccw_sort, points)
 
 
 def combine(weights, points):
