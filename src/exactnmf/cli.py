@@ -79,15 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factor(args) -> int:
     matrix = load_matrix_file(args.input, args.format or "auto")
+    # nn_factor raises InternalError unless its closing verification passed.
     fact = nn_factor(matrix)
     save_text(args.output, dumps(certificate_to_jsonable(fact)))
-    report = verify_factorization(matrix, fact)
     print(
         f"factored {matrix.rows}x{matrix.cols} matrix: inner dimension "
         f"{fact.inner_dim} (bound {fact.bound})"
     )
-    print(f"verification: {report}")
-    return 0 if report.ok else 1
+    print("verification: all checks passed")
+    return 0
 
 
 def _cmd_extend(args) -> int:

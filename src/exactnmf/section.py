@@ -7,25 +7,21 @@ matrix through them; a 7-vertex section carries the cyclic zero pattern
 and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
 
-The vertices come from an integer cone: the chart's three columns,
-cleared to integers, are a basis B of the column space, and each vertex
-is an extreme ray ``B (b_i x b_j)`` of {B h >= 0}, for rows b_i of B; only
-the at most 7 vertices become Fractions.  Rank 2 is the same on a line:
-columns are placed on their segment and weighted against its two ends by
-integer 2x2 determinants.
+The section is an integer cone: each vertex is an extreme ray x of the
+cone of nonnegative vectors in the column space, at x / sum(x).  The
+rays are ordered counterclockwise by sign tests on ints, each column is
+located in the fan of cones (0, t, t + 1) over them by integer 3x3
+determinants, and only nonzero weights and output entries become
+Fractions.  Rank 2 is the same on a line: columns are placed on their
+segment and weighted against its two ends by integer 2x2 determinants.
 
-The convex coefficients come from one integer kernel per chunk
-(``_FanKernel``): the chart and the fan triangles are cleared to Python
-ints once per section, and each column is then located with integer
-Cramer and orientation tests, with no ``solve`` and no Fraction until its
-nonzero weights.  ``convex_coefficients`` is the same kernel on one
-point, and checks that its weights reproduce the point.
-
-``factor_seven_by_n`` and ``factor_low_rank`` check input and product
-for direct callers; ``nn_factor`` calls their cores, which trust its rank
-and nonnegativity and leave the product to its one closing check.  A
-7-vertex section hands the cyclic core its integer vertex rays and the
-relabeling its tight sets fix.
+``section_polygon`` and ``convex_coefficients`` show the section in an
+exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
+``factor_low_rank`` check input and product for direct callers;
+``nn_factor`` calls their cores, which trust its rank and nonnegativity
+and leave the product to its one closing check.  A 7-vertex section
+hands the cyclic core its integer vertex rays and the relabeling its
+tight sets fix.
 """
 
 from __future__ import annotations
@@ -33,16 +29,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Sequence, Tuple
 
 from .cyclic import CyclicLabeling, _factor_cyclic
-from .errors import (
-    DegenerateSection,
-    DimensionError,
-    InternalError,
-    OutsidePolygon,
-    RankError,
-)
+from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
 from .linalg import Matrix, clear_denominators, is_product, rank
 from .validation import check_nonnegative
 
@@ -103,18 +96,19 @@ def _check_seven_rows_rank3(a: Matrix):
         raise RankError(f"sectioning requires rank 3, got {r}")
 
 
-def _angular_ccw_sort(points):
-    """Sort chart points counterclockwise around their centroid using only
-    exact sign tests; starts just above the positive-x direction.
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
-    Each axis is cleared over its own denominator: a positive scale per
-    axis keeps every half-plane and cross-product sign, and so does
-    measuring from n times the centroid, so the tests run on ints."""
-    n = len(points)
-    xs, _ = clear_denominators([p[0] for p in points])
-    ys, _ = clear_denominators([p[1] for p in points])
+
+def _ccw_order(xs, ys):
+    """Indices of the points (xs[t], ys[t]) counterclockwise around their
+    centroid, starting just above the positive-x direction, by exact sign
+    tests on ints.  A positive scale per axis keeps every half-plane and
+    cross-product sign, and so does measuring from n times the centroid,
+    so each axis may be cleared over its own denominator."""
+    n = len(xs)
     sx, sy = sum(xs), sum(ys)
-    offset = {p: (n * x - sx, n * y - sy) for p, x, y in zip(points, xs, ys)}
+    offset = [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
 
     def half(dx, dy):
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
@@ -129,7 +123,7 @@ def _angular_ccw_sort(points):
             raise InternalError("two section vertices share a centroid ray")
         return -1 if cross > 0 else 1
 
-    return sorted(points, key=functools.cmp_to_key(compare))
+    return sorted(range(n), key=functools.cmp_to_key(compare))
 
 
 def section_polygon(a: Matrix) -> SectionPolygon:
@@ -137,9 +131,30 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     space of ``a`` (7 rows, nonnegative, rank 3), vertices counterclockwise
     in an exact affine chart of the plane.  Zero and proportional rows add
     no constraint line of their own, so a 7-vertex section always has 7
-    distinct constraints."""
+    distinct constraints.  The chart is c0 / s0 + X u + Y v for the
+    basis columns, u = cu / su - c0 / s0 and v = cv / sv - c0 / s0, so
+    the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
-    return _section_polygon(a)[0]
+    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(a)
+    vertex_matrix = _vertex_matrix(rays)
+    vertices = tuple(
+        SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
+                      tuple(i for i, t in enumerate(x) if not t))
+        for (x, s), h, ambient in zip(rays, hs, zip(*vertex_matrix.data))
+    )
+    return SectionPolygon(
+        chart_origin=tuple(Fraction(x, s0) for x in c0),
+        chart_u=tuple(Fraction(y * s0 - x * su, su * s0) for x, y in zip(c0, cu)),
+        chart_v=tuple(Fraction(y * s0 - x * sv, sv * s0) for x, y in zip(c0, cv)),
+        vertices=vertices,
+        vertex_matrix=vertex_matrix,
+    )
+
+
+def _vertex_matrix(rays) -> Matrix:
+    """The vertices x / S of the rays (x, S), as columns."""
+    data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x, s in rays)))
+    return Matrix._raw(data, len(data), len(rays))
 
 
 def _cleared_columns(a: Matrix):
@@ -164,17 +179,16 @@ def _positive_minor(u, v):
     raise InternalError("section chart axes are parallel")
 
 
-def _section_polygon(a: Matrix):
-    """(section_polygon(a), rays) for a matrix that passed
-    _check_seven_rows_rank3: vertex t is rays[t] = (x, S) with integer x,
-    ambient coordinates x / S and S = sum(x).
+def _section_rays(a: Matrix):
+    """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
+    vertex t is rays[t] = (x, S) with integer x, ambient coordinates x / S
+    and S = sum(x), counterclockwise in the chart of ``section_polygon``,
+    and x = B hs[t] for B with the columns of basis = ((c0, s0), (cu, su),
+    (cv, sv)): the first column, its first later column off it (u) and
+    the first later column off their line (v), cleared, with their sums.
 
-    The chart is the first normalized column, its first nonzero
-    difference to a later one (u) and the first difference off the line
-    through u (v).  Those three columns, cleared to integers, are the
-    columns of an integer basis B of the column space, so the section is
-    the cone {B h >= 0} cut at unit sum: constraints i and j meet on the
-    ray h = b_i x b_j (rows of B), which is a vertex when B h has one
+    The section is the cone {B h >= 0} cut at unit sum: rows i and j are
+    tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
     sign.  Zero and proportional rows have a zero cross product.
     """
     columns = _cleared_columns(a)
@@ -197,14 +211,13 @@ def _section_polygon(a: Matrix):
         raise RankError("normalized columns span only a line")
     cv, sv = found
 
-    # A ray h meets the unit-sum plane at x / S, x = B h, S = sum(x), with
-    # chart coordinates (h[1] * su, h[2] * sv) / S; a vertex where more
-    # than two constraints are tight is found once per pair of them.
+    # A vertex where more than two rows are tight is met once per pair of
+    # them, on parallel h.
     rows = list(zip(c0, cu, cv))
-    by_chart = {}
-    for i, (a0, a1, a2) in enumerate(rows):
-        for b0, b1, b2 in rows[i + 1 :]:
-            h = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    rays, hs = [], []
+    for i, b in enumerate(rows):
+        for other in rows[i + 1 :]:
+            h = _cross(b, other)
             if not any(h):
                 continue
             x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
@@ -212,131 +225,111 @@ def _section_polygon(a: Matrix):
                 if max(x) > 0:
                     continue
                 h, x = [-t for t in h], [-t for t in x]
-            total = sum(x)
-            chart = (Fraction(h[1] * su, total), Fraction(h[2] * sv, total))
-            if chart not in by_chart:
-                by_chart[chart] = (x, total)
+            if all(any(_cross(h, g)) for g in hs):
+                rays.append((x, sum(x)))
+                hs.append(h)
 
-    if len(by_chart) < 3:
+    if len(rays) < 3:
         raise DegenerateSection(
-            f"section has only {len(by_chart)} extreme points; "
+            f"section has only {len(rays)} extreme points; "
             "expected a two-dimensional polygon"
         )
-    if len(by_chart) > SIZE:
+    if len(rays) > SIZE:
         raise InternalError(
-            f"section produced {len(by_chart)} vertices; at most 7 are possible"
+            f"section produced {len(rays)} vertices; at most 7 are possible"
         )
-    charts = _angular_ccw_sort(list(by_chart))
-    rays = [by_chart[chart] for chart in charts]
-    vertices = tuple(
-        SectionVertex(chart, tuple(Fraction(t, total) for t in x),
-                      tuple(k for k, t in enumerate(x) if not t))
-        for chart, (x, total) in zip(charts, rays)
-    )
-    if len(vertices) == SIZE:
-        for t, vert in enumerate(vertices):
-            if len(vert.tight) != 2:
-                raise InternalError(
-                    f"vertex {t} of a 7-vertex section has {len(vert.tight)} "
-                    "tight constraints; exactly 2 are possible"
-                )
-
-    poly = SectionPolygon(
-        chart_origin=tuple(Fraction(x, s0) for x in c0),
-        chart_u=tuple(Fraction(y * s0 - x * su, su * s0) for x, y in zip(c0, cu)),
-        chart_v=tuple(Fraction(y * s0 - x * sv, sv * s0) for x, y in zip(c0, cv)),
-        vertices=vertices,
-        vertex_matrix=Matrix._raw(
-            tuple(zip(*(vert.ambient for vert in vertices))), len(c0), len(vertices)
-        ),
-    )
-    return poly, rays
+    # Chart coordinates (h[1] * su, h[2] * sv) / S, times the lcm of the S.
+    big = lcm(*(s for _, s in rays))
+    order = _ccw_order(*zip(*(
+        (h[1] * su * (big // s), h[2] * sv * (big // s)) for h, (_, s) in zip(hs, rays)
+    )))
+    rays, hs = [rays[t] for t in order], [hs[t] for t in order]
+    for t, (x, _) in enumerate(rays if len(rays) == SIZE else ()):
+        if x.count(0) != 2:
+            raise InternalError(f"vertex {t} of a 7-vertex section has {x.count(0)} "
+                                "tight constraints; exactly 2 are possible")
+    return rays, hs, ((c0, s0), (cu, su), (cv, sv))
 
 
-class _FanKernel:
-    """Convex coefficients over one section polygon, on Python ints.
+def _fan(rays):
+    """locate(c, s) over counterclockwise vertex rays (x, S): the first fan
+    cone (0, t, t + 1) that holds the integer column c of positive sum s,
+    as (support, nums, det), det > 0 and nums >= 0 with det * c the sum of
+    nums[i] times ray support[i]; vertex i weighs nums * S / (det * s).
 
-    Everything that depends only on the polygon is cleared to integers
-    once: the chart origin, ``u`` and ``v`` (each over its own
-    denominator) with their first nonzero 2x2 minor, the vertex chart
-    coordinates (each axis over its own denominator, which keeps the
-    sign of every orientation), the fan triangles (0, t, t + 1) as three
-    integer edge forms and a determinant each.  A point ``c / s``
-    (integer ``c``, positive ``s``) then costs Cramer's rule and a
-    consistency test on every row and the orientation tests of the fan in
-    order, all on ints; only nonzero weights become Fractions.  Weights
-    are not multiplied back: the caller's one product check covers them.
+    On three rows where the rays w are independent, c's cone coordinates
+    times cone t's determinant d_t are det(c, w_t, w_t+1), det(w_0, c,
+    w_t+1) and det(w_0, w_t, c): c dotted with cross products of rays,
+    the third of cone t + 1 being minus the second of cone t.  All d_t of
+    a counterclockwise fan have one sign.  Raises OutsidePolygon when c's
+    other rows do not follow from those three, or c / s is outside.
     """
+    w = [x for x, _ in rays]
+    for rows in combinations(range(len(w[0])), 3):
+        v = [tuple(x[i] for i in rows) for x in w]
+        det = sum(map(mul, v[0], _cross(v[1], v[2])))
+        if det:
+            break
+    sign = 1 if det > 0 else -1
+    spokes = [tuple(sign * y for y in _cross(v[0], vt)) for vt in v]
+    fan = []
+    for t in range(1, len(w) - 1):
+        rim = tuple(sign * y for y in _cross(v[t], v[t + 1]))
+        fan.append(((0, t, t + 1), rim, spokes[t + 1], sum(map(mul, v[0], rim))))
+    if any(d <= 0 for *_, d in fan):
+        raise InternalError("section vertices are not in counterclockwise order")
 
-    def __init__(self, poly: SectionPolygon):
-        self.k = poly.k
-        self.origin, self.d_origin = clear_denominators(poly.chart_origin)
-        self.u, d_u = clear_denominators(poly.chart_u)
-        self.v, d_v = clear_denominators(poly.chart_v)
-        self.minor = _, _, minor = _positive_minor(self.u, self.v)
+    # Cramer's rule on cone 1: d_1 * c = a * w_0 + b * w_1 + g * w_2.
+    (_, rim1, spoke2, d1), first = fan[0], spokes[1]
+    p, q, r = rows
+    normals = [
+        (i, tuple(w[0][i] * x - w[1][i] * y + w[2][i] * z for x, y, z in zip(rim1, spoke2, first)))
+        for i in range(len(w[0])) if i not in rows
+    ]
 
-        # A point with chart coordinates (x, y) = (xn * d_u, yn * d_v) / e,
-        # e = minor * s * d_origin, sits at (xn * kx, yn * ky) / e once each
-        # axis is scaled by its vertex denominator; e times its orientation
-        # against the edge p -> q is alpha*xn + beta*yn + gamma*s.
-        xs, d_x = clear_denominators([vert.chart[0] for vert in poly.vertices])
-        ys, d_y = clear_denominators([vert.chart[1] for vert in poly.vertices])
-        kx, ky, ks = d_u * d_x, d_v * d_y, minor * self.d_origin
-
-        def edge(p, q):
-            px, py, qx, qy = xs[p], ys[p], xs[q], ys[q]
-            return ((py - qy) * kx, (qx - px) * ky, (px * qy - py * qx) * ks)
-
-        # Per fan triangle: its support, the edge forms a->b, b->c, c->a,
-        # and minor * d_origin * det(a, b, c): the barycentric coordinate
-        # of a is form(b->c) / (s * that), and so on round the triangle.
-        self.fan = []
-        for t in range(1, self.k - 1):
-            a, b, c = 0, t, t + 1
-            det = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
-            self.fan.append(((a, b, c), edge(a, b), edge(b, c), edge(c, a), det * ks))
-
-    def weights(self, c, s: int, d: int) -> Tuple[Fraction, ...]:
-        """Convex coefficients of the point ``c / s``, each times ``s / d``;
-        ``s`` must be positive, as it fixes the sign of every orientation.
-
-        Raises OutsidePolygon when the point is off the section plane or
-        outside the polygon, InternalError when a located coefficient is
-        negative.
-        """
-        u, v, d_origin = self.u, self.v, self.d_origin
-        i1, i2, minor = self.minor
-        r = [ci * d_origin - s * oi for ci, oi in zip(c, self.origin)]
-        xn = r[i1] * v[i2] - r[i2] * v[i1]
-        yn = u[i1] * r[i2] - u[i2] * r[i1]
-        if any(xn * ui + yn * vi != ri * minor for ui, vi, ri in zip(u, v, r)):
+    def locate(c, s):
+        x, y, z = c[p], c[q], c[r]
+        if any(d1 * c[i] != x * n0 + y * n1 + z * n2 for i, (n0, n1, n2) in normals):
             raise OutsidePolygon("point does not lie in the section plane")
-
-        for support, ab, bc, ca, scale in self.fan:
-            l_ab = ab[0] * xn + ab[1] * yn + ab[2] * s
-            if l_ab < 0:
-                continue
-            l_bc = bc[0] * xn + bc[1] * yn + bc[2] * s
-            if l_bc < 0:
-                continue
-            l_ca = ca[0] * xn + ca[1] * yn + ca[2] * s
-            if l_ca < 0:
-                continue
-            if scale == 0:
-                raise InternalError("barycentric system unsolvable in a fan triangle")
-            nums = (l_bc, l_ca, l_ab)
-            if scale < 0:
-                nums, scale = tuple(-x for x in nums), -scale
-            if any(x < 0 for x in nums):
-                raise InternalError("negative barycentric coordinate inside a triangle")
-            out = [_ZERO] * self.k
-            den = scale * d
-            for idx, x in zip(support, nums):
-                if x:
-                    out[idx] = Fraction(x, den)
-            return tuple(out)
+        g = x * first[0] + y * first[1] + z * first[2]
+        for support, rim, spoke, det in fan:
+            b = -(x * spoke[0] + y * spoke[1] + z * spoke[2])
+            if b >= 0 and g >= 0:
+                a = x * rim[0] + y * rim[1] + z * rim[2]
+                if a >= 0:
+                    return support, (a, b, g), det
+            g = -b
         target = tuple(Fraction(ci, s) for ci in c)
         raise OutsidePolygon(f"point {target} lies outside the section polygon")
+
+    return locate
+
+
+def _convex_weights(rays, a: Matrix, m: Matrix) -> Matrix:
+    """``m @ W`` in one integer pass, for W the k x n right factor of a
+    nonnegative ``a`` through its k vertex rays: column j of W holds the
+    convex coefficients of a's normalized column j times that column's
+    sum, zero for a zero column.  Column j is c / d with integer c, so
+    vertex i weighs nums * S_i / (det * d) in it, and with each row of
+    ``m`` cleared over its own denominator each entry is one Fraction."""
+    locate = _fan(rays)
+    lines = [
+        ([y * s for y, (_, s) in zip(row, rays)], e)
+        for row, e in map(clear_denominators, m.data)
+    ]
+    zero = (_ZERO,) * m.rows
+    out = []
+    for col in zip(*a.data):
+        c, d = clear_denominators(col)
+        s = sum(c)
+        if not s:
+            out.append(zero)
+            continue
+        (i, j, l), (ni, nj, nl), det = locate(c, s)
+        den = det * d
+        nums = [(r[i] * ni + r[j] * nj + r[l] * nl, e) for r, e in lines]
+        out.append(tuple(Fraction(n, e * den) if n else _ZERO for n, e in nums))
+    return Matrix._raw(tuple(zip(*out)), m.rows, a.cols)
 
 
 def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction, ...]:
@@ -346,28 +339,15 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
     target = tuple(Fraction(x) for x in point)
     if len(target) != len(poly.chart_origin):
         raise DimensionError("point dimension does not match the section")
-    c, d = clear_denominators(target)
-    weights = _FanKernel(poly).weights(c, d, d)
+    if sum(target) != 1:
+        raise OutsidePolygon("point does not lie in the section plane")
+    rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
+    column = Matrix._raw(tuple((x,) for x in target), len(target), 1)
+    weights = _convex_weights(rays, column, Matrix.identity(poly.k)).column(0)
     used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
-    if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(c))) != target:
+    if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(target))) != target:
         raise InternalError("convex combination does not reproduce the point")
     return weights
-
-
-def _convex_weights(poly: SectionPolygon, a: Matrix) -> Matrix:
-    """The k x n right factor of a nonnegative ``a`` through its section:
-    column j holds the convex coefficients of a's normalized column j
-    times that column's sum, and a zero column gets zero weights."""
-    # Column j is c / d with integer c; its normalized form is c / sum(c)
-    # and sum(c) == 0 only for a zero column.
-    kernel = _FanKernel(poly)
-    zero_weights = (_ZERO,) * poly.k
-    weight_cols = []
-    for col in zip(*a.data):
-        c, d = clear_denominators(col)
-        s = sum(c)
-        weight_cols.append(kernel.weights(c, s, d) if s else zero_weights)
-    return Matrix._raw(tuple(zip(*weight_cols)), poly.k, a.cols)
 
 
 def factor_seven_by_n(a: Matrix):
@@ -387,27 +367,28 @@ def factor_seven_by_n(a: Matrix):
 
 def _factor_seven_by_n(a: Matrix):
     """``factor_seven_by_n`` for a matrix that passed
-    _check_seven_rows_rank3, with no product check of its own.  The
-    counterclockwise vertices t and t + 1 of a 7-vertex section share one
-    tight row, their edge, which the labeling puts at t: the labeling
-    ``detect_cyclic_labeling`` finds on the vertex matrix."""
-    poly, rays = _section_polygon(a)
-    right = _convex_weights(poly, a)
-    if poly.k <= 6:
-        info = {"method": "section", "vertices": poly.k, "inner_dim": poly.k}
-        return poly.vertex_matrix, right, info
-    tight = [set(vert.tight) for vert in poly.vertices]
+    _check_seven_rows_rank3, with no product check of its own and no
+    chart.  The counterclockwise vertices t and t + 1 of a 7-vertex
+    section share one tight row, their edge, which the labeling puts at
+    t: the labeling ``detect_cyclic_labeling`` finds on the vertex
+    matrix."""
+    rays, _, _ = _section_rays(a)
+    k = len(rays)
+    if k <= 6:
+        info = {"method": "section", "vertices": k, "inner_dim": k}
+        return _vertex_matrix(rays), _convex_weights(rays, a, Matrix.identity(k)), info
+    tight = [{i for i, t in enumerate(x) if not t} for x, _ in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
-    cert = _factor_cyclic([x for x, _ in rays], [total for _, total in rays], labeling)
+    cert = _factor_cyclic([x for x, _ in rays], [s for _, s in rays], labeling)
     info = {
         "method": "section+cyclic",
-        "vertices": poly.k,
+        "vertices": k,
         "inner_dim": 6,
         "search_steps": cert.steps_taken,
         "mirrored": cert.used_reversal,
     }
-    return cert.left, cert.right @ right, info
+    return cert.left, _convex_weights(rays, a, cert.right), info
 
 
 def factor_low_rank(a: Matrix):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactnmf import cli
+from exactnmf import cli, section
 from exactnmf.cli import run
 from exactnmf.serialize import (
     dumps,
@@ -23,6 +23,7 @@ from exactnmf.serialize import (
 )
 
 from conftest import H7_VERTICES
+from test_one_check import corrupt
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -172,6 +173,18 @@ class TestFactorCommand:
         code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
         assert code == 1
         assert "NegativeEntryError" in capsys.readouterr().err
+
+    def test_corrupted_core_exits_one_without_certificate(self, tmp_path, h7_matrix_file,
+                                                          capsys, monkeypatch):
+        """``factor`` relies on ``nn_factor``'s closing check alone: a core
+        that returns a wrong factor makes it exit 1 and write nothing."""
+        monkeypatch.setattr(section, "_factor_cyclic", corrupt(section, "_factor_cyclic"))
+        out = tmp_path / "cert.json"
+        code = run(["factor", "--input", h7_matrix_file, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "InternalError" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestExtendCommand:

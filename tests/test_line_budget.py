@@ -1,12 +1,12 @@
 """The library's size budget: ``src/exactnmf/*.py`` stays at or below the
-3,009 lines it had when the budget was set, so code only grows where
-other code goes."""
+2,958 lines it had when the budget was last lowered, so code only grows
+where other code goes."""
 
 from pathlib import Path
 
 import exactnmf
 
-LINE_BUDGET = 3009
+LINE_BUDGET = 2958
 
 
 def test_source_within_line_budget():

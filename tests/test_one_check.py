@@ -211,3 +211,17 @@ def test_several_cyclic_chunks_in_one_matrix():
             _, _, info = factor_seven_by_n(chunk)
             assert dict(info, rows=record["rows"]) == record
     assert kept >= 2
+
+
+def test_nn_factor_builds_no_section_polygon(monkeypatch):
+    """The heptagon path runs on the integer vertex rays alone: with the
+    chart's classes and public views made to raise, ``nn_factor`` still
+    factors the 105 seed-1 heptagons."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nn_factor built a section chart")
+
+    for name in ("SectionPolygon", "SectionVertex", "section_polygon", "convex_coefficients"):
+        monkeypatch.setattr(section, name, refuse)
+    for m in heptagons():
+        fact = nn_factor(m)
+        assert fact.inner_dim == 6 and verify_factorization(m, fact).ok

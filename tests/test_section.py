@@ -3,12 +3,14 @@
 import functools
 import sys
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactnmf import section
+from exactnmf.cyclic import CyclicLabeling, _factor_cyclic
 from exactnmf.errors import (
     DegenerateSection,
     DimensionError,
@@ -37,6 +39,8 @@ from exactnmf.rng import SplitMix64
 from exactnmf.section import (
     SectionPolygon,
     SectionVertex,
+    _cleared_columns,
+    _positive_minor,
     convex_coefficients,
     factor_low_rank,
     factor_seven_by_n,
@@ -639,12 +643,20 @@ def chart_points(draw):
     return points
 
 
+def integer_ccw_sort(points):
+    """The points in ``section._ccw_order``, each axis cleared over its own
+    denominator."""
+    xs, _ = clear_denominators([p[0] for p in points])
+    ys, _ = clear_denominators([p[1] for p in points])
+    return [points[t] for t in section._ccw_order(xs, ys)]
+
+
 @settings(max_examples=300)
 @given(chart_points())
 def test_angular_sort_matches_fraction_code(points):
-    """The integer sort against the Fraction sort it replaced: the same
+    """The integer order against the Fraction sort it replaced: the same
     order, or the same InternalError for a shared centroid ray."""
-    assert outcome(section._angular_ccw_sort, points) == outcome(_angular_ccw_sort, points)
+    assert outcome(integer_ccw_sort, points) == outcome(_angular_ccw_sort, points)
 
 
 def combine(weights, points):
@@ -740,7 +752,10 @@ def test_chunk_weights_match_oracle(case, data):
         weight = data.draw(positive) * (-1 if sum(point) < 0 else 1)
         columns.append(tuple(x * weight for x in point))
     a = Matrix.from_columns(columns)
-    assert outcome(section._convex_weights, poly, a) == outcome(oracle_weights, poly, columns)
+    rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
+    weights = outcome(section._convex_weights, rays, a, Matrix.identity(poly.k))
+    assert weights == outcome(oracle_weights, poly, columns)
+    assert weights == outcome(_convex_weights, poly, a)
 
 
 # -- the integer cone against the Fraction section code ----------------------
@@ -902,3 +917,318 @@ def test_factor_low_rank_guards_match_fraction_code(a, claimed):
         patch.setattr(section, "rank", lambda m: claimed)
         patch.setattr(sys.modules[__name__], "rank", lambda m: claimed)
         assert outcome(factor_low_rank, a) == outcome(oracle_factor_low_rank, a)
+
+
+# -- the integer section core against the chart code it replaced ------------
+#
+# ``_section_polygon``, ``_FanKernel``, ``_convex_weights`` and
+# ``_factor_seven_by_n`` as they were, verbatim.  ``_angular_ccw_sort`` here
+# is the Fraction sort above, which the integer sort they used matched.
+
+
+def _section_polygon(a: Matrix):
+    """(section_polygon(a), rays) for a matrix that passed
+    _check_seven_rows_rank3: vertex t is rays[t] = (x, S) with integer x,
+    ambient coordinates x / S and S = sum(x).
+
+    The chart is the first normalized column, its first nonzero
+    difference to a later one (u) and the first difference off the line
+    through u (v).  Those three columns, cleared to integers, are the
+    columns of an integer basis B of the column space, so the section is
+    the cone {B h >= 0} cut at unit sum: constraints i and j meet on the
+    ray h = b_i x b_j (rows of B), which is a vertex when B h has one
+    sign.  Zero and proportional rows have a zero cross product.
+    """
+    columns = _cleared_columns(a)
+    c0, s0 = next(columns)
+    found = next(((c, s) for c, s in columns if any(x * s0 != y * s for x, y in zip(c, c0))), None)
+    if found is None:
+        raise RankError("columns are all equal after normalization")
+    cu, su = found
+    # Columns before u lie on the origin and u itself on its own line, so
+    # the search for v continues after u.  c lies in the span of c0 and cu
+    # iff its 3x3 minors on the rows (p, q, i) vanish, for a nonzero 2x2
+    # minor of (c0, cu) on the rows p, q.
+    p, q, m = _positive_minor(c0, cu)
+    forms = [(c0[q] * y - x * cu[q], x * cu[p] - c0[p] * y) for x, y in zip(c0, cu)]
+    found = next((
+        (c, s) for c, s in columns
+        if any(c[p] * f + c[q] * g + ci * m for ci, (f, g) in zip(c, forms))
+    ), None)
+    if found is None:
+        raise RankError("normalized columns span only a line")
+    cv, sv = found
+
+    # A ray h meets the unit-sum plane at x / S, x = B h, S = sum(x), with
+    # chart coordinates (h[1] * su, h[2] * sv) / S; a vertex where more
+    # than two constraints are tight is found once per pair of them.
+    rows = list(zip(c0, cu, cv))
+    by_chart = {}
+    for i, (a0, a1, a2) in enumerate(rows):
+        for b0, b1, b2 in rows[i + 1 :]:
+            h = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+            if not any(h):
+                continue
+            x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
+            if min(x) < 0:
+                if max(x) > 0:
+                    continue
+                h, x = [-t for t in h], [-t for t in x]
+            total = sum(x)
+            chart = (Fraction(h[1] * su, total), Fraction(h[2] * sv, total))
+            if chart not in by_chart:
+                by_chart[chart] = (x, total)
+
+    if len(by_chart) < 3:
+        raise DegenerateSection(
+            f"section has only {len(by_chart)} extreme points; "
+            "expected a two-dimensional polygon"
+        )
+    if len(by_chart) > SIZE:
+        raise InternalError(
+            f"section produced {len(by_chart)} vertices; at most 7 are possible"
+        )
+    charts = _angular_ccw_sort(list(by_chart))
+    rays = [by_chart[chart] for chart in charts]
+    vertices = tuple(
+        SectionVertex(chart, tuple(Fraction(t, total) for t in x),
+                      tuple(k for k, t in enumerate(x) if not t))
+        for chart, (x, total) in zip(charts, rays)
+    )
+    if len(vertices) == SIZE:
+        for t, vert in enumerate(vertices):
+            if len(vert.tight) != 2:
+                raise InternalError(
+                    f"vertex {t} of a 7-vertex section has {len(vert.tight)} "
+                    "tight constraints; exactly 2 are possible"
+                )
+
+    poly = SectionPolygon(
+        chart_origin=tuple(Fraction(x, s0) for x in c0),
+        chart_u=tuple(Fraction(y * s0 - x * su, su * s0) for x, y in zip(c0, cu)),
+        chart_v=tuple(Fraction(y * s0 - x * sv, sv * s0) for x, y in zip(c0, cv)),
+        vertices=vertices,
+        vertex_matrix=Matrix._raw(
+            tuple(zip(*(vert.ambient for vert in vertices))), len(c0), len(vertices)
+        ),
+    )
+    return poly, rays
+
+
+class _FanKernel:
+    """Convex coefficients over one section polygon, on Python ints.
+
+    Everything that depends only on the polygon is cleared to integers
+    once: the chart origin, ``u`` and ``v`` (each over its own
+    denominator) with their first nonzero 2x2 minor, the vertex chart
+    coordinates (each axis over its own denominator, which keeps the
+    sign of every orientation), the fan triangles (0, t, t + 1) as three
+    integer edge forms and a determinant each.  A point ``c / s``
+    (integer ``c``, positive ``s``) then costs Cramer's rule and a
+    consistency test on every row and the orientation tests of the fan in
+    order, all on ints; only nonzero weights become Fractions.  Weights
+    are not multiplied back: the caller's one product check covers them.
+    """
+
+    def __init__(self, poly: SectionPolygon):
+        self.k = poly.k
+        self.origin, self.d_origin = clear_denominators(poly.chart_origin)
+        self.u, d_u = clear_denominators(poly.chart_u)
+        self.v, d_v = clear_denominators(poly.chart_v)
+        self.minor = _, _, minor = _positive_minor(self.u, self.v)
+
+        # A point with chart coordinates (x, y) = (xn * d_u, yn * d_v) / e,
+        # e = minor * s * d_origin, sits at (xn * kx, yn * ky) / e once each
+        # axis is scaled by its vertex denominator; e times its orientation
+        # against the edge p -> q is alpha*xn + beta*yn + gamma*s.
+        xs, d_x = clear_denominators([vert.chart[0] for vert in poly.vertices])
+        ys, d_y = clear_denominators([vert.chart[1] for vert in poly.vertices])
+        kx, ky, ks = d_u * d_x, d_v * d_y, minor * self.d_origin
+
+        def edge(p, q):
+            px, py, qx, qy = xs[p], ys[p], xs[q], ys[q]
+            return ((py - qy) * kx, (qx - px) * ky, (px * qy - py * qx) * ks)
+
+        # Per fan triangle: its support, the edge forms a->b, b->c, c->a,
+        # and minor * d_origin * det(a, b, c): the barycentric coordinate
+        # of a is form(b->c) / (s * that), and so on round the triangle.
+        self.fan = []
+        for t in range(1, self.k - 1):
+            a, b, c = 0, t, t + 1
+            det = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
+            self.fan.append(((a, b, c), edge(a, b), edge(b, c), edge(c, a), det * ks))
+
+    def weights(self, c, s: int, d: int) -> Tuple[Fraction, ...]:
+        """Convex coefficients of the point ``c / s``, each times ``s / d``;
+        ``s`` must be positive, as it fixes the sign of every orientation.
+
+        Raises OutsidePolygon when the point is off the section plane or
+        outside the polygon, InternalError when a located coefficient is
+        negative.
+        """
+        u, v, d_origin = self.u, self.v, self.d_origin
+        i1, i2, minor = self.minor
+        r = [ci * d_origin - s * oi for ci, oi in zip(c, self.origin)]
+        xn = r[i1] * v[i2] - r[i2] * v[i1]
+        yn = u[i1] * r[i2] - u[i2] * r[i1]
+        if any(xn * ui + yn * vi != ri * minor for ui, vi, ri in zip(u, v, r)):
+            raise OutsidePolygon("point does not lie in the section plane")
+
+        for support, ab, bc, ca, scale in self.fan:
+            l_ab = ab[0] * xn + ab[1] * yn + ab[2] * s
+            if l_ab < 0:
+                continue
+            l_bc = bc[0] * xn + bc[1] * yn + bc[2] * s
+            if l_bc < 0:
+                continue
+            l_ca = ca[0] * xn + ca[1] * yn + ca[2] * s
+            if l_ca < 0:
+                continue
+            if scale == 0:
+                raise InternalError("barycentric system unsolvable in a fan triangle")
+            nums = (l_bc, l_ca, l_ab)
+            if scale < 0:
+                nums, scale = tuple(-x for x in nums), -scale
+            if any(x < 0 for x in nums):
+                raise InternalError("negative barycentric coordinate inside a triangle")
+            out = [_ZERO] * self.k
+            den = scale * d
+            for idx, x in zip(support, nums):
+                if x:
+                    out[idx] = Fraction(x, den)
+            return tuple(out)
+        target = tuple(Fraction(ci, s) for ci in c)
+        raise OutsidePolygon(f"point {target} lies outside the section polygon")
+
+
+def _convex_weights(poly: SectionPolygon, a: Matrix) -> Matrix:
+    """The k x n right factor of a nonnegative ``a`` through its section:
+    column j holds the convex coefficients of a's normalized column j
+    times that column's sum, and a zero column gets zero weights."""
+    # Column j is c / d with integer c; its normalized form is c / sum(c)
+    # and sum(c) == 0 only for a zero column.
+    kernel = _FanKernel(poly)
+    zero_weights = (_ZERO,) * poly.k
+    weight_cols = []
+    for col in zip(*a.data):
+        c, d = clear_denominators(col)
+        s = sum(c)
+        weight_cols.append(kernel.weights(c, s, d) if s else zero_weights)
+    return Matrix._raw(tuple(zip(*weight_cols)), poly.k, a.cols)
+
+
+def _factor_seven_by_n(a: Matrix):
+    """``factor_seven_by_n`` for a matrix that passed
+    _check_seven_rows_rank3, with no product check of its own.  The
+    counterclockwise vertices t and t + 1 of a 7-vertex section share one
+    tight row, their edge, which the labeling puts at t: the labeling
+    ``detect_cyclic_labeling`` finds on the vertex matrix."""
+    poly, rays = _section_polygon(a)
+    right = _convex_weights(poly, a)
+    if poly.k <= 6:
+        info = {"method": "section", "vertices": poly.k, "inner_dim": poly.k}
+        return poly.vertex_matrix, right, info
+    tight = [set(vert.tight) for vert in poly.vertices]
+    edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
+    labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
+    cert = _factor_cyclic([x for x, _ in rays], [total for _, total in rays], labeling)
+    info = {
+        "method": "section+cyclic",
+        "vertices": poly.k,
+        "inner_dim": 6,
+        "search_steps": cert.steps_taken,
+        "mirrored": cert.used_reversal,
+    }
+    return cert.left, cert.right @ right, info
+
+
+@st.composite
+def chunk_inputs(draw):
+    """``section_inputs`` (k = 3..7; zero, proportional and tangent rows)
+    with columns aimed at the corners of the fan appended: vertices,
+    points on a fan diagonal (0, t) or on an edge, interior points and
+    zero columns, each times a positive weight.  Appended columns leave
+    the chart, and so vertex 0 and the fan, as they were."""
+    a, k = draw(section_inputs())
+    verts = [v.ambient for v in _section_polygon(a)[0].vertices]
+    columns = a.columns()
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["vertex", "diagonal", "edge", "interior", "zero"]))
+        t = draw(st.integers(0, k - 1))
+        mu = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3)]) | positive.map(
+            lambda x: x / (1 + x)))
+        if kind == "vertex":
+            point = verts[t]
+        elif kind == "diagonal":
+            point = combine((mu, 1 - mu), (verts[0], verts[t]))
+        elif kind == "edge":
+            point = combine((mu, 1 - mu), (verts[t], verts[(t + 1) % k]))
+        elif kind == "interior":
+            w = [draw(positive) for _ in range(3)]
+            picks = [draw(st.integers(0, k - 1)) for _ in range(3)]
+            point = combine([x / sum(w) for x in w], [verts[i] for i in picks])
+        else:
+            point = (Fraction(0),) * 7
+        weight = draw(positive)
+        columns.append(tuple(weight * x for x in point))
+    return Matrix.from_columns(columns), k
+
+
+@settings(max_examples=150)
+@given(chunk_inputs())
+def test_section_rays_match_chart_code(case):
+    """Ray order and values, tight sets and the public polygon."""
+    a, k = case
+    rays, _, _ = section._section_rays(a)
+    poly, chart_rays = _section_polygon(a)
+    assert rays == chart_rays and len(rays) == k
+    assert [tuple(i for i, t in enumerate(x) if not t) for x, _ in rays] == [
+        v.tight for v in poly.vertices
+    ]
+    assert section_polygon(a) == poly
+
+
+@settings(max_examples=150)
+@given(chunk_inputs())
+def test_chunk_factors_match_chart_code(case):
+    """The chunk weights, and the core's left factor, right factor (through
+    the cyclic right factor when k = 7) and info."""
+    a, _ = case
+    rays, _, _ = section._section_rays(a)
+    weights = section._convex_weights(rays, a, Matrix.identity(len(rays)))
+    assert weights == _convex_weights(_section_polygon(a)[0], a)
+    assert section._factor_seven_by_n(a) == _factor_seven_by_n(a)
+
+
+@st.composite
+def signed_products(draw):
+    """7-row products G @ H of rank <= 3 with small signed entries, G with
+    zero, repeated and negated rows.  The core trusts rank and sign, so on
+    these it meets every error of the chart code: a rank below 3, fewer
+    than 3 vertices, and sections that are not the nonnegative ones."""
+    entry = st.integers(-2, 3)
+    inner = draw(st.sampled_from([1, 2, 3, 3, 3]))
+    g = []
+    for _ in range(7):
+        kind = draw(st.sampled_from(["free", "free", "zero", "repeat", "negated"]))
+        if kind == "zero":
+            row = [0] * inner
+        elif kind in ("repeat", "negated") and g:
+            row = [x * (1 if kind == "repeat" else -1) for x in draw(st.sampled_from(g))]
+        else:
+            row = [draw(entry) for _ in range(inner)]
+        g.append(row)
+    cols = draw(st.sampled_from([1, 2] + list(range(3, 10)) * 3))
+    h = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    a = Matrix(g) @ Matrix(h)
+    assume(any(sum(col) for col in zip(*a.data)))
+    return a
+
+
+@settings(max_examples=300)
+@given(signed_products())
+def test_section_ray_errors_match_chart_code(a):
+    """The rays, or the class and message of the error, on signed input."""
+    assert outcome(lambda m: section._section_rays(m)[0], a) == outcome(
+        lambda m: _section_polygon(m)[1], a
+    )
