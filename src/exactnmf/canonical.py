@@ -11,18 +11,27 @@ This module provides the admissibility test, the reversal symmetry, the
 period-7 rescaling step with its two monomial conjugators, and the explicit
 inner-dimension-6 nonnegative factorization that the step search always
 reaches.
+
+All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i)
+= clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and
+factor entries (num, den) pairs.  Only the assembled left factor becomes
+Fractions; the right factor leaves as integer rows over one denominator
+each, for the section's fan pass.  The public functions are checked
+converters between these forms and CanonicalParams, MonomialMatrix, Matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import DimensionError, NegativeEntryError, NotAdmissible, TheoryViolation
 from .linalg import Matrix, as_scalar, clear_denominators, is_certificate
 
 SIZE = 7
+_ZERO = Fraction(0)
 
 
 def _rep7(x: int) -> int:
@@ -104,29 +113,13 @@ class MonomialMatrix:
         """``m @ self.to_matrix()``: column perm[i] is column i of m, scaled."""
         if m.cols != self.size:
             raise DimensionError(f"cannot multiply {m.shape} by {(self.size, self.size)}")
-        data = []
-        for row in m.data:
-            out = [None] * self.size
-            for p, s, x in zip(self.perm, self.scales, row):
-                out[p] = s * x
-            data.append(tuple(out))
-        return Matrix._raw(tuple(data), m.rows, m.cols)
-
-    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """The monomial product ``self @ other``: row i of ``self`` picks row
-        perm[i] of ``other``."""
-        return MonomialMatrix._raw(
-            tuple(other.perm[p] for p in self.perm),
-            tuple(s * other.scales[p] for p, s in zip(self.perm, self.scales)),
-        )
+        inv = sorted(range(self.size), key=self.perm.__getitem__)
+        data = tuple(tuple(self.scales[i] * row[i] for i in inv) for row in m.data)
+        return Matrix._raw(data, m.rows, m.cols)
 
     def inverse(self) -> "MonomialMatrix":
-        inv_perm = [0] * self.size
-        inv_scales = [Fraction(1)] * self.size
-        for i, j in enumerate(self.perm):
-            inv_perm[j] = i
-            inv_scales[j] = 1 / self.scales[i]
-        return MonomialMatrix(inv_perm, inv_scales)
+        inv = sorted(range(self.size), key=self.perm.__getitem__)
+        return MonomialMatrix(inv, [1 / self.scales[i] for i in inv])
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):
@@ -148,61 +141,8 @@ class Rank6Certificate:
     used_reversal: bool
 
 
-def base_points(params: CanonicalParams) -> Matrix:
-    """The 7x3 matrix of homogeneous base points.
-
-    Rows 1-4 are fixed 0/1 points; rows 5, 6, 7 are (a_i, 1, b_i).
-    """
-    one, zero = Fraction(1), Fraction(0)
-    return Matrix(
-        [
-            (zero, one, one),
-            (zero, zero, one),
-            (one, zero, zero),
-            (one, one, zero),
-            (params.a1, one, params.b1),
-            (params.a2, one, params.b2),
-            (params.a3, one, params.b3),
-        ]
-    )
-
-
 def _cross3(s, t):
-    return (
-        s[1] * t[2] - s[2] * t[1],
-        s[2] * t[0] - s[0] * t[2],
-        s[0] * t[1] - s[1] * t[0],
-    )
-
-
-def _integer_dets(params: CanonicalParams):
-    """Yield (i, j, det, scale) for every 1-based position of the canonical
-    matrix, column by column: det of the base rows (i-1, j-2, j-1), each
-    cleared over its own denominator, as an integer, and the product of
-    their denominators.  Positive row scales keep every sign."""
-    w, d = zip(*map(clear_denominators, base_points(params).data))
-    for j in range(1, SIZE + 1):
-        s, t = _rep7(j - 2) - 1, _rep7(j - 1) - 1
-        c = _cross3(w[s], w[t])
-        dc = d[s] * d[t]
-        for i in range(1, SIZE + 1):
-            k = _rep7(i - 1) - 1
-            r = w[k]
-            yield i, j, r[0] * c[0] + r[1] * c[1] + r[2] * c[2], d[k] * dc
-
-
-def canonical_matrix(params: CanonicalParams) -> Matrix:
-    """The 7x7 matrix with entry (i, j) = det of base-point rows
-    (i-1, j-2, j-1), indices cyclic mod 7.
-
-    Computed per column as a scalar triple product on the cleared integer
-    base (the cross product of rows j-2 and j-1 is shared by the whole
-    column), then divided by the three row scales.
-    """
-    out = [[None] * SIZE for _ in range(SIZE)]
-    for i, j, x, scale in _integer_dets(params):
-        out[i - 1][j - 1] = Fraction(x, scale)
-    return Matrix._raw(tuple(map(tuple, out)), SIZE, SIZE)
+    return (s[1] * t[2] - s[2] * t[1], s[2] * t[0] - s[0] * t[2], s[0] * t[1] - s[1] * t[0])
 
 
 def is_structural_zero(i: int, j: int) -> bool:
@@ -211,17 +151,60 @@ def is_structural_zero(i: int, j: int) -> bool:
     return i % 7 == j % 7 or i % 7 == (j - 1) % 7
 
 
+def _rows(params: CanonicalParams):
+    """The integer tuple of ``params``: base rows 5, 6, 7 cleared, D_i > 0."""
+    p = params.astuple()
+    return tuple(tuple(clear_denominators((a, 1, b))[0]) for a, b in zip(p[:3], p[3:]))
+
+
+def _params(rows) -> CanonicalParams:
+    return CanonicalParams(*(Fraction(a, d) for a, d, _ in rows), *(Fraction(b, d) for _, d, b in rows))
+
+
+# Base rows 1-4; per column j, the rows (s, t) of its cross product and (i, k)
+# for each row i off the pattern, k its base row, all 0-based.
+_FIXED_ROWS = ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 0))
+_PLAN = tuple((_rep7(j - 2) - 1, _rep7(j - 1) - 1, tuple(
+    (i - 1, _rep7(i - 1) - 1) for i in range(1, SIZE + 1) if not is_structural_zero(i, j)
+)) for j in range(1, SIZE + 1))
+
+
+def _dets(rows):
+    """The canonical matrix as (num, den) pairs: det(base rows i-1, j-2, j-1)
+    over their D's, which keeps signs.  A structural zero repeats a row."""
+    w = _FIXED_ROWS + rows
+    d = (1, 1, 1, 1) + tuple(r[1] for r in rows)
+    out = [[(0, 1)] * SIZE for _ in range(SIZE)]
+    for j, (s, t, plan) in enumerate(_PLAN):
+        c, dc = _cross3(w[s], w[t]), d[s] * d[t]
+        for i, k in plan:
+            r = w[k]
+            out[i][j] = (r[0] * c[0] + r[1] * c[1] + r[2] * c[2], d[k] * dc)
+    return out
+
+
+def _admissible(rows):
+    """``_dets(rows)`` if its 35 entries off the pattern are positive, else None."""
+    table = _dets(rows)
+    return table if sum(n > 0 for row in table for n, _ in row) == SIZE * (SIZE - 2) else None
+
+
+def _matrix(table) -> Matrix:
+    """The Fraction matrix of a table of (num, den) pairs, den > 0."""
+    data = tuple(tuple(Fraction(n, d) if n else _ZERO for n, d in row) for row in table)
+    return Matrix._raw(data, len(data), len(data[0]))
+
+
+def canonical_matrix(params: CanonicalParams) -> Matrix:
+    """The 7x7 matrix with entry (i, j) = det of base-point rows
+    (i-1, j-2, j-1), indices cyclic mod 7."""
+    return _matrix(_dets(_rows(params)))
+
+
 def is_admissible(params: CanonicalParams) -> bool:
     """True iff every non-structural entry of the canonical matrix is
-    strictly positive.  Bails out at the first violation.  Runs on the
-    cleared integer base, whose determinants carry the true signs."""
-    for i, j, x, _ in _integer_dets(params):
-        if is_structural_zero(i, j):
-            if x != 0:
-                return False
-        elif x <= 0:
-            return False
-    return True
+    strictly positive."""
+    return _admissible(_rows(params)) is not None
 
 
 # Row relabeling swaps 1<->6, 2<->5, 3<->4 (fixing 7); column relabeling
@@ -251,37 +234,47 @@ def step(params: CanonicalParams):
     below are then not guaranteed nonzero) and TheoryViolation if the
     stepped tuple unexpectedly fails admissibility.
     """
-    if not is_admissible(params):
+    rows = _rows(params)
+    if _admissible(rows) is None:
         raise NotAdmissible(f"step requires an admissible tuple, got {params}")
-    return _step(params)
+    nxt, _, *qs = _step(rows)
+    return (_params(nxt), *(MonomialMatrix._raw(p, tuple(map(Fraction, n, d))) for p, n, d in qs))
 
 
-_Q1_PERM = (1, 2, 3, 4, 5, 6, 0)
-_Q2_PERM = (6, 0, 1, 2, 3, 4, 5)
+def _compose(a, b):
+    """a @ b for monomials (perm, nums, dens): row i of a picks row perm[i] of b."""
+    (pa, na, da), (pb, nb, db) = a, b
+    return (tuple(pb[p] for p in pa), tuple(n * nb[p] for p, n in zip(pa, na)),
+            tuple(d * db[p] for p, d in zip(pa, da)))
 
 
-def _step(params: CanonicalParams):
-    """``step`` for a tuple its caller proved admissible, which makes the
-    divisors 1-b3, a1, a2, a3 strictly positive.  Tests only the tuple it
-    makes, once, since the next step divides by its entries."""
-    a1, a2, a3, b1, b2, b3 = params.astuple()
-    c = 1 - b3
-    nxt = CanonicalParams(
-        (1 - a3 - b3) / c,
-        (a1 - a1 * b3 - a3 + a3 * b1) / (a1 - a1 * b3),
-        (a2 - a2 * b3 - a3 + a3 * b2) / (a2 - a2 * b3),
-        a3,
-        a3 / a1,
-        a3 / a2,
+def _primitive(x, y, z):
+    g = gcd(x, y, z)
+    return x // g, y // g, z // g
+
+
+def _step(rows):
+    """``step`` on a tuple its caller proved admissible (so C = D3 - B3 and
+    A1, A2, A3 are positive): (next tuple, its ``_admissible`` table, q1, q2).
+    Next row i is (a_i', 1, b_i') times C D3 (i = 1) or A_{i-1} C D3, made
+    primitive.  Tests only the tuple it makes, which the next step divides by."""
+    (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
+    C = D3 - B3
+    nxt = (
+        _primitive((D3 - A3 - B3) * D3, C * D3, A3 * C),
+        _primitive((A1 * C - A3 * (D1 - B1)) * D3, A1 * C * D3, A3 * D1 * C),
+        _primitive((A2 * C - A3 * (D2 - B2)) * D3, A2 * C * D3, A3 * D2 * C),
     )
-    if not is_admissible(nxt):
-        raise TheoryViolation(f"stepped tuple lost admissibility: {params} -> {nxt}")
-    one = Fraction(1)
-    q1 = MonomialMatrix._raw(_Q1_PERM, (one, one, 1 / c, 1 / a3, 1 / a3, a1 / a3, a2 / a3))
-    q2 = MonomialMatrix._raw(
-        _Q2_PERM, (a1 * a2 * c / a3, a2 * c, a3 * c, a3, one, c / a3, a1 * c / a3)
-    )
-    return nxt, q1, q2
+    table = _admissible(nxt)
+    if table is None:
+        raise TheoryViolation(f"stepped tuple lost admissibility: {_params(rows)} -> {_params(nxt)}")
+    # q1 = (1, 1, 1/c, 1/a3, 1/a3, a1/a3, a2/a3) and
+    # q2 = (a1 a2 c/a3, a2 c, a3 c, a3, 1, c/a3, a1 c/a3) for c = C / D3.
+    q1 = ((1, 2, 3, 4, 5, 6, 0), (1, 1, D3, D3, D3, A1 * D3, A2 * D3),
+          (1, 1, C, A3, A3, D1 * A3, D2 * A3))
+    q2 = ((6, 0, 1, 2, 3, 4, 5), (A1 * A2 * C, A2 * C, A3 * C, A3, 1, C, A1 * C),
+          (D1 * D2 * A3, D2 * D3, D3 * D3, D3, 1, A3, D1 * A3))
+    return nxt, table, q1, q2
 
 
 def orbit(params: CanonicalParams, t: int) -> CanonicalParams:
@@ -296,10 +289,13 @@ def orbit(params: CanonicalParams, t: int) -> CanonicalParams:
 
 def middle_min_condition(params: CanonicalParams) -> bool:
     """a1+b1 >= a2+b2 and a3+b3 >= a2+b2 (non-strict, so ties qualify)."""
-    s1 = params.a1 + params.b1
-    s2 = params.a2 + params.b2
-    s3 = params.a3 + params.b3
-    return s1 >= s2 and s3 >= s2
+    return _middle_min(_rows(params))
+
+
+def _middle_min(rows) -> bool:
+    (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
+    s2 = A2 + B2
+    return (A1 + B1) * D2 >= s2 * D1 and (A3 + B3) * D2 >= s2 * D3
 
 
 def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
@@ -309,44 +305,64 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
     Returns None when the condition fails (which is not an error);
     raises NotAdmissible for a non-admissible tuple.
     """
-    if not is_admissible(params):
+    rows = _rows(params)
+    table = _admissible(rows)
+    if table is None:
         raise NotAdmissible("direct_factor requires an admissible tuple")
-    if not middle_min_condition(params):
+    if not _middle_min(rows):
         return None
-    vm = canonical_matrix(params)
-    left, right = _direct_factor(params, vm)
-    if not is_certificate(left, right, vm):
+    left, right = map(_matrix, _direct_factor(rows, table))
+    if not is_certificate(left, right, _matrix(table)):
         raise TheoryViolation(f"direct factor failed its verification for {params}")
     return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
 
 
-def _direct_factor(params: CanonicalParams, vm: Matrix):
-    """(left, right) of ``direct_factor`` for an admissible tuple that meets
-    the middle-min condition, ``vm`` its canonical matrix; tests nothing."""
-    a1, a2, a3, b1, b2, b3 = params.astuple()
-    v = lambda i, j: vm.data[i - 1][j - 1]  # noqa: E731 - 1-based view
-    one, zero = Fraction(1), Fraction(0)
+def _direct_factor(rows, vm):
+    """(left, right) of ``direct_factor`` as (num, den) tables, den > 0, for
+    an admissible tuple meeting the middle-min condition; tests nothing."""
+    (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
+    v = lambda i, j: vm[i - 1][j - 1]  # noqa: E731 - 1-based view
+    add = lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1])  # noqa: E731
+    div = lambda x, y: (x[0] * y[1], x[1] * y[0])  # noqa: E731
+    one, zero, s2 = (1, 1), (0, 1), A2 + B2
     left = (
-        (zero, zero, one, v(4, 1) + v(4, 7), v(6, 1), zero),
-        (zero, zero, zero, one, a1 - a2 + b1 - b2, one),
+        (zero, zero, one, add(v(4, 1), v(4, 7)), v(6, 1), zero),
+        (zero, zero, zero, one, ((A1 + B1) * D2 - s2 * D1, D1 * D2), one),  # a1 - a2 + b1 - b2
         (v(3, 1), zero, zero, one, v(3, 7), zero),
         (v(4, 1), one, zero, zero, v(4, 7), zero),
-        (-a2 + a3 - b2 + b3, one, zero, zero, zero, one),
-        (v(6, 1), v(3, 1) + v(3, 7), one, zero, zero, zero),
+        (((A3 + B3) * D2 - s2 * D3, D2 * D3), one, zero, zero, zero, one),  # a3 - a2 + b3 - b2
+        (v(6, 1), add(v(3, 1), v(3, 7)), one, zero, zero, zero),
         (zero, v(3, 1), one, v(4, 7), zero, zero),
     )
     right = (
-        (one, v(3, 2) / v(3, 1), zero, zero, zero, zero, zero),
-        (zero, v(2, 1) / v(3, 1), one, zero, zero, zero, zero),
+        (one, div(v(3, 2), v(3, 1)), zero, zero, zero, zero, zero),
+        (zero, div(v(2, 1), v(3, 1)), one, zero, zero, zero, zero),
         (zero, zero, v(1, 3), one, v(6, 5), zero, zero),
-        (zero, zero, zero, zero, one, v(5, 7) / v(4, 7), zero),
-        (zero, zero, zero, zero, zero, v(6, 5) / v(4, 7), one),
+        (zero, zero, zero, zero, one, div(v(5, 7), v(4, 7)), zero),
+        (zero, zero, zero, zero, zero, div(v(6, 5), v(4, 7)), one),
         (v(7, 2), zero, zero, one, zero, zero, v(5, 7)),
     )
-    return Matrix._raw(left, SIZE, 6), Matrix._raw(right, 6, SIZE)
+    return left, right
+
+
+def _assemble(q_left, left, right, q_right):
+    """(q_left @ left, right @ q_right) for (num, den) tables: the left
+    factor a Matrix, and the right one integer rows (y, e), row == y / e."""
+    perm, nums, dens = q_left
+    data = tuple(tuple(Fraction(n * x, d * y) if x else _ZERO for x, y in left[p])
+                 for p, n, d in zip(perm, nums, dens))
+    perm, nums, dens = q_right
+    inv = sorted(range(len(perm)), key=perm.__getitem__)  # column c is table column inv[c]
+    lines = []
+    for row in right:
+        scaled = [(row[i][0] * nums[i], row[i][1] * dens[i]) for i in inv]
+        e = lcm(*(y for x, y in scaled if x))
+        lines.append(([x * (e // y) for x, y in scaled], e))
+    return Matrix._raw(data, len(data), len(left[0])), lines
 
 
 MAX_SEARCH_STEPS = 14  # 7 on the tuple itself, then 7 on its mirror
+_UNIT = (tuple(range(SIZE)), (1,) * SIZE, (1,) * SIZE)
 
 
 def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
@@ -359,41 +375,41 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
     14 attempts is guaranteed for admissible input, so exhausting them
     raises TheoryViolation.
     """
-    if not is_admissible(params):
+    rows = _rows(params)
+    table = _admissible(rows)
+    if table is None:
         raise NotAdmissible("factor_canonical requires an admissible tuple")
-    target = canonical_matrix(params)
-    q_left, cert, q_right = _factor_canonical(params, target)
-    left, right = q_left.apply_left(cert.left), q_right.apply_right(cert.right)
-    if not is_certificate(left, right, target):
+    q_left, left, right, q_right, steps, mirrored = _factor_canonical(rows, table)
+    left, lines = _assemble(q_left, left, right, q_right)
+    right = _matrix([[(x, e) for x in y] for y, e in lines])
+    if not is_certificate(left, right, _matrix(table)):
         raise TheoryViolation(f"assembled certificate failed verification for {params}")
-    return Rank6Certificate(left, right, cert.steps_taken, cert.used_reversal)
+    return Rank6Certificate(left, right, steps, mirrored)
 
 
-def _factor_canonical(params: CanonicalParams, matrix: Matrix):
-    """The search of ``factor_canonical`` for a tuple its caller proved
-    admissible, ``matrix`` its canonical matrix: (q_left, cert, q_right)
-    with ``matrix == q_left @ cert.left @ cert.right @ q_right``, ``cert``
-    the direct factorization where the search stopped and the monomials
-    every step and the mirror on the way there, composed for the caller
-    to apply once."""
-    identity = MonomialMatrix._raw(tuple(range(SIZE)), (Fraction(1),) * SIZE)
+def _factor_canonical(rows, table):
+    """The search of ``factor_canonical`` on an integer tuple its caller
+    proved admissible, ``table`` its ``_admissible`` table: (q_left, left,
+    right, q_right, steps, mirrored), canonical(rows) == q_left @ left @
+    right @ q_right for the direct factor's tables where the search
+    stopped and the monomials of every step and the mirror, composed."""
     for mirrored in (False, True):
-        current = params.reversed_tuple() if mirrored else params
-        q_left = q_right = identity
+        # The mirror of rows (A_i, D_i, B_i), i = 1, 2, 3 is (B_i, D_i, A_i), i = 3, 2, 1.
+        current = tuple(r[::-1] for r in reversed(rows)) if mirrored else rows
+        vm = _dets(current) if mirrored else table
+        q_left = q_right = _UNIT
         for t in range(7):
-            if middle_min_condition(current):
-                vm = matrix if current is params else canonical_matrix(current)
-                left, right = _direct_factor(current, vm)
+            if _middle_min(current):
                 if mirrored:
-                    _, row_perm, col_perm = reversal(params)
-                    q_left, q_right = row_perm @ q_left, q_right @ col_perm
-                return q_left, Rank6Certificate(left, right, t, mirrored), q_right
+                    q_left = _compose((_REVERSAL_ROWS,) + _UNIT[1:], q_left)
+                    q_right = _compose(q_right, (_REVERSAL_COLS,) + _UNIT[1:])
+                return (q_left, *_direct_factor(current, vm), q_right, t, mirrored)
             if t == 6:
                 break  # a seventh step closes the period
-            current, q1, q2 = _step(current)
-            # matrix == q_left @ canonical(current) @ q_right
-            q_left, q_right = q_left @ q1, q2 @ q_right
+            current, vm, q1, q2 = _step(current)
+            # canonical(rows) == q_left @ canonical(current) @ q_right
+            q_left, q_right = _compose(q_left, q1), _compose(q2, q_right)
     raise TheoryViolation(
         f"no factorization within {MAX_SEARCH_STEPS} search steps for "
-        f"{params}; this state is impossible for exact admissible input"
+        f"{_params(rows)}; this state is impossible for exact admissible input"
     )

@@ -3,7 +3,9 @@
 The pattern, after relabeling, is M[i][j] = 0 exactly when i is congruent
 to j-1 or j mod 7 (1-based), with every other entry strictly positive.
 Such a matrix is a positive row/column rescaling of a canonical matrix, so
-it factors exactly as a 7x6 times 6x7 nonnegative product.
+it factors exactly as a 7x6 times 6x7 nonnegative product.  The rescaling
+reads the integer tuple and (num, den) scales off the integer columns, and
+the core hands its right factor on as integer rows, one denominator each.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from . import canonical
-from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate
+from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate, _compose
 from .errors import ConsistencyError, DimensionError, PatternError, RankError, TheoryViolation
 from .linalg import Matrix, clear_denominators, is_certificate, rank
 
@@ -116,8 +118,7 @@ class CanonicalReduction:
 
 
 def _cleared_columns(m: Matrix):
-    """(columns, divisors): column j of ``m`` is columns[j] / divisors[j]
-    with integer columns[j]."""
+    """(columns, divisors): column j of ``m`` is columns[j] / divisors[j]."""
     return tuple(zip(*map(clear_denominators, zip(*m.data))))
 
 
@@ -137,7 +138,9 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
 
-    params, reference, rows, cols = _scale_to_canonical(*_cleared_columns(m), _IDENTITY)
+    tuple_rows, table, row_nd, col_nd = _scale_to_canonical(*_cleared_columns(m), _IDENTITY)
+    reference = canonical._matrix(table)
+    rows, cols = [Fraction(*x) for x in row_nd], [Fraction(*x) for x in col_nd]
     for i in range(SIZE):
         for j in range(SIZE):
             if m.data[i][j] != rows[i] * reference.data[i][j] * cols[j]:
@@ -148,7 +151,7 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     one, row2, row5 = Fraction(1), m.data[1], m.data[4]
     col_scales = [one, one, row5[3] / row5[2], one, row2[3] / row2[4], one, one]
     return CanonicalReduction(
-        params=params,
+        params=canonical._params(tuple_rows),
         row_scale=MonomialMatrix.diagonal([1 / x for x in rows]),
         col_scale=MonomialMatrix.diagonal(col_scales),
         col_constants=tuple(k * s for k, s in zip(cols, col_scales)),
@@ -156,47 +159,37 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
 
 
 def _scale_to_canonical(columns, divisors, labeling: CyclicLabeling):
-    """The rescaling of ``scale_to_canonical`` on integers, for a matrix M
-    (entry (i, j) is columns[j][i] / divisors[j]) that its caller proved
-    rank 3 and in the canonical pattern once relabeled by ``labeling``:
-    (params, reference, rows, cols) with the relabeled M equal to
-    diag(rows) @ reference @ diag(cols), reference the canonical matrix of
-    params.  Row and column scalings cancel in the parameters, so they
-    come straight from the integers.  Tests admissibility, which the
-    theory guarantees and every later step divides by, once."""
+    """``scale_to_canonical`` on integers, for M (entry (i, j) is
+    columns[j][i] / divisors[j]) its caller proved rank 3 and, relabeled by
+    ``labeling``, in the canonical pattern: (rows, table, row_nd, col_nd),
+    relabeled M == diag(row_nd) @ table @ diag(col_nd) for the integer tuple
+    ``rows``, its ``_admissible`` table and (num, den) scales.  Tests
+    admissibility, which the theory guarantees and later steps divide by."""
     row_order, col_order = labeling.row_order, labeling.col_order
     x = lambda i, j: columns[col_order[j - 1]][row_order[i - 1]]  # noqa: E731 - 1-based
-    # The recipe scales column 3 by M54 / M53 and column 5 by M24 / M25;
-    # the column divisors cancel in every parameter.
+    # The recipe scales column 3 by M54 / M53 and column 5 by M24 / M25, so
+    # a_i = M_i3 n3 / (M_i4 m3) and b_i = M_i5 n5 / (M_i4 m5) for the rows
+    # i = 6, 7, 1; the column divisors cancel.
     n3, m3 = x(5, 4), x(5, 3)
     n5, m5 = x(2, 4), x(2, 5)
-    params = CanonicalParams(
-        Fraction(x(6, 3) * n3, x(6, 4) * m3),
-        Fraction(x(7, 3) * n3, x(7, 4) * m3),
-        Fraction(x(1, 3) * n3, x(1, 4) * m3),
-        Fraction(x(6, 5) * n5, x(6, 4) * m5),
-        Fraction(x(7, 5) * n5, x(7, 4) * m5),
-        Fraction(x(1, 5) * n5, x(1, 4) * m5),
-    )
-    if not canonical.is_admissible(params):
-        raise ConsistencyError(f"rescaled parameters {params} are not admissible")
-    reference = canonical.canonical_matrix(params)
+    rows = tuple(canonical._primitive(x(i, 3) * n3 * m5, x(i, 4) * m3 * m5, x(i, 5) * n5 * m3)
+                 for i in (6, 7, 1))
+    table = canonical._admissible(rows)
+    if table is None:
+        raise ConsistencyError(f"rescaled parameters {canonical._params(rows)} are not admissible")
 
-    # Row factor i as (numerator, denominator): M_i4 for most rows,
-    # M24 * M35 / M25 for row 3 and M43 * M54 / M53 for row 4.
+    # Row factor i: M_i4, but M24 * M35 / M25 for row 3 and M43 * M54 / M53 for row 4.
     div4 = divisors[col_order[4 - 1]]
     row_nd = [(x(i, 4), div4) for i in range(1, SIZE + 1)]
     row_nd[3 - 1] = (n5 * x(3, 5), m5 * div4)
     row_nd[4 - 1] = (x(4, 3) * n3, m3 * div4)
-    cols = []
+    col_nd = []
     for j in range(1, SIZE + 1):
         i = 2 if j == 1 else 3 if j == 2 else 1
-        v = reference.data[i - 1][j - 1]
+        vn, vd = table[i - 1][j - 1]
         n, d = row_nd[i - 1]
-        cols.append(Fraction(
-            x(i, j) * d * v.denominator, divisors[col_order[j - 1]] * n * v.numerator
-        ))
-    return params, reference, [Fraction(n, d) for n, d in row_nd], cols
+        col_nd.append((x(i, j) * d * vd, divisors[col_order[j - 1]] * n * vn))
+    return rows, table, row_nd, col_nd
 
 
 def factor_cyclic(m: Matrix) -> Rank6Certificate:
@@ -206,23 +199,25 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
     r = rank(m)
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
-    cert = _factor_cyclic(*_cleared_columns(m), labeling)
-    if not is_certificate(cert.left, cert.right, m):
+    left, lines, steps, mirrored = _factor_cyclic(*_cleared_columns(m), labeling)
+    right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
+    if not is_certificate(left, right, m):
         raise TheoryViolation("cyclic factorization failed its final verification")
-    return cert
+    return Rank6Certificate(left, right, steps, mirrored)
 
 
-def _factor_cyclic(columns, divisors, labeling: CyclicLabeling) -> Rank6Certificate:
+def _factor_cyclic(columns, divisors, labeling: CyclicLabeling):
     """``factor_cyclic`` on M as ``_scale_to_canonical`` reads it, with no
-    product check: relabeled M == diag(rows) @ q_left @ L @ R @ q_right @
-    diag(cols), so the relabeling and every scaling fold into one monomial
-    per side and each output entry is one product."""
-    params, reference, rows, cols = _scale_to_canonical(columns, divisors, labeling)
-    q_left, cert, q_right = canonical._factor_canonical(params, reference)
+    product check: (left, lines, steps, mirrored), the right factor as
+    integer rows (y, e).  Relabeled M == diag(rows) @ q_left @ L @ R @
+    q_right @ diag(cols), so each side folds into one integer monomial."""
+    rows, table, row_nd, col_nd = _scale_to_canonical(columns, divisors, labeling)
+    q_left, left, right, q_right, steps, mirrored = canonical._factor_canonical(rows, table)
     # Row t of the relabeled matrix is row row_order[t] of M, and column s
     # is column col_order[s].
-    undo = sorted(range(SIZE), key=labeling.row_order.__getitem__)
-    undo_rows = MonomialMatrix._raw(tuple(undo), tuple(rows[t] for t in undo))
-    left = (undo_rows @ q_left).apply_left(cert.left)
-    right = (q_right @ MonomialMatrix._raw(labeling.col_order, tuple(cols))).apply_right(cert.right)
-    return Rank6Certificate(left, right, cert.steps_taken, cert.used_reversal)
+    undo = tuple(sorted(range(SIZE), key=labeling.row_order.__getitem__))
+    undo_rows = (undo, *zip(*(row_nd[t] for t in undo)))
+    cols = (labeling.col_order, *zip(*col_nd))
+    left, lines = canonical._assemble(_compose(undo_rows, q_left), left, right,
+                                      _compose(q_right, cols))
+    return left, lines, steps, mirrored

@@ -19,9 +19,9 @@ segment and weighted against its two ends by integer 2x2 determinants.
 exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
 ``factor_low_rank`` check input and product for direct callers;
 ``nn_factor`` calls their cores, which trust its rank and nonnegativity
-and leave the product to its one closing check.  A 7-vertex section
-hands the cyclic core its integer vertex rays and the relabeling its
-tight sets fix.
+and leave the product to its one closing check.  A 7-vertex section hands
+the cyclic core its integer vertex rays and the relabeling its tight sets
+fix, and gets its right factor back as integer rows for the fan pass.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     basis columns, u = cu / su - c0 / s0 and v = cv / sv - c0 / s0, so
     the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
-    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(a)
+    cleared = list(map(clear_denominators, zip(*a.data)))
+    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(cleared)
     vertex_matrix = _vertex_matrix(rays)
     vertices = tuple(
         SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
@@ -157,17 +158,6 @@ def _vertex_matrix(rays) -> Matrix:
     return Matrix._raw(data, len(data), len(rays))
 
 
-def _cleared_columns(a: Matrix):
-    """(c, sum(c)) for each nonzero column of a nonnegative matrix, in
-    order, with c the column cleared to integers: its normalized form is
-    c / sum(c), and sum(c) == 0 only for a zero column."""
-    for col in zip(*a.data):
-        c, _ = clear_denominators(col)
-        s = sum(c)
-        if s:
-            yield c, s
-
-
 def _positive_minor(u, v):
     """(i1, i2, m): the first nonzero 2x2 minor m = u[i1]*v[i2] - u[i2]*v[i1]
     of two columns, its rows swapped where that makes it positive."""
@@ -179,8 +169,9 @@ def _positive_minor(u, v):
     raise InternalError("section chart axes are parallel")
 
 
-def _section_rays(a: Matrix):
-    """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
+def _section_rays(cleared):
+    """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3,
+    given by its columns cleared, (c, d) with column == c / d:
     vertex t is rays[t] = (x, S) with integer x, ambient coordinates x / S
     and S = sum(x), counterclockwise in the chart of ``section_polygon``,
     and x = B hs[t] for B with the columns of basis = ((c0, s0), (cu, su),
@@ -191,7 +182,8 @@ def _section_rays(a: Matrix):
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
     sign.  Zero and proportional rows have a zero cross product.
     """
-    columns = _cleared_columns(a)
+    # Column c / d normalizes to c / sum(c); sum(c) == 0 only for a zero column.
+    columns = ((c, s) for c, s in ((c, sum(c)) for c, _ in cleared) if s)
     c0, s0 = next(columns)
     found = next(((c, s) for c, s in columns if any(x * s0 != y * s for x, y in zip(c, c0))), None)
     if found is None:
@@ -305,22 +297,23 @@ def _fan(rays):
     return locate
 
 
-def _convex_weights(rays, a: Matrix, m: Matrix) -> Matrix:
+def _unit_lines(k: int):
+    return [([int(i == r) for i in range(k)], 1) for r in range(k)]
+
+
+def _convex_weights(rays, cleared, lines) -> Matrix:
     """``m @ W`` in one integer pass, for W the k x n right factor of a
-    nonnegative ``a`` through its k vertex rays: column j of W holds the
-    convex coefficients of a's normalized column j times that column's
-    sum, zero for a zero column.  Column j is c / d with integer c, so
-    vertex i weighs nums * S_i / (det * d) in it, and with each row of
-    ``m`` cleared over its own denominator each entry is one Fraction."""
+    nonnegative matrix through its k vertex rays and m the matrix with
+    rows y / e for (y, e) in ``lines``: the identity (k <= 6) or the
+    cyclic core's right factor (k = 7).  Column j of W holds the convex
+    coefficients of normalized column j times its sum, zero for a zero
+    column.  Column j is c / d for cleared[j] = (c, d), so vertex i weighs
+    nums * S_i / (det * d) in it, and each entry is one Fraction."""
     locate = _fan(rays)
-    lines = [
-        ([y * s for y, (_, s) in zip(row, rays)], e)
-        for row, e in map(clear_denominators, m.data)
-    ]
-    zero = (_ZERO,) * m.rows
+    lines = [([y * s for y, (_, s) in zip(row, rays)], e) for row, e in lines]
+    zero = (_ZERO,) * len(lines)
     out = []
-    for col in zip(*a.data):
-        c, d = clear_denominators(col)
+    for c, d in cleared:
         s = sum(c)
         if not s:
             out.append(zero)
@@ -329,7 +322,7 @@ def _convex_weights(rays, a: Matrix, m: Matrix) -> Matrix:
         den = det * d
         nums = [(r[i] * ni + r[j] * nj + r[l] * nl, e) for r, e in lines]
         out.append(tuple(Fraction(n, e * den) if n else _ZERO for n, e in nums))
-    return Matrix._raw(tuple(zip(*out)), m.rows, a.cols)
+    return Matrix._raw(tuple(zip(*out)), len(lines), len(cleared))
 
 
 def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction, ...]:
@@ -342,8 +335,7 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
     if sum(target) != 1:
         raise OutsidePolygon("point does not lie in the section plane")
     rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
-    column = Matrix._raw(tuple((x,) for x in target), len(target), 1)
-    weights = _convex_weights(rays, column, Matrix.identity(poly.k)).column(0)
+    weights = _convex_weights(rays, [clear_denominators(target)], _unit_lines(poly.k)).column(0)
     used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
     if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(target))) != target:
         raise InternalError("convex combination does not reproduce the point")
@@ -368,27 +360,23 @@ def factor_seven_by_n(a: Matrix):
 def _factor_seven_by_n(a: Matrix):
     """``factor_seven_by_n`` for a matrix that passed
     _check_seven_rows_rank3, with no product check of its own and no
-    chart.  The counterclockwise vertices t and t + 1 of a 7-vertex
-    section share one tight row, their edge, which the labeling puts at
-    t: the labeling ``detect_cyclic_labeling`` finds on the vertex
-    matrix."""
-    rays, _, _ = _section_rays(a)
+    chart, each column cleared once.  The counterclockwise vertices t and
+    t + 1 of a 7-vertex section share one tight row, their edge, which
+    the labeling puts at t: the labeling ``detect_cyclic_labeling`` finds
+    on the vertex matrix."""
+    cleared = list(map(clear_denominators, zip(*a.data)))
+    rays, _, _ = _section_rays(cleared)
     k = len(rays)
     if k <= 6:
         info = {"method": "section", "vertices": k, "inner_dim": k}
-        return _vertex_matrix(rays), _convex_weights(rays, a, Matrix.identity(k)), info
+        return _vertex_matrix(rays), _convex_weights(rays, cleared, _unit_lines(k)), info
     tight = [{i for i, t in enumerate(x) if not t} for x, _ in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
-    cert = _factor_cyclic([x for x, _ in rays], [s for _, s in rays], labeling)
-    info = {
-        "method": "section+cyclic",
-        "vertices": k,
-        "inner_dim": 6,
-        "search_steps": cert.steps_taken,
-        "mirrored": cert.used_reversal,
-    }
-    return cert.left, _convex_weights(rays, a, cert.right), info
+    left, lines, steps, mirrored = _factor_cyclic([x for x, _ in rays], [s for _, s in rays], labeling)
+    info = {"method": "section+cyclic", "vertices": k, "inner_dim": 6,
+            "search_steps": steps, "mirrored": mirrored}
+    return left, _convex_weights(rays, cleared, lines), info
 
 
 def factor_low_rank(a: Matrix):

@@ -1,7 +1,10 @@
 """The six-parameter canonical family: construction, symmetry, step,
 orbit, and the explicit inner-dimension-6 factorizations."""
 
+import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,8 @@ from exactnmf import canonical
 from exactnmf.canonical import (
     CanonicalParams,
     MonomialMatrix,
+    Rank6Certificate,
     canonical_matrix,
-    base_points,
     direct_factor,
     factor_canonical,
     is_admissible,
@@ -21,7 +24,7 @@ from exactnmf.canonical import (
     reversal,
     step,
 )
-from exactnmf.errors import DimensionError, NotAdmissible
+from exactnmf.errors import DimensionError, NotAdmissible, TheoryViolation
 from exactnmf.generate import random_admissible_params
 from exactnmf.linalg import Matrix
 from exactnmf.rng import SplitMix64
@@ -35,6 +38,25 @@ def params_of(*values):
 
 
 ZERO_PARAMS = params_of(0, 0, 0, 0, 0, 0)
+
+
+def base_points(params: CanonicalParams) -> Matrix:
+    """The 7x3 matrix of homogeneous base points.
+
+    Rows 1-4 are fixed 0/1 points; rows 5, 6, 7 are (a_i, 1, b_i).
+    """
+    one, zero = Fraction(1), Fraction(0)
+    return Matrix(
+        [
+            (zero, one, one),
+            (zero, zero, one),
+            (one, zero, zero),
+            (one, one, zero),
+            (params.a1, one, params.b1),
+            (params.a2, one, params.b2),
+            (params.a3, one, params.b3),
+        ]
+    )
 
 
 def oracle_matrix(p: CanonicalParams) -> Matrix:
@@ -297,16 +319,7 @@ class TestFactorCanonical:
         # it: fail the condition for the whole forward orbit, then behave
         # normally.  The final exact product check validates the mirror
         # relabeling composition.
-        real = canonical.middle_min_condition
-        calls = {"n": 0}
-
-        def starved(params):
-            calls["n"] += 1
-            if calls["n"] <= 7:
-                return False
-            return real(params)
-
-        monkeypatch.setattr(canonical, "middle_min_condition", starved)
+        monkeypatch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
         cert = factor_canonical(h7_params)
         assert cert.used_reversal
         assert cert.left @ cert.right == canonical_matrix(h7_params)
@@ -416,3 +429,282 @@ def test_apply_matches_dense_product(data):
         q.apply_left(m)
     with pytest.raises(DimensionError):
         q.apply_right(m.transpose())
+
+
+def starved(condition, failures=7):
+    """``condition`` made to fail its first ``failures`` calls: the whole
+    forward orbit of a search, which then moves to the mirror tuple."""
+    calls = {"n": 0}
+
+    def wrapped(*args):
+        calls["n"] += 1
+        return calls["n"] > failures and condition(*args)
+
+    return wrapped
+
+
+# -- the integer search against the Fraction code it replaced ---------------
+#
+# ``_step``, ``_direct_factor`` and ``_factor_canonical`` as they were on
+# Fraction tuples, verbatim but for the names of what they call: they read
+# the canonical matrix, admissibility and the middle-min condition from the
+# Fraction oracles here, and a product ``q @ r`` of monomials, which
+# ``MonomialMatrix`` no longer defines, is ``monomial_product(q, r)``.
+
+
+def fraction_middle_min(params):
+    """``middle_min_condition`` as it was on Fraction tuples, verbatim."""
+    s1 = params.a1 + params.b1
+    s2 = params.a2 + params.b2
+    s3 = params.a3 + params.b3
+    return s1 >= s2 and s3 >= s2
+
+
+def monomial_product(q, r):
+    """The monomial product ``q @ r``: row i of ``q`` picks row perm[i] of
+    ``r``."""
+    return MonomialMatrix._raw(
+        tuple(r.perm[p] for p in q.perm),
+        tuple(s * r.scales[p] for p, s in zip(q.perm, q.scales)),
+    )
+
+
+_Q1_PERM = (1, 2, 3, 4, 5, 6, 0)
+_Q2_PERM = (6, 0, 1, 2, 3, 4, 5)
+
+
+def fraction_step(params: CanonicalParams):
+    """``step`` for a tuple its caller proved admissible, which makes the
+    divisors 1-b3, a1, a2, a3 strictly positive.  Tests only the tuple it
+    makes, once, since the next step divides by its entries."""
+    a1, a2, a3, b1, b2, b3 = params.astuple()
+    c = 1 - b3
+    nxt = CanonicalParams(
+        (1 - a3 - b3) / c,
+        (a1 - a1 * b3 - a3 + a3 * b1) / (a1 - a1 * b3),
+        (a2 - a2 * b3 - a3 + a3 * b2) / (a2 - a2 * b3),
+        a3,
+        a3 / a1,
+        a3 / a2,
+    )
+    if not fraction_is_admissible(nxt):
+        raise TheoryViolation(f"stepped tuple lost admissibility: {params} -> {nxt}")
+    one = Fraction(1)
+    q1 = MonomialMatrix._raw(_Q1_PERM, (one, one, 1 / c, 1 / a3, 1 / a3, a1 / a3, a2 / a3))
+    q2 = MonomialMatrix._raw(
+        _Q2_PERM, (a1 * a2 * c / a3, a2 * c, a3 * c, a3, one, c / a3, a1 * c / a3)
+    )
+    return nxt, q1, q2
+
+
+def fraction_direct_factor(params: CanonicalParams, vm: Matrix):
+    """(left, right) of ``direct_factor`` for an admissible tuple that meets
+    the middle-min condition, ``vm`` its canonical matrix; tests nothing."""
+    a1, a2, a3, b1, b2, b3 = params.astuple()
+    v = lambda i, j: vm.data[i - 1][j - 1]  # noqa: E731 - 1-based view
+    one, zero = Fraction(1), Fraction(0)
+    left = (
+        (zero, zero, one, v(4, 1) + v(4, 7), v(6, 1), zero),
+        (zero, zero, zero, one, a1 - a2 + b1 - b2, one),
+        (v(3, 1), zero, zero, one, v(3, 7), zero),
+        (v(4, 1), one, zero, zero, v(4, 7), zero),
+        (-a2 + a3 - b2 + b3, one, zero, zero, zero, one),
+        (v(6, 1), v(3, 1) + v(3, 7), one, zero, zero, zero),
+        (zero, v(3, 1), one, v(4, 7), zero, zero),
+    )
+    right = (
+        (one, v(3, 2) / v(3, 1), zero, zero, zero, zero, zero),
+        (zero, v(2, 1) / v(3, 1), one, zero, zero, zero, zero),
+        (zero, zero, v(1, 3), one, v(6, 5), zero, zero),
+        (zero, zero, zero, zero, one, v(5, 7) / v(4, 7), zero),
+        (zero, zero, zero, zero, zero, v(6, 5) / v(4, 7), one),
+        (v(7, 2), zero, zero, one, zero, zero, v(5, 7)),
+    )
+    return Matrix._raw(left, 7, 6), Matrix._raw(right, 6, 7)
+
+
+def fraction_factor_canonical(params: CanonicalParams, matrix: Matrix):
+    """The search of ``factor_canonical`` for a tuple its caller proved
+    admissible, ``matrix`` its canonical matrix: (q_left, cert, q_right)
+    with ``matrix == q_left @ cert.left @ cert.right @ q_right``, ``cert``
+    the direct factorization where the search stopped and the monomials
+    every step and the mirror on the way there, composed for the caller
+    to apply once."""
+    identity = MonomialMatrix._raw(tuple(range(7)), (Fraction(1),) * 7)
+    for mirrored in (False, True):
+        current = params.reversed_tuple() if mirrored else params
+        q_left = q_right = identity
+        for t in range(7):
+            if fraction_middle_min(current):
+                vm = matrix if current is params else fraction_canonical_matrix(current)
+                left, right = fraction_direct_factor(current, vm)
+                if mirrored:
+                    _, row_perm, col_perm = reversal(params)
+                    q_left = monomial_product(row_perm, q_left)
+                    q_right = monomial_product(q_right, col_perm)
+                return q_left, Rank6Certificate(left, right, t, mirrored), q_right
+            if t == 6:
+                break  # a seventh step closes the period
+            current, q1, q2 = fraction_step(current)
+            # matrix == q_left @ canonical(current) @ q_right
+            q_left, q_right = monomial_product(q_left, q1), monomial_product(q2, q_right)
+    raise TheoryViolation(
+        f"no factorization within {canonical.MAX_SEARCH_STEPS} search steps for "
+        f"{params}; this state is impossible for exact admissible input"
+    )
+
+
+def fraction_certificate(params: CanonicalParams) -> Rank6Certificate:
+    """``factor_canonical`` as it was: the Fraction search, its monomials
+    applied to the stopping tuple's factors."""
+    q_left, cert, q_right = fraction_factor_canonical(params, fraction_canonical_matrix(params))
+    return Rank6Certificate(
+        q_left.apply_left(cert.left), q_right.apply_right(cert.right),
+        cert.steps_taken, cert.used_reversal,
+    )
+
+
+def sample_admissible(seed, denominator):
+    """A sorted random tuple over ``denominator`` that the Fraction oracle
+    admits, by rejection."""
+    rng = random.Random(seed)
+    while True:
+        a3, a2, a1 = sorted(Fraction(rng.randrange(1, denominator), denominator) for _ in range(3))
+        b1, b2, b3 = sorted(Fraction(rng.randrange(1, denominator), denominator) for _ in range(3))
+        p = CanonicalParams(a1, a2, a3, b1, b2, b3)
+        if a1 + b1 < 1 and a3 + b3 < 1 and fraction_is_admissible(p):
+            return p
+
+
+# Boundary tuples to walk towards: a parameter set to 0 or 1, or a parameter
+# copied onto its neighbour, each of which zeroes a canonical entry.
+BOUNDARIES = [("set", i, x) for i in range(6) for x in (0, 1)] + [
+    ("copy", i, j) for i, j in ((0, 1), (1, 2), (3, 4), (4, 5))
+]
+
+
+def towards(p, boundary, halvings):
+    """(inside, outside): bisect ``halvings`` times on the segment from the
+    admissible ``p`` to the tuple ``BOUNDARIES[boundary]`` makes of it;
+    ``inside`` is the last point the Fraction oracle admits, ``outside``
+    the first it rejects (the boundary tuple itself if none)."""
+    kind, i, x = BOUNDARIES[boundary]
+    target = list(p.astuple())
+    target[i] = Fraction(x) if kind == "set" else target[x]
+    point = lambda t: CanonicalParams(  # noqa: E731
+        *(a + t * (b - a) for a, b in zip(p.astuple(), target)))
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if fraction_is_admissible(point(mid)) else (lo, mid)
+    return point(lo), point(hi)
+
+
+def tie(p, i):
+    """``p`` with a_i + b_i moved onto a2 + b2 (i = 1 or 3) through b_i: a
+    tie of the middle-min condition, or None if that is not admissible."""
+    values = list(p.astuple())
+    values[i + 2] = p.a2 + p.b2 - values[i - 1]
+    q = CanonicalParams(*values)
+    return q if fraction_is_admissible(q) else None
+
+
+@st.composite
+def admissible_tuples(draw):
+    """Admissible tuples over denominators 4096 or 2^40, often bisected
+    towards a boundary tuple (some b_i = 0, b3 = 1, a3 = 0, a1 = a2, ...)
+    for up to 80 halvings, so that the tuple is a tiny step from losing
+    admissibility, with a tiny canonical entry and a large denominator,
+    or moved onto a middle-min tie.  Admissibility is always the Fraction
+    oracle's."""
+    p = sample_admissible(draw(st.integers(0, 2**32)), draw(st.sampled_from([4096, 2**40])))
+    halvings = draw(st.sampled_from([0, 1, 5, 30, 80]))
+    if halvings:
+        p, _ = towards(p, draw(st.integers(0, len(BOUNDARIES) - 1)), halvings)
+    return draw(st.sampled_from([p, tie(p, 1) or p, tie(p, 3) or p]))
+
+
+def scales_of(q):
+    """The Fraction scales of an integer monomial (perm, nums, dens)."""
+    perm, nums, dens = q
+    return perm, tuple(map(Fraction, nums, dens))
+
+
+@settings(max_examples=200)
+@given(admissible_tuples())
+def test_integer_tuple_and_step_match_fraction_code(p):
+    """The integer rows, admissibility, middle-min test, step and its q
+    scales against the Fraction code, and the step's rows primitive."""
+    rows = canonical._rows(p)
+    assert all(d > 0 and gcd(a, d, b) == 1 for a, d, b in rows)
+    assert canonical._params(rows) == p
+    assert canonical._admissible(rows) is not None and fraction_is_admissible(p)
+    assert canonical._middle_min(rows) == fraction_middle_min(p) == middle_min_condition(p)
+    for _ in range(7):
+        nxt, table, q1, q2 = canonical._step(rows)
+        expected, e1, e2 = fraction_step(p)
+        assert canonical._params(nxt) == expected and nxt == canonical._rows(expected)
+        assert canonical._matrix(table) == fraction_canonical_matrix(expected)
+        assert scales_of(q1) == (e1.perm, e1.scales) and scales_of(q2) == (e2.perm, e2.scales)
+        assert canonical._middle_min(nxt) == fraction_middle_min(expected)
+        rows, p = nxt, expected
+
+
+@settings(max_examples=200)
+@given(admissible_tuples())
+def test_integer_direct_factor_matches_fraction_code(p):
+    """The direct factor's (num, den) tables at every tuple of the orbit
+    where the middle-min condition holds, and the whole certificate."""
+    rows = canonical._rows(p)
+    for _ in range(7):
+        table = canonical._dets(rows)
+        if canonical._middle_min(rows):
+            left, right = canonical._direct_factor(rows, table)
+            assert all(d > 0 for row in left + right for _, d in row)
+            expected = fraction_direct_factor(p, fraction_canonical_matrix(p))
+            assert (canonical._matrix(left), canonical._matrix(right)) == expected
+        rows, _, _, _ = canonical._step(rows)
+        p, _, _ = fraction_step(p)
+    cert = factor_canonical(p)
+    assert cert == fraction_certificate(p)
+
+
+def test_admissibility_matches_fraction_code_across_the_boundary():
+    """The boundary tuples, and the two sides of a bisection towards each
+    of them, where the outside point has typically just one canonical
+    entry below zero: both codes agree, and step rejects the outside."""
+    rng = random.Random(5)
+    for _ in range(8):
+        p = sample_admissible(rng.randrange(2**32), 4096)
+        for boundary in range(len(BOUNDARIES)):
+            for q in (*towards(p, boundary, 30), towards(p, boundary, 0)[1]):
+                assert is_admissible(q) == fraction_is_admissible(q)
+                if not fraction_is_admissible(q):
+                    with pytest.raises(NotAdmissible):
+                        step(q)
+
+
+def test_middle_min_ties_match_fraction_code():
+    """a1 + b1 or a3 + b3 equal to a2 + b2: ties qualify in both codes."""
+    rng = random.Random(7)
+    ties = [tie(sample_admissible(rng.randrange(2**32), 4096), i) for i in (1, 3) * 20]
+    ties = [q for q in ties if q is not None]
+    assert len(ties) > 10
+    for q in ties:
+        assert canonical._middle_min(canonical._rows(q)) == fraction_middle_min(q) is True
+
+
+def test_forced_mirror_matches_fraction_code(monkeypatch):
+    """With the first seven middle-min tests failed in both codes, the
+    mirror search gives the Fraction code's certificate."""
+    rng = random.Random(6)
+    for _ in range(20):
+        p = sample_admissible(rng.randrange(2**32), 4096)
+        with monkeypatch.context() as patch:
+            patch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
+            cert = factor_canonical(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys.modules[__name__], "fraction_middle_min",
+                          starved(fraction_middle_min))
+            expected = fraction_certificate(p)
+        assert cert.used_reversal and cert == expected

@@ -196,6 +196,32 @@ class TestExtendCommand:
         ef = load_json(out)
         assert ef["k"] == 6
 
+    def test_extend_checks_once(self, tmp_path, h7_polygon_file, capsys, monkeypatch):
+        """``extend`` relies on ``nn_factor``'s closing check: it runs no
+        ``verify_extension`` of its own, still reports the checks passed,
+        and ``verify`` passes the stored formulation with its full check."""
+        def refuse(*args):
+            raise AssertionError("extend re-ran verify_extension")
+
+        out = str(tmp_path / "ef.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "verify_extension", refuse)
+            code = run(["extend", "--input", h7_polygon_file, "--output", out])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("verification: all checks passed\n")
+        assert run(["verify", "--input", h7_polygon_file, "--cert", out]) == 0
+
+    def test_extend_corrupted_core_exits_one_without_formulation(self, tmp_path,
+                                                                 h7_polygon_file, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(section, "_factor_cyclic", corrupt(section, "_factor_cyclic"))
+        out = tmp_path / "ef.json"
+        code = run(["extend", "--input", h7_polygon_file, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "InternalError" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_extend_nonconvex_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad_poly.json"
         save_text(

@@ -24,6 +24,12 @@ DIGESTS = {
 }
 
 
+# Recorded with the Fraction cyclic core, before the integer one replaced
+# it.  The search stops after 0 to 6 steps on these heptagons, where the
+# first 20 of seed 1 stop after at most 5.
+DEEP_HEPTAGONS_DIGEST = "4bc87da79098a02051c14c4842ed5af2abc0cc3cf823cab78c5b64188e6c5848"
+
+
 def _digest(texts):
     h = hashlib.sha256()
     for text in texts:
@@ -41,6 +47,16 @@ def heptagon_texts():
     return [
         _certificate_text(slack_matrix(random_convex_polygon(rng, 7)).matrix)
         for _ in range(20)
+    ]
+
+
+def deep_heptagon_texts():
+    """Certificates of the first 300 heptagon slack matrices of
+    SplitMix64(7919), the benchmark's held-out seed."""
+    rng = SplitMix64(7919)
+    return [
+        _certificate_text(slack_matrix(random_convex_polygon(rng, 7)).matrix)
+        for _ in range(300)
     ]
 
 
@@ -83,3 +99,7 @@ def test_low_rank_certificates_unchanged():
 
 def test_formulations_unchanged():
     assert _digest(formulation_texts()) == DIGESTS["formulations"]
+
+
+def test_deep_search_heptagon_certificates_unchanged():
+    assert _digest(deep_heptagon_texts()) == DEEP_HEPTAGONS_DIGEST

@@ -16,6 +16,7 @@ import pytest
 from exactnmf import canonical, cyclic, linalg, section
 from exactnmf.canonical import (
     CanonicalParams,
+    MonomialMatrix,
     canonical_matrix,
     direct_factor,
     factor_canonical,
@@ -36,7 +37,10 @@ from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
 from exactnmf.section import factor_low_rank, factor_seven_by_n, section_polygon
 
+import test_canonical
+from test_canonical import starved
 from test_driver_properties import splitmix_corpus
+from test_section import _factor_seven_by_n as chart_factor_seven_by_n
 
 NOT_ADMISSIBLE = CanonicalParams(*(Fraction(0),) * 6)
 
@@ -53,8 +57,9 @@ def heptagons(seed=1, count=105):
 
 
 def count_calls(monkeypatch, name):
-    """Wrap the function ``name`` at every exactnmf module that binds it;
-    returns the list its calls append to."""
+    """Wrap the function ``name`` of ``linalg`` or ``canonical`` at every
+    exactnmf module that binds it (``cyclic`` reads the canonical cores as
+    module attributes); returns the list its calls append to."""
     calls = []
     real = getattr(linalg, name, None) or getattr(canonical, name)
 
@@ -70,23 +75,42 @@ def count_calls(monkeypatch, name):
 
 def test_heptagon_call_counts(monkeypatch):
     """Per heptagon: one product check (the closing one), one elimination,
-    one admissibility test per tuple the search meets (the start and each
-    stepped tuple) and one canonical matrix per tuple factored there."""
+    one integer admissibility test per tuple the search meets (the start
+    and each stepped tuple), and determinants built only there: the
+    factored tuple's come from its test, never a second time."""
     matrices = heptagons()
     counts = {name: count_calls(monkeypatch, name)
-              for name in ("is_product", "_eliminate", "is_admissible", "canonical_matrix")}
+              for name in ("is_product", "_eliminate", "_admissible", "_dets")}
     traces = [nn_factor(m).trace for m in matrices]
     records = [record for trace in traces for record in trace]
     assert {record["method"] for record in records} == {"section+cyclic"}
     steps = [r["search_steps"] + (6 if r["mirrored"] else 0) for r in records]
-    moved = [r["search_steps"] > 0 or r["mirrored"] for r in records]
     n = len(matrices)
     assert len(counts["is_product"]) == n
     assert len(counts["_eliminate"]) == n
-    assert len(counts["is_admissible"]) == n + sum(steps)
-    assert len(counts["canonical_matrix"]) == n + sum(moved)
-    tested = [params for (params,) in counts["is_admissible"]]
+    assert len(counts["_admissible"]) == n + sum(steps)
+    assert counts["_dets"] == counts["_admissible"]
+    tested = [rows for (rows,) in counts["_admissible"]]
     assert len(set(tested)) == len(tested)  # no tuple tested twice
+
+
+def test_heptagon_path_builds_no_fraction_tuple(monkeypatch):
+    """``nn_factor`` runs the cyclic core on integer tuples alone: with the
+    Fraction-side monomial products, canonical matrix and admissibility
+    made to raise, it still factors the 105 seed-1 heptagons."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nn_factor left the integer cyclic core")
+
+    for name in ("apply_left", "apply_right"):
+        monkeypatch.setattr(MonomialMatrix, name, refuse)
+    for name in ("canonical_matrix", "is_admissible"):
+        real = getattr(canonical, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("exactnmf") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, refuse)
+    for m in heptagons():
+        fact = nn_factor(m)
+        assert fact.inner_dim == 6 and verify_factorization(m, fact).ok
 
 
 def test_nonnegativity_scanned_once_per_matrix(monkeypatch):
@@ -107,7 +131,11 @@ def test_nonnegativity_scanned_once_per_matrix(monkeypatch):
 
 
 def bumped(m):
-    """``m`` with its (0, 0) entry raised by one."""
+    """``m`` with its (0, 0) entry raised by one: a Matrix, or a table of
+    (num, den) pairs."""
+    if not isinstance(m, Matrix):
+        (n, d), *rest = m[0]
+        return (((n + d, d), *rest), *m[1:])
     rows = [list(row) for row in m.data]
     rows[0][0] += 1
     return Matrix(rows)
@@ -115,16 +143,12 @@ def bumped(m):
 
 def corrupt(module, core):
     """The core ``module.core`` made to return a left factor with one
-    entry changed; cores return either (left, right) or a certificate."""
+    entry changed; cores return a tuple that starts with it."""
     real = getattr(module, core)
 
     def bad(*args):
         out = real(*args)
-        if isinstance(out, tuple):
-            return bumped(out[0]), out[1]
-        return canonical.Rank6Certificate(
-            bumped(out.left), out.right, out.steps_taken, out.used_reversal
-        )
+        return (bumped(out[0]), *out[1:])
 
     return bad
 
@@ -225,3 +249,20 @@ def test_nn_factor_builds_no_section_polygon(monkeypatch):
     for m in heptagons():
         fact = nn_factor(m)
         assert fact.inner_dim == 6 and verify_factorization(m, fact).ok
+
+
+def test_forced_mirror_through_nn_factor(monkeypatch):
+    """No heptagon of the benchmark's seeds reaches the mirror search, so
+    force it: with the first seven middle-min tests of each search failed,
+    ``nn_factor``'s certificate is the chart code's on the Fraction
+    cyclic core, forced the same way."""
+    for m in heptagons(count=20):
+        with monkeypatch.context() as patch:
+            patch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
+            fact = nn_factor(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(test_canonical, "fraction_middle_min",
+                          starved(test_canonical.fraction_middle_min))
+            left, right, info = chart_factor_seven_by_n(m)
+        assert info["mirrored"] and fact.trace[-1]["mirrored"]
+        assert (fact.left, fact.right) == (left, right)

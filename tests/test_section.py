@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactnmf import section
-from exactnmf.cyclic import CyclicLabeling, _factor_cyclic
+from exactnmf.cyclic import CyclicLabeling
 from exactnmf.errors import (
     DegenerateSection,
     DimensionError,
@@ -39,7 +39,6 @@ from exactnmf.rng import SplitMix64
 from exactnmf.section import (
     SectionPolygon,
     SectionVertex,
-    _cleared_columns,
     _positive_minor,
     convex_coefficients,
     factor_low_rank,
@@ -48,6 +47,14 @@ from exactnmf.section import (
     section_polygon,
 )
 from exactnmf.validation import check_nonnegative
+
+from test_cyclic import fraction_factor_cyclic
+
+
+def cleared(a: Matrix):
+    """The columns of ``a`` as the section core reads them: (c, d) with
+    column == c / d."""
+    return [clear_denominators(col) for col in zip(*a.data)]
 
 
 def identity_columns(count):
@@ -753,7 +760,7 @@ def test_chunk_weights_match_oracle(case, data):
         columns.append(tuple(x * weight for x in point))
     a = Matrix.from_columns(columns)
     rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
-    weights = outcome(section._convex_weights, rays, a, Matrix.identity(poly.k))
+    weights = outcome(section._convex_weights, rays, cleared(a), section._unit_lines(poly.k))
     assert weights == outcome(oracle_weights, poly, columns)
     assert weights == outcome(_convex_weights, poly, a)
 
@@ -921,9 +928,22 @@ def test_factor_low_rank_guards_match_fraction_code(a, claimed):
 
 # -- the integer section core against the chart code it replaced ------------
 #
-# ``_section_polygon``, ``_FanKernel``, ``_convex_weights`` and
-# ``_factor_seven_by_n`` as they were, verbatim.  ``_angular_ccw_sort`` here
-# is the Fraction sort above, which the integer sort they used matched.
+# ``_cleared_columns``, ``_section_polygon``, ``_FanKernel``,
+# ``_convex_weights`` and ``_factor_seven_by_n`` as they were, verbatim but
+# for the cyclic core: ``_factor_seven_by_n`` calls the Fraction one of
+# ``test_cyclic``.  ``_angular_ccw_sort`` here is the Fraction sort above,
+# which the integer sort they used matched.
+
+
+def _cleared_columns(a: Matrix):
+    """(c, sum(c)) for each nonzero column of a nonnegative matrix, in
+    order, with c the column cleared to integers: its normalized form is
+    c / sum(c), and sum(c) == 0 only for a zero column."""
+    for col in zip(*a.data):
+        c, _ = clear_denominators(col)
+        s = sum(c)
+        if s:
+            yield c, s
 
 
 def _section_polygon(a: Matrix):
@@ -1131,7 +1151,7 @@ def _factor_seven_by_n(a: Matrix):
     tight = [set(vert.tight) for vert in poly.vertices]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
-    cert = _factor_cyclic([x for x, _ in rays], [total for _, total in rays], labeling)
+    cert = fraction_factor_cyclic([x for x, _ in rays], [total for _, total in rays], labeling)
     info = {
         "method": "section+cyclic",
         "vertices": poly.k,
@@ -1179,7 +1199,7 @@ def chunk_inputs(draw):
 def test_section_rays_match_chart_code(case):
     """Ray order and values, tight sets and the public polygon."""
     a, k = case
-    rays, _, _ = section._section_rays(a)
+    rays, _, _ = section._section_rays(cleared(a))
     poly, chart_rays = _section_polygon(a)
     assert rays == chart_rays and len(rays) == k
     assert [tuple(i for i, t in enumerate(x) if not t) for x, _ in rays] == [
@@ -1194,8 +1214,8 @@ def test_chunk_factors_match_chart_code(case):
     """The chunk weights, and the core's left factor, right factor (through
     the cyclic right factor when k = 7) and info."""
     a, _ = case
-    rays, _, _ = section._section_rays(a)
-    weights = section._convex_weights(rays, a, Matrix.identity(len(rays)))
+    rays, _, _ = section._section_rays(cleared(a))
+    weights = section._convex_weights(rays, cleared(a), section._unit_lines(len(rays)))
     assert weights == _convex_weights(_section_polygon(a)[0], a)
     assert section._factor_seven_by_n(a) == _factor_seven_by_n(a)
 
@@ -1229,6 +1249,6 @@ def signed_products(draw):
 @given(signed_products())
 def test_section_ray_errors_match_chart_code(a):
     """The rays, or the class and message of the error, on signed input."""
-    assert outcome(lambda m: section._section_rays(m)[0], a) == outcome(
+    assert outcome(lambda m: section._section_rays(cleared(m))[0], a) == outcome(
         lambda m: _section_polygon(m)[1], a
     )
