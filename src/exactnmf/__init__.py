@@ -56,7 +56,6 @@ from .section import (
     convex_coefficients,
     factor_low_rank,
     factor_seven_by_n,
-    normalize_columns,
     section_polygon,
 )
 from .validation import as_matrix
@@ -103,7 +102,6 @@ __all__ = [
     "inner_dimension_bound",
     "is_admissible",
     "nn_factor",
-    "normalize_columns",
     "polygon_from_points",
     "rank",
     "scale_to_canonical",

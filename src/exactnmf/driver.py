@@ -201,14 +201,11 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
         report.failures.append(
             f"declared inner dimension {fact.inner_dim} differs from left factor shape {left.shape}"
         )
-    hit = left.first_negative_entry()
-    if hit is not None:
-        (i, j), x = hit
-        report.failures.append(f"left factor has negative entry {x} at ({i}, {j})")
-    hit = right.first_negative_entry()
-    if hit is not None:
-        (i, j), x = hit
-        report.failures.append(f"right factor has negative entry {x} at ({i}, {j})")
+    for name, factor in (("left", left), ("right", right)):
+        hit = factor.first_negative_entry()
+        if hit is not None:
+            (i, j), x = hit
+            report.failures.append(f"{name} factor has negative entry {x} at ({i}, {j})")
     if shapes_ok and not is_product(left, right, a):
         # Build the product only to name the first disagreeing entry.
         product = left @ right

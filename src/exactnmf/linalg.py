@@ -4,9 +4,10 @@ Every entry is a ``fractions.Fraction``; there is no floating point
 anywhere.  Inside, products and eliminations run on Python ints: each
 row or column is cleared to integer numerators over one common
 denominator, products are integer dot products, and rank and solve use
-fraction-free (Bareiss) elimination.  :func:`is_product` checks
-``left @ right == target`` by cross-multiplying against the target's
-numerators and denominators, so it never builds a Fraction.  Pivoting is
+fraction-free (Bareiss) elimination.  :func:`is_product` sums each target
+row from the right rows its left row's nonzeros select, over one
+denominator (on the transposes when the right factor is the sparser), and
+cross-multiplies, so it never builds a Fraction.  Pivoting is
 deterministic (first nonzero), so ranks and solutions are reproducible
 byte for byte across runs.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -169,25 +171,42 @@ def clear_denominators(line):
     return [x.numerator * (den // x.denominator) for x in line], den
 
 
-def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
-    """Exactly ``left @ right == target``, without building a Fraction.
+def _rows_combine(left_rows, right_rows, target_rows) -> bool:
+    """Each target row equals its left row times the right rows: the
+    integer sum, over one denominator, of the rows its nonzeros select."""
+    cleared = [clear_denominators(row) for row in right_rows]
+    for a_row, t_row in zip(left_rows, target_rows):
+        terms = [(x, cleared[k]) for k, x in enumerate(a_row) if x]
+        if not terms:
+            if any(t_row):
+                return False
+            continue
+        den = lcm(*[x.denominator * d for x, (_, d) in terms])
+        (x, (b, d)), *rest = terms
+        c = x.numerator * (den // (x.denominator * d))
+        acc = [c * y for y in b]
+        for x, (b, d) in rest:
+            c = x.numerator * (den // (x.denominator * d))
+            acc = [s + c * y for s, y in zip(acc, b)]
+        for s, t in zip(acc, t_row):
+            if s * t.denominator != t.numerator * den:
+                return False
+    return True
 
-    Each left row and right column is cleared once, as in ``@``; entry
-    (i, j) then holds when ``dot * t.denominator == t.numerator * da * db``.
-    Mismatched shapes give False; an inner dimension of 0 compares the
-    target against zeros.
-    """
+
+def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
+    """Exactly ``left @ right == target``, reading only the nonzeros of one
+    factor: the left one, or the right one (on the transposes) when it has
+    fewer per product entry.  Mismatched shapes give False; an inner
+    dimension of 0 compares the target against zeros."""
     if left.cols != right.rows or target.shape != (left.rows, right.cols):
         return False
     if left.cols == 0:
         return not any(x for row in target.data for x in row)
-    cols = [clear_denominators(col) for col in zip(*right.data)]
-    for a_row, t_row in zip(left.data, target.data):
-        a, da = clear_denominators(a_row)
-        for (b, db), t in zip(cols, t_row):
-            if sum(map(mul, a, b)) * t.denominator != t.numerator * da * db:
-                return False
-    return True
+    nnz_left, nnz_right = (sum(map(bool, chain.from_iterable(m.data))) for m in (left, right))
+    if nnz_right * left.rows < nnz_left * right.cols:
+        return _rows_combine(zip(*right.data), zip(*left.data), zip(*target.data))
+    return _rows_combine(left.data, right.data, target.data)
 
 
 def is_certificate(left: Matrix, right: Matrix, target: Matrix) -> bool:

@@ -100,10 +100,23 @@ def polygon_from_points(points: Sequence) -> Polygon:
         _facet_through(vertices[i], vertices[(i + 1) % n]) for i in range(n)
     )
     poly = Polygon(tuple(vertices), facets)
-    # Excludes self-wrapping walks (all turns equal-signed but not simple).
-    # Denominators are positive, so a slack value's sign is its numerator's.
-    numerators, _, _ = _slack_table(poly)
-    for i, row in enumerate(numerators):
+    _slack_table(poly)  # excludes self-wrapping walks (all turns equal-signed but not simple)
+    return poly
+
+
+def _slack_table(poly: Polygon):
+    """Slack values c_i(p_t) - beta_i as (numerators, row_dens, col_dens),
+    checked to vanish exactly on the facet's own two vertices and to be
+    positive elsewhere (denominators are positive, so a value's sign is
+    its numerator's).  Cleared of denominators, vertex t is (X_t, Y_t) / d_t
+    and facet i is (A_i, B_i, C_i) / D_i, so entry (i, t) is
+    (A_i X_t + B_i Y_t - C_i d_t) / (D_i d_t): integer products in place
+    of four Fraction operations per value."""
+    points = [(x, y, d) for (x, y), d in map(clear_denominators, poly.vertices)]
+    n = len(points)
+    numerators, row_dens = [], []
+    for i, ((a, b, c), den) in enumerate(map(clear_denominators, poly.facets)):
+        row = [a * x + b * y - c * d for x, y, d in points]
         for t, value in enumerate(row):
             incident = t == i or t == (i + 1) % n
             if incident and value != 0:
@@ -113,21 +126,7 @@ def polygon_from_points(points: Sequence) -> Polygon:
                     f"vertex {t} does not satisfy facet {i} strictly; "
                     "the walk is not a simple convex boundary"
                 )
-    return poly
-
-
-def _slack_table(poly: Polygon):
-    """Slack values c_i(p_t) - beta_i as integers over denominators.
-
-    Cleared of denominators, vertex t is (X_t, Y_t) / d_t and facet i is
-    (A_i, B_i, C_i) / D_i, so entry (i, t) is
-    (A_i X_t + B_i Y_t - C_i d_t) / (D_i d_t): integer products in place
-    of four Fraction operations per value.
-    Returns (numerators, row_dens, col_dens)."""
-    points = [(x, y, d) for (x, y), d in map(clear_denominators, poly.vertices)]
-    numerators, row_dens = [], []
-    for (a, b, c), den in map(clear_denominators, poly.facets):
-        numerators.append([a * x + b * y - c * d for x, y, d in points])
+        numerators.append(row)
         row_dens.append(den)
     return numerators, row_dens, [d for _, _, d in points]
 
@@ -140,27 +139,20 @@ class SlackMatrix:
     rank: int
 
 
-def slack_matrix(poly: Polygon) -> SlackMatrix:
-    """Evaluate every facet inequality at every vertex.
-
-    Entry (i, t) is c_i(p_t) - beta_i: zero exactly when vertex t lies on
-    facet i (t = i or i+1), positive otherwise, and the matrix has rank 3.
-    """
-    n = poly.n
+def _slack_values(poly: Polygon) -> Matrix:
+    """Every facet inequality at every vertex: entry (i, t) is
+    c_i(p_t) - beta_i, zero exactly when vertex t lies on facet i (t = i or
+    i+1) and positive otherwise."""
     numerators, row_dens, col_dens = _slack_table(poly)
-    for i, row in enumerate(numerators):
-        for t, value in enumerate(row):
-            incident = t == i or t == (i + 1) % n
-            if incident != (value == 0):
-                raise InternalError(f"slack zero pattern broken at ({i}, {t})")
-    s = Matrix._raw(
-        tuple(
-            tuple(Fraction(v, bd * d) for v, d in zip(row, col_dens))
-            for row, bd in zip(numerators, row_dens)
-        ),
-        n,
-        n,
-    )
+    data = tuple(tuple(Fraction(v, bd * d) for v, d in zip(row, col_dens))
+                 for row, bd in zip(numerators, row_dens))
+    return Matrix._raw(data, poly.n, poly.n)
+
+
+def slack_matrix(poly: Polygon) -> SlackMatrix:
+    """The slack values with their rank checked: 3, as S = F V for the n x 3
+    facet rows (c_i, -beta_i) and the 3 x n homogeneous vertices (p_t, 1)."""
+    s = _slack_values(poly)
     r = rank(s)
     if r != 3:
         raise InternalError(f"slack matrix of a polygon must have rank 3, got {r}")
@@ -208,7 +200,7 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
     """
     report = VerificationReport()
     n = poly.n
-    slack = slack_matrix(poly).matrix
+    slack = _slack_values(poly)  # no condition reads its rank, so none is computed
 
     if (
         ef.T.shape != (n, ef.k)

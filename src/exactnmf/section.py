@@ -34,6 +34,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence, Tuple
 
+from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
 from .linalg import Matrix, clear_denominators, is_product, rank
@@ -66,27 +67,6 @@ class SectionPolygon:
         return len(self.vertices)
 
 
-def normalize_columns(a: Matrix):
-    """Scale every nonzero column to unit coordinate sum.
-
-    Returns (normalized, column_sums, zero_columns): zero columns are
-    recorded by index and dropped; ``column_sums`` lists the positive sum
-    of each kept column in order, so the original matrix is the
-    normalized one times diag(column_sums) with zero columns reinserted.
-    """
-    kept, sums, zero_cols = [], [], []
-    for j in range(a.cols):
-        col = a.column(j)
-        total = sum(col, Fraction(0))
-        if all(x == 0 for x in col):
-            zero_cols.append(j)
-        else:
-            sums.append(total)
-            kept.append(tuple(x / total for x in col))
-    normalized = Matrix.from_columns(kept) if kept else Matrix.zeros(a.rows, 0)
-    return normalized, tuple(sums), tuple(zero_cols)
-
-
 def _check_seven_rows_rank3(a: Matrix):
     if a.rows != SIZE:
         raise DimensionError(f"expected 7 rows, got {a.rows}")
@@ -94,10 +74,6 @@ def _check_seven_rows_rank3(a: Matrix):
     r = rank(a)
     if r != 3:
         raise RankError(f"sectioning requires rank 3, got {r}")
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _ccw_order(xs, ys):

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .driver import Factorization
-from .errors import ParseError
+from .errors import ExactNMFError, ParseError
 from .linalg import Matrix
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
 
@@ -50,6 +50,30 @@ def format_scalar(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, counted without str(), which refuses over 4,300."""
+    n = abs(n)
+    k = max(1, int((n.bit_length() - 1) * 0.30102999566))  # at most the count
+    while n >= 10**k:
+        k += 1
+    return k
+
+
+def _format_rows(rows, name: str) -> list:
+    """The entries as tokens.  The reader refuses a token of more than
+    MAX_DIGITS digits in p and q together, so such an entry raises
+    ExactNMFError naming it; 14,000 bits make at most 4,217 digits."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            p, q = x.numerator, x.denominator
+            if p.bit_length() + q.bit_length() > 14_000:
+                digits = _digits(p) + (_digits(q) if q > 1 else 0)
+                if digits > MAX_DIGITS:
+                    raise ExactNMFError(f"{name} entry ({i}, {j}) needs {digits} digits; "
+                                        f"a file holds at most {MAX_DIGITS}")
+    return [[format_scalar(x) for x in row] for row in rows]
 
 
 # "p" or "p/q" in ASCII digits, the form format_scalar writes.  Other
@@ -111,12 +135,8 @@ def _parse_rows(rows: list) -> tuple:
         return tuple(tuple(map(parse_scalar, row)) for row in rows)
 
 
-def matrix_to_jsonable(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[format_scalar(x) for x in row] for row in m.data],
-    }
+def matrix_to_jsonable(m: Matrix, name: str = "matrix") -> dict:
+    return {"rows": m.rows, "cols": m.cols, "entries": _format_rows(m.data, name)}
 
 
 def matrix_from_jsonable(obj) -> Matrix:
@@ -144,7 +164,7 @@ def matrix_from_jsonable(obj) -> Matrix:
 
 
 def matrix_to_csv(m: Matrix) -> str:
-    return "\n".join(",".join(format_scalar(x) for x in row) for row in m.data) + "\n"
+    return "\n".join(map(",".join, _format_rows(m.data, "matrix"))) + "\n"
 
 
 def matrix_from_csv(text: str) -> Matrix:
@@ -158,9 +178,7 @@ def matrix_from_csv(text: str) -> Matrix:
 
 
 def polygon_to_jsonable(poly: Polygon) -> dict:
-    return {
-        "vertices": [[format_scalar(x), format_scalar(y)] for (x, y) in poly.vertices]
-    }
+    return {"vertices": _format_rows(poly.vertices, "vertex")}
 
 
 def polygon_from_jsonable(obj) -> Polygon:
@@ -179,8 +197,8 @@ def polygon_from_jsonable(obj) -> Polygon:
 
 def certificate_to_jsonable(fact: Factorization) -> dict:
     return {
-        "left": matrix_to_jsonable(fact.left),
-        "right": matrix_to_jsonable(fact.right),
+        "left": matrix_to_jsonable(fact.left, "left factor"),
+        "right": matrix_to_jsonable(fact.right, "right factor"),
         "inner_dim": fact.inner_dim,
         "bound": fact.bound,
         "trace": list(fact.trace),
@@ -207,10 +225,10 @@ def certificate_from_jsonable(obj) -> Factorization:
 def formulation_to_jsonable(ef: ExtendedFormulation) -> dict:
     return {
         "k": ef.k,
-        "T": matrix_to_jsonable(ef.T),
-        "C": matrix_to_jsonable(ef.C),
-        "beta": [format_scalar(x) for x in ef.beta],
-        "lifts": matrix_to_jsonable(ef.lifts),
+        "T": matrix_to_jsonable(ef.T, "T"),
+        "C": matrix_to_jsonable(ef.C, "C"),
+        "beta": _format_rows([ef.beta], "beta")[0],
+        "lifts": matrix_to_jsonable(ef.lifts, "lifts"),
     }
 
 

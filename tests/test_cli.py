@@ -22,7 +22,7 @@ from exactnmf.serialize import (
     save_text,
 )
 
-from conftest import H7_VERTICES
+from conftest import H7_SLACK_ROWS, H7_VERTICES
 from test_one_check import corrupt
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -186,6 +186,21 @@ class TestFactorCommand:
         assert "InternalError" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", [0, 6])
+    def test_output_too_long_for_the_format_exits_one(self, tmp_path, capsys, row):
+        """Every input token is legal (4,300 digits each), but the
+        certificate needs longer entries: exit 1, named entry, no file."""
+        entries = [[str(x) for x in line] for line in H7_SLACK_ROWS]
+        entries[row] = [f"{x}e4299" if x else "0" for x in H7_SLACK_ROWS[row]]
+        path, out = tmp_path / "big.json", tmp_path / "cert.json"
+        save_text(str(path), dumps({"entries": entries}))
+        code = run(["factor", "--input", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "ExactNMFError: left factor entry" in captured.err
+        assert "digits; a file holds at most 4300" in captured.err
+        assert not out.exists()
+
 
 class TestExtendCommand:
     def test_extend_h7(self, tmp_path, h7_polygon_file, capsys):
@@ -220,6 +235,16 @@ class TestExtendCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "InternalError" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_output_too_long_for_the_format_exits_one(self, tmp_path, capsys):
+        path, out = tmp_path / "big_poly.json", tmp_path / "ef.json"
+        vertices = [[f"{x}e4299" if x else "0", str(y)] for x, y in H7_VERTICES]
+        save_text(str(path), dumps({"vertices": vertices}))
+        code = run(["extend", "--input", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "ExactNMFError: T entry (0, 0) needs 4304 digits" in captured.err
         assert not out.exists()
 
     def test_extend_nonconvex_exits_one(self, tmp_path, capsys):

@@ -17,11 +17,13 @@ from exactnmf.errors import (
 )
 from exactnmf.generate import random_convex_polygon
 from exactnmf.linalg import Matrix, is_product, rank
+from exactnmf import polygon
 from exactnmf.polygon import (
     ExtendedFormulation,
     Polygon,
     _cross,
     _facet_through,
+    _slack_values,
     build_extension,
     polygon_from_points,
     slack_matrix,
@@ -29,6 +31,7 @@ from exactnmf.polygon import (
 )
 from exactnmf.rng import SplitMix64
 from exactnmf.validation import as_point
+from test_linalg_kernel import oracle_rank
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -392,3 +395,30 @@ def test_verify_extension_matches_fraction_code(h7_polygon):
         assert verify_extension(poly, ef).ok
     # the scaled, shifted, swapped and half-scaled facets each fail an equality
     assert equality_failures == 4 * len(polygons)
+
+
+# -- the rank verify_extension does not compute ------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_slack_rank_is_three_on_generated_polygons(seed):
+    """The property that lets ``verify_extension`` skip the rank: every
+    generated polygon, n = 3..50, has a slack matrix of rank 3, by the
+    library's elimination and by the Fraction oracle's."""
+    rng = SplitMix64(seed)
+    for n in range(3, 51):
+        poly = random_convex_polygon(rng, n)
+        assert slack_matrix(poly).rank == 3
+        assert oracle_rank(_slack_values(poly)) == 3
+
+
+def test_verify_extension_computes_no_rank(h7_polygon, monkeypatch):
+    ef = build_extension(h7_polygon)
+
+    def no_rank(m):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(polygon, "rank", no_rank)
+    assert verify_extension(h7_polygon, ef).ok
+    with pytest.raises(AssertionError, match="rank called"):
+        build_extension(h7_polygon)

@@ -43,7 +43,6 @@ from exactnmf.section import (
     convex_coefficients,
     factor_low_rank,
     factor_seven_by_n,
-    normalize_columns,
     section_polygon,
 )
 from exactnmf.validation import check_nonnegative
@@ -287,6 +286,29 @@ class TestFactorLowRank:
 
 SIZE = 7
 _ZERO = Fraction(0)
+
+
+# The library's column normalization, used by the oracles below and by no
+# library path; the integer cores never build normalized columns.
+def normalize_columns(a: Matrix):
+    """Scale every nonzero column to unit coordinate sum.
+
+    Returns (normalized, column_sums, zero_columns): zero columns are
+    recorded by index and dropped; ``column_sums`` lists the positive sum
+    of each kept column in order, so the original matrix is the
+    normalized one times diag(column_sums) with zero columns reinserted.
+    """
+    kept, sums, zero_cols = [], [], []
+    for j in range(a.cols):
+        col = a.column(j)
+        total = sum(col, Fraction(0))
+        if all(x == 0 for x in col):
+            zero_cols.append(j)
+        else:
+            sums.append(total)
+            kept.append(tuple(x / total for x in col))
+    normalized = Matrix.from_columns(kept) if kept else Matrix.zeros(a.rows, 0)
+    return normalized, tuple(sums), tuple(zero_cols)
 
 
 def _angular_ccw_sort(points):

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactnmf.driver import nn_factor
-from exactnmf.errors import ParseError
+from exactnmf.driver import Factorization, nn_factor
+from exactnmf.errors import ExactNMFError, ParseError
 from exactnmf.generate import random_convex_polygon
 from exactnmf.linalg import Matrix
-from exactnmf.polygon import build_extension
+from exactnmf.polygon import ExtendedFormulation, Polygon, build_extension
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     MAX_DIGITS,
     _check_token_size,
+    _digits,
     certificate_from_jsonable,
     certificate_to_jsonable,
     dumps,
@@ -93,6 +94,51 @@ class TestScalars:
         for _ in range(200):
             x = Fraction(rng.below(2001) - 1000, rng.below(999) + 1)
             assert parse_scalar(format_scalar(x)) == x
+
+
+class TestWriterDigitLimit:
+    """The writers refuse what the reader refuses: a token with more than
+    MAX_DIGITS digits in p and q together."""
+
+    @staticmethod
+    def value(p_digits, q_digits, sign=1):
+        # 10^k + 1 is prime to 2, 3 and 5, so the fraction is in lowest terms.
+        return Fraction(sign * (10 ** (p_digits - 1) + 1), 3 * 10 ** (q_digits - 1) if q_digits else 1)
+
+    @pytest.mark.parametrize("p_digits,q_digits", [(4300, 0), (2500, 1800), (4299, 1)])
+    def test_at_the_limit_round_trips(self, p_digits, q_digits):
+        x = self.value(p_digits, q_digits)
+        (text,), = matrix_to_jsonable(Matrix([[x]]))["entries"]
+        assert sum(c.isdecimal() for c in text) == MAX_DIGITS
+        assert parse_scalar(text) == x
+
+    @pytest.mark.parametrize("p_digits,q_digits", [(3000, 2000), (4300, 1), (2150, 2151)])
+    def test_past_the_limit_raises(self, p_digits, q_digits):
+        x = self.value(p_digits, q_digits, sign=-1)
+        with pytest.raises(ExactNMFError, match=f"matrix entry \\(0, 1\\) needs {p_digits + q_digits} digits"):
+            matrix_to_jsonable(Matrix([[1, x]]))
+        with pytest.raises(ParseError, match="4300 digits"):  # as verify would
+            parse_scalar(format_scalar(x))
+
+    def test_digit_count_matches_str(self):
+        rng = SplitMix64(82)
+        values = [rng.below(10 ** rng.below(4300)) for _ in range(200)]
+        values += [n + d for k in (1, 2, 4200, 4299) for n in (10**k,) for d in (-1, 0, 1)]
+        for n in values + [-n for n in values]:
+            assert _digits(n) == len(str(abs(n)))
+
+    def test_writers_name_the_entry(self):
+        big = Fraction(10**4300)
+        fact = Factorization(Matrix.identity(2), Matrix([[1, 2], [3, big]]), 2, 2, ())
+        with pytest.raises(ExactNMFError, match=r"right factor entry \(1, 1\) needs 4301 digits"):
+            certificate_to_jsonable(fact)
+        ef = ExtendedFormulation(2, Matrix.identity(2), Matrix.identity(2), (1, 2, big, 4),
+                                 Matrix.identity(2))
+        with pytest.raises(ExactNMFError, match=r"beta entry \(0, 2\) needs 4301 digits"):
+            formulation_to_jsonable(ef)
+        for write in (matrix_to_csv, lambda m: polygon_to_jsonable(Polygon(m.data, ()))):
+            with pytest.raises(ExactNMFError, match=r"\(1, 1\) needs 4301 digits"):
+                write(Matrix([[1, 2], [3, big]]))
 
 
 # -- oracle: the general reader that parse_scalar used for every token -------
