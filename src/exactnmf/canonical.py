@@ -32,6 +32,7 @@ from .linalg import Matrix, as_scalar, clear_denominators, is_certificate
 
 SIZE = 7
 _ZERO = Fraction(0)
+_STEP_REQUIRES = "step requires an admissible tuple, got {}"
 
 
 def _rep7(x: int) -> int:
@@ -161,6 +162,16 @@ def _params(rows) -> CanonicalParams:
     return CanonicalParams(*(Fraction(a, d) for a, d, _ in rows), *(Fraction(b, d) for _, d, b in rows))
 
 
+def _checked(params: CanonicalParams, message: str):
+    """(rows, table): the integer tuple of ``params`` and its ``_admissible``
+    table; NotAdmissible(message), ``{}`` filled by ``params``, if none."""
+    rows = _rows(params)
+    table = _admissible(rows)
+    if table is None:
+        raise NotAdmissible(message.format(params))
+    return rows, table
+
+
 # Base rows 1-4; per column j, the rows (s, t) of its cross product and (i, k)
 # for each row i off the pattern, k its base row, all 0-based.
 _FIXED_ROWS = ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 0))
@@ -234,10 +245,7 @@ def step(params: CanonicalParams):
     below are then not guaranteed nonzero) and TheoryViolation if the
     stepped tuple unexpectedly fails admissibility.
     """
-    rows = _rows(params)
-    if _admissible(rows) is None:
-        raise NotAdmissible(f"step requires an admissible tuple, got {params}")
-    nxt, _, *qs = _step(rows)
+    nxt, _, *qs = _step(_checked(params, _STEP_REQUIRES)[0])
     return (_params(nxt), *(MonomialMatrix._raw(p, tuple(map(Fraction, n, d))) for p, n, d in qs))
 
 
@@ -278,13 +286,16 @@ def _step(rows):
 
 
 def orbit(params: CanonicalParams, t: int) -> CanonicalParams:
-    """t-fold application of the step; the orbit closes after 7 steps."""
+    """t-fold application of the step; the orbit closes after 7 steps.  One
+    admissibility test, as ``step``'s, then each step tests what it makes."""
     if t < 0:
         raise ValueError("orbit index must be nonnegative")
-    current = params
+    if t == 0:
+        return params
+    rows, _ = _checked(params, _STEP_REQUIRES)
     for _ in range(t):
-        current, _, _ = step(current)
-    return current
+        rows = _step(rows)[0]
+    return _params(rows)
 
 
 def middle_min_condition(params: CanonicalParams) -> bool:
@@ -305,10 +316,7 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
     Returns None when the condition fails (which is not an error);
     raises NotAdmissible for a non-admissible tuple.
     """
-    rows = _rows(params)
-    table = _admissible(rows)
-    if table is None:
-        raise NotAdmissible("direct_factor requires an admissible tuple")
+    rows, table = _checked(params, "direct_factor requires an admissible tuple")
     if not _middle_min(rows):
         return None
     left, right = map(_matrix, _direct_factor(rows, table))
@@ -375,10 +383,7 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
     14 attempts is guaranteed for admissible input, so exhausting them
     raises TheoryViolation.
     """
-    rows = _rows(params)
-    table = _admissible(rows)
-    if table is None:
-        raise NotAdmissible("factor_canonical requires an admissible tuple")
+    rows, table = _checked(params, "factor_canonical requires an admissible tuple")
     q_left, left, right, q_right, steps, mirrored = _factor_canonical(rows, table)
     left, lines = _assemble(q_left, left, right, q_right)
     right = _matrix([[(x, e) for x in y] for y, e in lines])

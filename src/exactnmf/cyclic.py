@@ -17,7 +17,7 @@ from typing import Tuple
 from . import canonical
 from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate, _compose
 from .errors import ConsistencyError, DimensionError, PatternError, RankError, TheoryViolation
-from .linalg import Matrix, clear_denominators, is_certificate, rank
+from .linalg import Matrix, cleared_columns, is_certificate, rank
 
 SIZE = 7
 
@@ -117,11 +117,6 @@ class CanonicalReduction:
     col_constants: Tuple[Fraction, ...]
 
 
-def _cleared_columns(m: Matrix):
-    """(columns, divisors): column j of ``m`` is columns[j] / divisors[j]."""
-    return tuple(zip(*map(clear_denominators, zip(*m.data))))
-
-
 def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     """Rescale a rank-3 matrix already in the canonical pattern.
 
@@ -138,7 +133,7 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
 
-    tuple_rows, table, row_nd, col_nd = _scale_to_canonical(*_cleared_columns(m), _IDENTITY)
+    tuple_rows, table, row_nd, col_nd = _scale_to_canonical(*zip(*cleared_columns(m)), _IDENTITY)
     reference = canonical._matrix(table)
     rows, cols = [Fraction(*x) for x in row_nd], [Fraction(*x) for x in col_nd]
     for i in range(SIZE):
@@ -199,7 +194,7 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
     r = rank(m)
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
-    left, lines, steps, mirrored = _factor_cyclic(*_cleared_columns(m), labeling)
+    left, lines, steps, mirrored = _factor_cyclic(*zip(*cleared_columns(m)), labeling)
     right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
     if not is_certificate(left, right, m):
         raise TheoryViolation("cyclic factorization failed its final verification")

@@ -36,9 +36,6 @@ class ExactNMF:
         Provenance of each block of the certificate.
     """
 
-    def __init__(self):
-        pass
-
     def get_params(self, deep: bool = True) -> dict:
         return {}
 

@@ -4,8 +4,10 @@ Every entry is a ``fractions.Fraction``; there is no floating point
 anywhere.  Inside, products and eliminations run on Python ints: each
 row or column is cleared to integer numerators over one common
 denominator, products are integer dot products, and rank and solve use
-fraction-free (Bareiss) elimination.  :func:`is_product` sums each target
-row from the right rows its left row's nonzeros select, over one
+fraction-free (Bareiss) elimination.  Each matrix's columns are cleared
+once, by :func:`cleared_columns`, for every kernel that reads them.
+:func:`is_product` clears its own operands and keeps nothing: it sums each
+target row from the right rows its left row's nonzeros select, over one
 denominator (on the transposes when the right factor is the sparser), and
 cross-multiplies, so it never builds a Fraction.  Pivoting is
 deterministic (first nonzero), so ranks and solutions are reproducible
@@ -42,10 +44,10 @@ def as_scalar(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major.  ``rank``
-    stores its result in the ``_rank`` slot, so it runs once per matrix."""
+    """Immutable dense matrix of exact rationals, row-major.  ``rank`` and
+    ``cleared_columns`` keep their results in slots: each runs once."""
 
-    __slots__ = ("rows", "cols", "data", "_rank")
+    __slots__ = ("rows", "cols", "data", "_rank", "_columns")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         data = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -60,6 +62,10 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        """Copies and unpickled matrices start with nothing kept in slots."""
+        return Matrix._raw, (self.data, self.rows, self.cols)
 
     @classmethod
     def _raw(cls, data: tuple, rows: int, cols: int) -> "Matrix":
@@ -128,7 +134,7 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.rows, other.cols)
-        cols = [clear_denominators(col) for col in zip(*other.data)]
+        cols = cleared_columns(other)
         out = tuple(
             tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
             for a, da in map(clear_denominators, self.data)
@@ -223,24 +229,28 @@ def first_difference(a: Matrix, b: Matrix):
     return None
 
 
-def _integer_rows(columns):
-    """Clear each column of denominators and return (integer rows, column
-    denominators).  Scaling columns keeps the zero pattern of every
-    elimination step, and entries of one column (one vertex, say) tend to
-    share denominators where entries of one row do not."""
-    nums, dens = zip(*map(clear_denominators, columns))
-    return [list(row) for row in zip(*nums)], dens
+def cleared_columns(m: Matrix):
+    """``clear_denominators`` of each column, kept on the matrix: readers
+    must not mutate it.  Entries of one column (one vertex, say) tend to
+    share denominators, and column scaling keeps elimination's zeros."""
+    cols = getattr(m, "_columns", None)
+    if cols is None:
+        cols = tuple(map(clear_denominators, zip(*m.data) if m.rows else [()] * m.cols))
+        object.__setattr__(m, "_columns", cols)
+    return cols
 
 
-def _eliminate(data):
-    """Fraction-free (Bareiss) row reduction of integer rows, in place.
+def _eliminate(columns):
+    """Fraction-free (Bareiss) row reduction of the integer rows of cleared
+    columns (c, d), into fresh lists.
 
     Each reduced row is a nonzero multiple of the row that rational
     Gaussian elimination with the same first-nonzero pivots produces, so
     pivot columns and row origins are the same; every division is exact.
-    Returns (pivot_columns, row_origins) where row_origins maps the final
-    row position to the original row index.
+    Returns (rows, pivot_columns, row_origins) where row_origins maps the
+    final row position to the original row index.
     """
+    data = [list(row) for row in zip(*(c for c, _ in columns))]
     rows = len(data)
     cols = len(data[0]) if rows else 0
     origins = list(range(rows))
@@ -267,7 +277,7 @@ def _eliminate(data):
         r += 1
         if r == rows:
             break
-    return pivot_cols, origins
+    return data, pivot_cols, origins
 
 
 def rank(m: Matrix) -> int:
@@ -277,9 +287,7 @@ def rank(m: Matrix) -> int:
     if r is None:
         r = 0
         if m.rows and m.cols:
-            work, _ = _integer_rows(zip(*m.data))
-            pivot_cols, _ = _eliminate(work)
-            r = len(pivot_cols)
+            r = len(_eliminate(cleared_columns(m))[1])
         object.__setattr__(m, "_rank", r)
     return r
 
@@ -297,16 +305,16 @@ def solve(a: Matrix, b: Sequence[ScalarLike]):
         raise DimensionError(f"matrix has {a.rows} rows but rhs has {len(rhs)}")
     if a.rows == 0:
         return [Fraction(0)] * a.cols
-    work, dens = _integer_rows([*zip(*a.data), rhs])
-    pivot_cols, origins = _eliminate(work)
+    columns = (*cleared_columns(a), clear_denominators(rhs))
+    work, pivot_cols, origins = _eliminate(columns)
     n = a.cols
     # A pivot in the appended column means some equation reduced to 0 = c.
     if n in pivot_cols:
         bad = len(pivot_cols) - 1
         return Inconsistency(row=origins[bad])
-    # work solves for y_j = x_j * dens[n] / dens[j].  The last pivot d is
-    # the determinant of the pivot minor, so by Cramer's rule d * y is an
-    # integer vector and each division is exact.
+    # work solves for y_j = x_j * d_n / d_j, columns[j] = (c_j, d_j).  The
+    # last pivot d is the determinant of the pivot minor, so by Cramer's
+    # rule d * y is an integer vector and each division is exact.
     d = work[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     numer = [0] * n
     for r in range(len(pivot_cols) - 1, -1, -1):
@@ -314,7 +322,7 @@ def solve(a: Matrix, b: Sequence[ScalarLike]):
         row = work[r]
         s = d * row[n] - sum(map(mul, row[c + 1 : n], numer[c + 1 :]))
         numer[c] = s // row[c]
-    return [Fraction(y * dj, d * dens[n]) for y, dj in zip(numer, dens)]
+    return [Fraction(y * dj, d * columns[n][1]) for y, (_, dj) in zip(numer, columns)]
 
 
 def insert_zero_lines(m: Matrix, zero_rows, zero_cols, rows: int, cols: int) -> Matrix:

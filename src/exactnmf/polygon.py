@@ -3,7 +3,8 @@ descriptions with at most ceil(6n/7) inequalities.
 
 A polygon is stored as counterclockwise vertices plus one inequality
 c(x) >= beta per edge.  The slack matrix evaluates every inequality at
-every vertex; factoring it as T @ U with nonnegative factors turns U's
+every vertex, once per polygon (``Polygon.slack``), and every reader
+shares it.  Factoring it as T @ U with nonnegative factors turns U's
 columns into lift points and T into the mixing matrix of a description
 
     c_i(x) - beta_i = (T y)_i  for all facets i,    y >= 0,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -47,6 +49,32 @@ class Polygon:
     def facet_value(self, i: int, point: Point) -> Fraction:
         cx, cy, beta = self.facets[i]
         return cx * point[0] + cy * point[1] - beta
+
+    @cached_property
+    def slack(self) -> Matrix:
+        """Every facet inequality at every vertex, built on first use: entry
+        (i, t) is c_i(p_t) - beta_i, checked to vanish exactly when vertex t
+        lies on facet i (t = i or i+1) and to be positive elsewhere.  A
+        failed check is not kept, so it raises on every access.  Cleared of
+        denominators, vertex t is (X_t, Y_t) / d_t and facet i is (A_i, B_i,
+        C_i) / D_i, so entry (i, t) is (A_i X_t + B_i Y_t - C_i d_t) /
+        (D_i d_t), and the checks read its integer numerator."""
+        points = [(x, y, d) for (x, y), d in map(clear_denominators, self.vertices)]
+        n = len(points)
+        data = []
+        for i, ((a, b, c), den) in enumerate(map(clear_denominators, self.facets)):
+            row = [a * x + b * y - c * d for x, y, d in points]
+            for t, value in enumerate(row):
+                incident = t == i or t == (i + 1) % n
+                if incident and value != 0:
+                    raise InternalError(f"vertex {t} misses its own facet {i}")
+                if not incident and value <= 0:
+                    raise NotConvex(
+                        f"vertex {t} does not satisfy facet {i} strictly; "
+                        "the walk is not a simple convex boundary"
+                    )
+            data.append(tuple(Fraction(v, den * d) for v, (_, _, d) in zip(row, points)))
+        return Matrix._raw(tuple(data), n, n)
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -100,35 +128,8 @@ def polygon_from_points(points: Sequence) -> Polygon:
         _facet_through(vertices[i], vertices[(i + 1) % n]) for i in range(n)
     )
     poly = Polygon(tuple(vertices), facets)
-    _slack_table(poly)  # excludes self-wrapping walks (all turns equal-signed but not simple)
+    poly.slack  # excludes self-wrapping walks (all turns equal-signed but not simple)
     return poly
-
-
-def _slack_table(poly: Polygon):
-    """Slack values c_i(p_t) - beta_i as (numerators, row_dens, col_dens),
-    checked to vanish exactly on the facet's own two vertices and to be
-    positive elsewhere (denominators are positive, so a value's sign is
-    its numerator's).  Cleared of denominators, vertex t is (X_t, Y_t) / d_t
-    and facet i is (A_i, B_i, C_i) / D_i, so entry (i, t) is
-    (A_i X_t + B_i Y_t - C_i d_t) / (D_i d_t): integer products in place
-    of four Fraction operations per value."""
-    points = [(x, y, d) for (x, y), d in map(clear_denominators, poly.vertices)]
-    n = len(points)
-    numerators, row_dens = [], []
-    for i, ((a, b, c), den) in enumerate(map(clear_denominators, poly.facets)):
-        row = [a * x + b * y - c * d for x, y, d in points]
-        for t, value in enumerate(row):
-            incident = t == i or t == (i + 1) % n
-            if incident and value != 0:
-                raise InternalError(f"vertex {t} misses its own facet {i}")
-            if not incident and value <= 0:
-                raise NotConvex(
-                    f"vertex {t} does not satisfy facet {i} strictly; "
-                    "the walk is not a simple convex boundary"
-                )
-        numerators.append(row)
-        row_dens.append(den)
-    return numerators, row_dens, [d for _, _, d in points]
 
 
 @dataclass(frozen=True)
@@ -139,20 +140,10 @@ class SlackMatrix:
     rank: int
 
 
-def _slack_values(poly: Polygon) -> Matrix:
-    """Every facet inequality at every vertex: entry (i, t) is
-    c_i(p_t) - beta_i, zero exactly when vertex t lies on facet i (t = i or
-    i+1) and positive otherwise."""
-    numerators, row_dens, col_dens = _slack_table(poly)
-    data = tuple(tuple(Fraction(v, bd * d) for v, d in zip(row, col_dens))
-                 for row, bd in zip(numerators, row_dens))
-    return Matrix._raw(data, poly.n, poly.n)
-
-
 def slack_matrix(poly: Polygon) -> SlackMatrix:
     """The slack values with their rank checked: 3, as S = F V for the n x 3
     facet rows (c_i, -beta_i) and the 3 x n homogeneous vertices (p_t, 1)."""
-    s = _slack_values(poly)
+    s = poly.slack
     r = rank(s)
     if r != 3:
         raise InternalError(f"slack matrix of a polygon must have rank 3, got {r}")
@@ -200,7 +191,7 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
     """
     report = VerificationReport()
     n = poly.n
-    slack = _slack_values(poly)  # no condition reads its rank, so none is computed
+    slack = poly.slack  # no condition reads its rank, so none is computed
 
     if (
         ef.T.shape != (n, ef.k)

@@ -14,6 +14,8 @@ located in the fan of cones (0, t, t + 1) over them by integer 3x3
 determinants, and only nonzero weights and output entries become
 Fractions.  Rank 2 is the same on a line: columns are placed on their
 segment and weighted against its two ends by integer 2x2 determinants.
+Every kernel reads the columns ``linalg.cleared_columns`` keeps on the
+matrix, which the rank that chose the kernel already cleared.
 
 ``section_polygon`` and ``convex_coefficients`` show the section in an
 exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
@@ -37,7 +39,7 @@ from typing import Sequence, Tuple
 from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
-from .linalg import Matrix, clear_denominators, is_product, rank
+from .linalg import Matrix, clear_denominators, cleared_columns, is_product, rank
 from .validation import check_nonnegative
 
 SIZE = 7
@@ -111,8 +113,7 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     basis columns, u = cu / su - c0 / s0 and v = cv / sv - c0 / s0, so
     the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
-    cleared = list(map(clear_denominators, zip(*a.data)))
-    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(cleared)
+    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(cleared_columns(a))
     vertex_matrix = _vertex_matrix(rays)
     vertices = tuple(
         SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
@@ -310,7 +311,7 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
         raise DimensionError("point dimension does not match the section")
     if sum(target) != 1:
         raise OutsidePolygon("point does not lie in the section plane")
-    rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
+    rays = [(x, sum(x)) for x, _ in cleared_columns(poly.vertex_matrix)]
     weights = _convex_weights(rays, [clear_denominators(target)], _unit_lines(poly.k)).column(0)
     used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
     if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(target))) != target:
@@ -336,11 +337,11 @@ def factor_seven_by_n(a: Matrix):
 def _factor_seven_by_n(a: Matrix):
     """``factor_seven_by_n`` for a matrix that passed
     _check_seven_rows_rank3, with no product check of its own and no
-    chart, each column cleared once.  The counterclockwise vertices t and
-    t + 1 of a 7-vertex section share one tight row, their edge, which
-    the labeling puts at t: the labeling ``detect_cyclic_labeling`` finds
-    on the vertex matrix."""
-    cleared = list(map(clear_denominators, zip(*a.data)))
+    chart, on the columns its rank was computed from.  The counterclockwise
+    vertices t and t + 1 of a 7-vertex section share one tight row, their
+    edge, which the labeling puts at t: the labeling
+    ``detect_cyclic_labeling`` finds on the vertex matrix."""
+    cleared = cleared_columns(a)
     rays, _, _ = _section_rays(cleared)
     k = len(rays)
     if k <= 6:
@@ -375,7 +376,7 @@ def _factor_low_rank(a: Matrix, r: int):
     if r == 0:
         return Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), {"method": "zero", "inner_dim": 0}
 
-    cleared = [clear_denominators(col) for col in zip(*a.data)]
+    cleared = cleared_columns(a)
     if r == 1:
         pivot_col = next(j for j, (c, _) in enumerate(cleared) if any(c))
         base, cb = a.column(pivot_col), cleared[pivot_col][0]

@@ -157,8 +157,10 @@ def matrix_from_jsonable(obj) -> Matrix:
         raise ParseError(f"matrix rows have unequal lengths {sorted(widths)}")
     m = Matrix._raw(_parse_rows(entries), len(entries), widths.pop())
     for name, value in (("rows", m.rows), ("cols", m.cols)):
-        declared = obj.get(name)
-        if declared is not None and declared != value:
+        declared = obj.get(name, value)
+        if type(declared) is not int:
+            raise ParseError(f'declared "{name}" must be an integer, got {declared!r}')
+        if declared != value:
             raise ParseError(f'declared "{name}" = {declared} but entries give {value}')
     return m
 

@@ -104,6 +104,20 @@ class TestFactorCommand:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"rows": "1", "entries": [["1", "2"]]}', """"rows" must be an integer, got '1'"""),
+        ('{"rows": true, "cols": 2.0, "entries": [["1", "2"]]}', '"rows" must be an integer, got True'),
+        ('{"cols": 2.0, "entries": [["1", "2"]]}', '"cols" must be an integer, got Fraction(2, 1)'),
+    ])
+    def test_declared_size_must_be_an_integer(self, tmp_path, capsys, text, named):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        out = tmp_path / "c.json"
+        code = run(["factor", "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,document",
         [

@@ -22,7 +22,7 @@ from exactnmf.cyclic import (
 )
 from exactnmf.errors import ConsistencyError, DimensionError, PatternError, RankError
 from exactnmf.generate import random_admissible_params, random_convex_polygon
-from exactnmf.linalg import Matrix
+from exactnmf.linalg import Matrix, cleared_columns
 from exactnmf.polygon import polygon_from_points, slack_matrix
 from exactnmf.rng import SplitMix64
 
@@ -310,7 +310,7 @@ def scrambled_canonical(draw):
 
 def reads(m):
     """(columns, divisors, labeling) as the cyclic core reads ``m``."""
-    return (*cyclic._cleared_columns(m), detect_cyclic_labeling(m))
+    return (*zip(*cleared_columns(m)), detect_cyclic_labeling(m))
 
 
 @settings(max_examples=150)

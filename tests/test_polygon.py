@@ -23,7 +23,6 @@ from exactnmf.polygon import (
     Polygon,
     _cross,
     _facet_through,
-    _slack_values,
     build_extension,
     polygon_from_points,
     slack_matrix,
@@ -409,7 +408,7 @@ def test_slack_rank_is_three_on_generated_polygons(seed):
     for n in range(3, 51):
         poly = random_convex_polygon(rng, n)
         assert slack_matrix(poly).rank == 3
-        assert oracle_rank(_slack_values(poly)) == 3
+        assert oracle_rank(poly.slack) == 3
 
 
 def test_verify_extension_computes_no_rank(h7_polygon, monkeypatch):

@@ -258,6 +258,18 @@ class TestMatrixFormats:
         with pytest.raises(ParseError):
             matrix_from_jsonable({"rows": 3, "cols": 2, "entries": [["1", "2"]]})
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"rows": "1", "entries": [["1", "2"]]}, '"rows" must be an integer, got \'1\''),
+        ({"rows": True, "cols": 2.0, "entries": [["1", "2"]]}, '"rows" must be an integer, got True'),
+        ({"cols": Fraction(2), "entries": [["1", "2"]]},
+         r'"cols" must be an integer, got Fraction\(2, 1\)'),
+    ])
+    def test_declared_shape_must_be_an_integer(self, obj, message):
+        """A declared size is a JSON integer: not a string, not a bool, and
+        not a number written with a point or an exponent (read as a Fraction)."""
+        with pytest.raises(ParseError, match=message):
+            matrix_from_jsonable(obj)
+
     def test_empty_entries_need_declared_zero_rows(self):
         empty = matrix_from_jsonable({"rows": 0, "cols": 3, "entries": []})
         assert empty == Matrix.zeros(0, 3)
