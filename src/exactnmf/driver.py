@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .errors import InternalError, RankError
-from .linalg import Matrix, block_diag, first_difference, insert_zero_lines, rank
-from .linalg import is_certificate, is_product
+from .linalg import Matrix, block_diag, insert_zero_lines, is_certificate, product_difference, rank
 from .section import _factor_low_rank, _factor_seven_by_n
 from .validation import as_matrix, check_nonnegative
 
@@ -206,13 +205,11 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
         if hit is not None:
             (i, j), x = hit
             report.failures.append(f"{name} factor has negative entry {x} at ({i}, {j})")
-    if shapes_ok and not is_product(left, right, a):
-        # Build the product only to name the first disagreeing entry.
-        product = left @ right
-        i, j = first_difference(product, a)
+    hit = product_difference(left, right, a) if shapes_ok else None
+    if hit is not None:
+        i, j, value = hit
         report.failures.append(
-            f"product disagrees with input at ({i}, {j}): "
-            f"{product.data[i][j]} != {a.data[i][j]}"
+            f"product disagrees with input at ({i}, {j}): {value} != {a.data[i][j]}"
         )
     expected_bound = inner_dimension_bound(a.rows, a.cols)
     if fact.bound != expected_bound:

@@ -1,44 +1,70 @@
 """Exact rational dense matrices and elimination-based linear algebra.
 
 Every entry is a ``fractions.Fraction``; there is no floating point
-anywhere.  Inside, products and eliminations run on Python ints: each
-row or column is cleared to integer numerators over one common
-denominator, products are integer dot products, and rank and solve use
-fraction-free (Bareiss) elimination.  Each matrix's columns are cleared
-once, by :func:`cleared_columns`, for every kernel that reads them.
-:func:`is_product` clears its own operands and keeps nothing: it sums each
-target row from the right rows its left row's nonzeros select, over one
-denominator (on the transposes when the right factor is the sparser), and
-cross-multiplies, so it never builds a Fraction.  Pivoting is
-deterministic (first nonzero), so ranks and solutions are reproducible
-byte for byte across runs.
+anywhere.  Inside, products and eliminations run on Python ints.  Rank
+and solve use fraction-free (Bareiss) elimination on each matrix's
+columns, cleared once to integers over a common denominator by
+:func:`cleared_columns`.  ``@`` and the exact check
+:func:`product_difference` share one sparse integer row sum,
+:func:`_product_rows`, and the check cross-multiplies, building a
+Fraction only for the entry it reports.  String entries may ask for at
+most ``MAX_DIGITS`` digits.  Pivoting is deterministic (first nonzero),
+so ranks and solutions are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError
+from .errors import DimensionError, ParseError
 
 ScalarLike = Union[Fraction, int, str]
+
+
+# CPython's default limit on int <-> str conversion.  A token within it
+# builds integers of at most this many digits.
+MAX_DIGITS = 4300
+
+
+def _check_token_size(text: str) -> str:
+    """Return ``text``, or raise ParseError when the numeric token would
+    need more than MAX_DIGITS digits: its digit count plus the size of its
+    exponent (``1e-5`` has 1 + 5).  Nothing is converted before the check."""
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return text  # no exponent, and no more digits than characters
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(c.isdecimal() for c in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal():
+        # Past six digits the exponent alone is over the limit, so its
+        # first six digits decide without converting the rest.
+        size += int(exponent[:6])
+    if size > MAX_DIGITS:
+        raise ParseError(
+            f"numeric token {text[:30]!r} asks for more than {MAX_DIGITS} digits"
+        )
+    return text
 
 
 def as_scalar(value) -> Fraction:
     """Coerce a value to an exact rational.
 
-    Accepts Fraction, int, "p/q" / decimal strings, and floats (a float is
-    converted to its exact binary value).
+    Accepts Fraction, int and other rationals (NumPy integers, say), "p/q"
+    / decimal strings (at most MAX_DIGITS digits, else ParseError), and
+    floats (a float is converted to its exact binary value).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not matrix entries")
-    if isinstance(value, (int, str, float)):
+    if isinstance(value, str):
+        return Fraction(_check_token_size(value))
+    if isinstance(value, (int, float, Rational)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -132,12 +158,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(self.rows, other.cols)
-        cols = cleared_columns(other)
+        zero = (Fraction(0),) * other.cols
         out = tuple(
-            tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-            for a, da in map(clear_denominators, self.data)
+            zero if sums is None else tuple(Fraction(s, sums[1]) for s in sums[0])
+            for sums in _product_rows(self, other)
         )
         return Matrix._raw(out, self.rows, other.cols)
 
@@ -177,56 +201,57 @@ def clear_denominators(line):
     return [x.numerator * (den // x.denominator) for x in line], den
 
 
-def _rows_combine(left_rows, right_rows, target_rows) -> bool:
-    """Each target row equals its left row times the right rows: the
-    integer sum, over one denominator, of the rows its nonzeros select."""
-    cleared = [clear_denominators(row) for row in right_rows]
-    for a_row, t_row in zip(left_rows, target_rows):
+def _product_rows(left: Matrix, right: Matrix):
+    """Each row of ``left @ right`` as (integer sums, positive denominator),
+    or None for a zero left row.  Each right row is cleared once over its
+    nonzeros, as ([(j, numerator)], den); a left row sums the rows its
+    nonzeros select, so the cost is the number of nonzero term pairs."""
+    cleared = []
+    for row in right.data:
+        terms = [(j, x) for j, x in enumerate(row) if x]
+        den = lcm(*[x.denominator for _, x in terms])
+        cleared.append(([(j, x.numerator * (den // x.denominator)) for j, x in terms], den))
+    for a_row in left.data:
         terms = [(x, cleared[k]) for k, x in enumerate(a_row) if x]
         if not terms:
-            if any(t_row):
-                return False
+            yield None
             continue
         den = lcm(*[x.denominator * d for x, (_, d) in terms])
-        (x, (b, d)), *rest = terms
-        c = x.numerator * (den // (x.denominator * d))
-        acc = [c * y for y in b]
-        for x, (b, d) in rest:
+        acc = [0] * right.cols
+        for x, (b, d) in terms:
             c = x.numerator * (den // (x.denominator * d))
-            acc = [s + c * y for s, y in zip(acc, b)]
+            for j, y in b:
+                acc[j] += c * y
+        yield acc, den
+
+
+def product_difference(left: Matrix, right: Matrix, target: Matrix):
+    """(i, j, value) of the first entry, in row-major order, where
+    ``left @ right`` (of the target's shape) differs from ``target``, with
+    ``value`` the product's entry there; None when they are equal."""
+    for i, (sums, t_row) in enumerate(zip(_product_rows(left, right), target.data)):
+        if sums is None:
+            if any(t_row):
+                return i, next(j for j, t in enumerate(t_row) if t), Fraction(0)
+            continue
+        acc, den = sums
         for s, t in zip(acc, t_row):
             if s * t.denominator != t.numerator * den:
-                return False
-    return True
+                j = next(j for j, (s, t) in enumerate(zip(acc, t_row))
+                         if s * t.denominator != t.numerator * den)
+                return i, j, Fraction(acc[j], den)
+    return None
 
 
 def is_product(left: Matrix, right: Matrix, target: Matrix) -> bool:
-    """Exactly ``left @ right == target``, reading only the nonzeros of one
-    factor: the left one, or the right one (on the transposes) when it has
-    fewer per product entry.  Mismatched shapes give False; an inner
-    dimension of 0 compares the target against zeros."""
-    if left.cols != right.rows or target.shape != (left.rows, right.cols):
-        return False
-    if left.cols == 0:
-        return not any(x for row in target.data for x in row)
-    nnz_left, nnz_right = (sum(map(bool, chain.from_iterable(m.data))) for m in (left, right))
-    if nnz_right * left.rows < nnz_left * right.cols:
-        return _rows_combine(zip(*right.data), zip(*left.data), zip(*target.data))
-    return _rows_combine(left.data, right.data, target.data)
+    """Exactly ``left @ right == target``; mismatched shapes give False."""
+    return (left.cols == right.rows and target.shape == (left.rows, right.cols)
+            and product_difference(left, right, target) is None)
 
 
 def is_certificate(left: Matrix, right: Matrix, target: Matrix) -> bool:
     """Both factors nonnegative and ``left @ right == target`` exactly."""
     return left.is_nonnegative() and right.is_nonnegative() and is_product(left, right, target)
-
-
-def first_difference(a: Matrix, b: Matrix):
-    """(i, j) of the first entry, in row-major order, where two matrices of
-    one shape disagree, or None when they are equal."""
-    for i, (row_a, row_b) in enumerate(zip(a.data, b.data)):
-        if row_a != row_b:
-            return i, next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
-    return None
 
 
 def cleared_columns(m: Matrix):

@@ -27,7 +27,7 @@ from .errors import (
     InternalError,
     NotConvex,
 )
-from .linalg import Matrix, clear_denominators, first_difference, is_product, rank
+from .linalg import Matrix, clear_denominators, product_difference, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]
@@ -210,20 +210,17 @@ def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationRepo
     # so the per-vertex loop below reads it from there.  If C and beta are
     # also the polygon's own facets, the slack matrix holds exactly the
     # values that loop computes, so its equalities hold and it is skipped.
-    equalities_known = False
-    if is_product(ef.T, ef.lifts, slack):
-        product = slack
-        equalities_known = (
-            ef.C.data == tuple((cx, cy) for cx, cy, _ in poly.facets)
-            and tuple(ef.beta) == tuple(beta for _, _, beta in poly.facets)
-        )
-    else:
-        product = ef.T @ ef.lifts
-        i, t = first_difference(product, slack)
+    hit = product_difference(ef.T, ef.lifts, slack)
+    if hit is not None:
+        i, t, value = hit
         report.failures.append(
-            f"slack reconstruction fails at facet {i}, vertex {t}: "
-            f"{product.data[i][t]} != {slack.data[i][t]}"
+            f"slack reconstruction fails at facet {i}, vertex {t}: {value} != {slack.data[i][t]}"
         )
+    product = slack if hit is None else ef.T @ ef.lifts
+    equalities_known = hit is None and (
+        ef.C.data == tuple((cx, cy) for cx, cy, _ in poly.facets)
+        and tuple(ef.beta) == tuple(beta for _, _, beta in poly.facets)
+    )
 
     for t in range(n):
         lift = ef.lifts.column(t)

@@ -16,33 +16,8 @@ from fractions import Fraction
 
 from .driver import Factorization
 from .errors import ExactNMFError, ParseError
-from .linalg import Matrix
+from .linalg import MAX_DIGITS, Matrix, _check_token_size
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
-
-
-# CPython's default limit on int <-> str conversion.  A token within it
-# builds integers of at most this many digits.
-MAX_DIGITS = 4300
-
-
-def _check_token_size(text: str) -> str:
-    """Return ``text``, or raise ParseError when the numeric token would
-    need more than MAX_DIGITS digits: its digit count plus the size of its
-    exponent (``1e-5`` has 1 + 5).  Nothing is converted before the check."""
-    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
-        return text  # no exponent, and no more digits than characters
-    mantissa, _, exponent = text.lower().partition("e")
-    size = sum(c.isdecimal() for c in mantissa)
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if exponent.isdecimal():
-        # Past six digits the exponent alone is over the limit, so its
-        # first six digits decide without converting the rest.
-        size += int(exponent[:6])
-    if size > MAX_DIGITS:
-        raise ParseError(
-            f"numeric token {text[:30]!r} asks for more than {MAX_DIGITS} digits"
-        )
-    return text
 
 
 def format_scalar(x: Fraction) -> str:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DimensionError, NegativeEntryError
-from .linalg import Matrix
+from .linalg import Matrix, as_scalar
 
 
 def as_matrix(data) -> Matrix:
@@ -37,8 +35,9 @@ def check_nonnegative(m: Matrix, name: str = "matrix") -> Matrix:
 
 
 def as_point(value) -> tuple:
-    """Coerce a 2-sequence to an exact point (pair of Fractions)."""
+    """Coerce a 2-sequence to an exact point (pair of Fractions), each
+    coordinate read as a matrix entry is (``linalg.as_scalar``)."""
     pair = list(value)
     if len(pair) != 2:
         raise DimensionError(f"expected a 2-coordinate point, got {value!r}")
-    return (Fraction(pair[0]), Fraction(pair[1]))
+    return (as_scalar(pair[0]), as_scalar(pair[1]))

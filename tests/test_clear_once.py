@@ -2,8 +2,8 @@
 
 A matrix's columns are cleared to integers by ``linalg.cleared_columns``
 and kept on it beside its rank, so the rank, the section and segment
-cores and the cyclic core read one view; ``is_product`` clears its own
-operands.  A polygon builds its slack matrix once, on first use.  These
+cores and the cyclic core read one view; the product check clears its
+own operands.  A polygon builds its slack matrix once, on first use.  These
 tests count the clearings, check that the kept view is what a fresh
 clearing gives, and that no reader changes it.
 """
@@ -40,20 +40,21 @@ def fresh(m: Matrix) -> Matrix:
     return Matrix._raw(m.data, m.rows, m.cols)
 
 
-def test_fresh_heptagon_clears_thirteen_lines(monkeypatch):
+def test_fresh_heptagon_clears_seven_lines(monkeypatch):
     """Per fresh heptagon: its 7 columns once, for the rank and the
-    section core, and the 6 rows of the right factor in the closing
-    check.  Once the rank has run, ``nn_factor`` clears only those 6."""
+    section core.  The closing check clears the right factor's rows itself,
+    over their nonzeros alone, without ``clear_denominators``; so once the
+    rank has run, ``nn_factor`` calls it not at all."""
     calls = count_calls(monkeypatch, "clear_denominators")
     for m in heptagons(count=20):
         del calls[:]
         nn_factor(m)
-        assert len(calls) == 13
+        assert len(calls) == 7
         ranked = fresh(m)
         rank(ranked)
         del calls[:]
         nn_factor(ranked)
-        assert len(calls) == 6
+        assert len(calls) == 0
 
 
 def test_rank_two_core_columns_cleared_once(monkeypatch):

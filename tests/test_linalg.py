@@ -9,7 +9,7 @@ from exactnmf.linalg import (
     Inconsistency,
     Matrix,
     block_diag,
-    first_difference,
+    product_difference,
     rank,
     solve,
 )
@@ -167,8 +167,11 @@ class TestSolve:
         assert sum(x) == 7
 
 
-def test_first_difference_names_first_entry_in_row_order():
+def test_product_difference_names_first_entry_in_row_order():
+    """Row-major order, and the product's value at the hit: with the
+    identity as left factor the product is the right factor itself."""
     a = Matrix([[1, 2, 3], [4, 5, 6]])
-    assert first_difference(a, a) is None
-    assert first_difference(a, Matrix([[1, 2, 3], [4, 0, 0]])) == (1, 1)
-    assert first_difference(a, Matrix([[1, 2, 0], [0, 5, 6]])) == (0, 2)
+    eye = Matrix.identity(2)
+    assert product_difference(eye, a, a) is None
+    assert product_difference(eye, a, Matrix([[1, 2, 3], [4, 0, 0]])) == (1, 1, 5)
+    assert product_difference(eye, a, Matrix([[1, 2, 0], [0, 5, 6]])) == (0, 2, 3)

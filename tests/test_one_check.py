@@ -74,19 +74,19 @@ def count_calls(monkeypatch, name):
 
 
 def test_heptagon_call_counts(monkeypatch):
-    """Per heptagon: one product check (the closing one), one elimination,
-    one integer admissibility test per tuple the search meets (the start
-    and each stepped tuple), and determinants built only there: the
-    factored tuple's come from its test, never a second time."""
+    """Per heptagon: one product check (the closing one's sparse row sum),
+    one elimination, one integer admissibility test per tuple the search
+    meets (the start and each stepped tuple), and determinants built only
+    there: the factored tuple's come from its test, never a second time."""
     matrices = heptagons()
     counts = {name: count_calls(monkeypatch, name)
-              for name in ("is_product", "_eliminate", "_admissible", "_dets")}
+              for name in ("product_difference", "_eliminate", "_admissible", "_dets")}
     traces = [nn_factor(m).trace for m in matrices]
     records = [record for trace in traces for record in trace]
     assert {record["method"] for record in records} == {"section+cyclic"}
     steps = [r["search_steps"] + (6 if r["mirrored"] else 0) for r in records]
     n = len(matrices)
-    assert len(counts["is_product"]) == n
+    assert len(counts["product_difference"]) == n
     assert len(counts["_eliminate"]) == n
     assert len(counts["_admissible"]) == n + sum(steps)
     assert counts["_dets"] == counts["_admissible"]

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactnmf.canonical import CanonicalParams
 from exactnmf.driver import Factorization, nn_factor
 from exactnmf.errors import ExactNMFError, ParseError
+from exactnmf.estimator import ExactNMF
 from exactnmf.generate import random_convex_polygon
 from exactnmf.linalg import Matrix
-from exactnmf.polygon import ExtendedFormulation, Polygon, build_extension
+from exactnmf.polygon import ExtendedFormulation, Polygon, build_extension, polygon_from_points
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     MAX_DIGITS,
@@ -94,6 +96,39 @@ class TestScalars:
         for _ in range(200):
             x = Fraction(rng.below(2001) - 1000, rng.below(999) + 1)
             assert parse_scalar(format_scalar(x)) == x
+
+
+class TestLibraryDigitLimit:
+    """Strings handed to the library keep the reader's digit limit, so a
+    short string cannot ask for a huge integer there either; point
+    coordinates are read as matrix entries are."""
+
+    calls = {
+        "nn_factor": lambda x: nn_factor([[x, 1], [1, 1]]),
+        "fit_transform": lambda x: ExactNMF().fit_transform([[x, 1]]),
+        "polygon_from_points": lambda x: polygon_from_points([(0, 0), (x, 0), (0, 1)]),
+        "CanonicalParams.of": lambda x: CanonicalParams.of(x, 1, 1, 1, 1, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(calls))
+    def test_past_the_limit_raises(self, name):
+        with pytest.raises(ParseError, match="4300 digits"):
+            self.calls[name]("1e4301")
+
+    @pytest.mark.parametrize("name", sorted(calls))
+    def test_at_the_limit_is_accepted(self, name):
+        self.calls[name]("1e4299")
+
+    def test_points_refuse_booleans_as_matrices_do(self):
+        with pytest.raises(TypeError, match="booleans"):
+            polygon_from_points([(0, 0), (True, 0), (0, 1)])
+
+    def test_numpy_integers_are_entries_and_coordinates(self):
+        np = pytest.importorskip("numpy")
+        points = np.array([(0, 0), (3, 0), (0, 1)])
+        assert polygon_from_points(points) == polygon_from_points([(0, 0), (3, 0), (0, 1)])
+        assert polygon_from_points([tuple(p) for p in points]).n == 3
+        assert Matrix(list(points)) == Matrix([[0, 0], [3, 0], [0, 1]])
 
 
 class TestWriterDigitLimit:
