@@ -14,10 +14,12 @@ reaches.
 
 All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i)
 = clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and
-factor entries (num, den) pairs.  Only the assembled left factor becomes
-Fractions; the right factor leaves as integer rows over one denominator
-each, for the section's fan pass.  The public functions are checked
-converters between these forms and CanonicalParams, MonomialMatrix, Matrix.
+factor entries (num, den) pairs.  Assembly scales each left column to a
+primitive integer vector, the only Fractions it builds; the right factor
+leaves as integer rows over one denominator each, each row carrying its
+column's inverse scale, for the section's fan pass.  The public functions
+are checked converters between these forms and CanonicalParams,
+MonomialMatrix, Matrix.
 """
 
 from __future__ import annotations
@@ -354,19 +356,28 @@ def _direct_factor(rows, vm):
 
 
 def _assemble(q_left, left, right, q_right):
-    """(q_left @ left, right @ q_right) for (num, den) tables: the left
-    factor a Matrix, and the right one integer rows (y, e), row == y / e."""
+    """(q_left @ left @ D, D^-1 @ right @ q_right) for (num, den) tables and
+    the positive diagonal D that makes each left column a primitive integer
+    vector w // gcd(w): the left factor a Matrix, the right one integer rows
+    (y, e), row == y / e, each row taking its column's inverse scale."""
     perm, nums, dens = q_left
-    data = tuple(tuple(Fraction(n * x, d * y) if x else _ZERO for x, y in left[p])
-                 for p, n, d in zip(perm, nums, dens))
+    rows = [[(n * x, d * y) if x else (0, 1) for x, y in left[p]] for p, n, d in zip(perm, nums, dens)]
+    columns, scales = [], []
+    for col in zip(*rows):
+        big = lcm(*(y for x, y in col if x))
+        w = [x * (big // y) if x else 0 for x, y in col]
+        g = gcd(*w)
+        columns.append([Fraction(v // g) if v else _ZERO for v in w])
+        c = gcd(g, big)  # column times big / g, its right row times g / big
+        scales.append((g // c, big // c))
     perm, nums, dens = q_right
     inv = sorted(range(len(perm)), key=perm.__getitem__)  # column c is table column inv[c]
     lines = []
-    for row in right:
+    for row, (g, big) in zip(right, scales):
         scaled = [(row[i][0] * nums[i], row[i][1] * dens[i]) for i in inv]
         e = lcm(*(y for x, y in scaled if x))
-        lines.append(([x * (e // y) for x, y in scaled], e))
-    return Matrix._raw(data, len(data), len(left[0])), lines
+        lines.append(([x * (e // y) * g if x else 0 for x, y in scaled], e * big))
+    return Matrix._raw(tuple(zip(*columns)), len(rows), len(columns)), lines
 
 
 MAX_SEARCH_STEPS = 14  # 7 on the tuple itself, then 7 on its mirror

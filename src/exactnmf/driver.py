@@ -180,22 +180,14 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
     a = as_matrix(a)
     report = VerificationReport()
     left, right = fact.left, fact.right
-    shapes_ok = True
     if left.rows != a.rows:
-        shapes_ok = False
-        report.failures.append(
-            f"left factor has {left.rows} rows, input has {a.rows}"
-        )
+        report.failures.append(f"left factor has {left.rows} rows, input has {a.rows}")
     if right.cols != a.cols:
-        shapes_ok = False
-        report.failures.append(
-            f"right factor has {right.cols} columns, input has {a.cols}"
-        )
+        report.failures.append(f"right factor has {right.cols} columns, input has {a.cols}")
     if left.cols != right.rows:
-        shapes_ok = False
         report.failures.append(
-            f"inner dimensions disagree: left is {left.shape}, right is {right.shape}"
-        )
+            f"inner dimensions disagree: left is {left.shape}, right is {right.shape}")
+    shapes_ok = not report.failures  # the shape checks come first
     if fact.inner_dim != left.cols:
         report.failures.append(
             f"declared inner dimension {fact.inner_dim} differs from left factor shape {left.shape}"

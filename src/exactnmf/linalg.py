@@ -383,6 +383,4 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
             out[r0 + i][c0 : c0 + b.cols] = list(row)
         r0 += b.rows
         c0 += b.cols
-    if total_rows == 0 or total_cols == 0:
-        return Matrix.zeros(total_rows, total_cols)
     return Matrix._raw(tuple(map(tuple, out)), total_rows, total_cols)

@@ -109,7 +109,7 @@ def polygon_from_points(points: Sequence) -> Polygon:
     for i in range(n):
         for j in range(i + 1, n):
             if vertices[i] == vertices[j]:
-                raise DuplicateVertices(f"vertices {i} and {j} coincide at {vertices[i]}")
+                raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(i, j, *vertices[i]))
 
     turns = []
     for i in range(n):

@@ -15,7 +15,10 @@ determinants, and only nonzero weights and output entries become
 Fractions.  Rank 2 is the same on a line: columns are placed on their
 segment and weighted against its two ends by integer 2x2 determinants.
 Every kernel reads the columns ``linalg.cleared_columns`` keeps on the
-matrix, which the rank that chose the kernel already cleared.
+matrix, which the rank that chose the kernel already cleared.  Every
+core's left columns are primitive integer vectors (a ray x leaves as
+x // gcd(x)), its right rows take the inverse scale, and a vertex that
+no column weighs leaves both factors.
 
 ``section_polygon`` and ``convex_coefficients`` show the section in an
 exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
@@ -32,7 +35,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Tuple
 
@@ -114,7 +117,8 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
     rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(cleared_columns(a))
-    vertex_matrix = _vertex_matrix(rays)
+    data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x, s in rays)))
+    vertex_matrix = Matrix._raw(data, SIZE, len(rays))
     vertices = tuple(
         SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
                       tuple(i for i, t in enumerate(x) if not t))
@@ -127,12 +131,6 @@ def section_polygon(a: Matrix) -> SectionPolygon:
         vertices=vertices,
         vertex_matrix=vertex_matrix,
     )
-
-
-def _vertex_matrix(rays) -> Matrix:
-    """The vertices x / S of the rays (x, S), as columns."""
-    data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x, s in rays)))
-    return Matrix._raw(data, len(data), len(rays))
 
 
 def _positive_minor(u, v):
@@ -199,14 +197,10 @@ def _section_rays(cleared):
                 hs.append(h)
 
     if len(rays) < 3:
-        raise DegenerateSection(
-            f"section has only {len(rays)} extreme points; "
-            "expected a two-dimensional polygon"
-        )
+        raise DegenerateSection(f"section has only {len(rays)} extreme points; "
+                                "expected a two-dimensional polygon")
     if len(rays) > SIZE:
-        raise InternalError(
-            f"section produced {len(rays)} vertices; at most 7 are possible"
-        )
+        raise InternalError(f"section produced {len(rays)} vertices; at most 7 are possible")
     # Chart coordinates (h[1] * su, h[2] * sv) / S, times the lcm of the S.
     big = lcm(*(s for _, s in rays))
     order = _ccw_order(*zip(*(
@@ -268,8 +262,8 @@ def _fan(rays):
                 if a >= 0:
                     return support, (a, b, g), det
             g = -b
-        target = tuple(Fraction(ci, s) for ci in c)
-        raise OutsidePolygon(f"point {target} lies outside the section polygon")
+        point = ", ".join(str(Fraction(ci, s)) for ci in c)
+        raise OutsidePolygon(f"point ({point}) lies outside the section polygon")
 
     return locate
 
@@ -281,11 +275,12 @@ def _unit_lines(k: int):
 def _convex_weights(rays, cleared, lines) -> Matrix:
     """``m @ W`` in one integer pass, for W the k x n right factor of a
     nonnegative matrix through its k vertex rays and m the matrix with
-    rows y / e for (y, e) in ``lines``: the identity (k <= 6) or the
-    cyclic core's right factor (k = 7).  Column j of W holds the convex
-    coefficients of normalized column j times its sum, zero for a zero
-    column.  Column j is c / d for cleared[j] = (c, d), so vertex i weighs
-    nums * S_i / (det * d) in it, and each entry is one Fraction."""
+    rows y / e for (y, e) in ``lines``: the identity, its rows scaled for
+    primitive vertex columns (k <= 6) or the cyclic core's right factor.
+    Column j of W holds the convex coefficients of normalized column j
+    times its sum, zero for a zero column.  Column j is c / d for
+    cleared[j] = (c, d), so vertex i weighs nums * S_i / (det * d) in it,
+    and each entry is one Fraction."""
     locate = _fan(rays)
     lines = [([y * s for y, (_, s) in zip(row, rays)], e) for row, e in lines]
     zero = (_ZERO,) * len(lines)
@@ -324,8 +319,8 @@ def factor_seven_by_n(a: Matrix):
     polygon.  Returns (left, right, info) with left and right nonnegative,
     left @ right == a exactly, and inner dimension at most 6.
 
-    A section with k <= 6 vertices yields inner dimension k directly; a
-    7-vertex section is factored once more through its cyclic pattern.
+    A section with k <= 6 vertices yields inner dimension k less its unused
+    vertices; a 7-vertex section factors once more through its cyclic pattern.
     """
     _check_seven_rows_rank3(a)
     left, right, info = _factor_seven_by_n(a)
@@ -345,8 +340,14 @@ def _factor_seven_by_n(a: Matrix):
     rays, _, _ = _section_rays(cleared)
     k = len(rays)
     if k <= 6:
-        info = {"method": "section", "vertices": k, "inner_dim": k}
-        return _vertex_matrix(rays), _convex_weights(rays, cleared, _unit_lines(k)), info
+        gs = [gcd(*x) for x, _ in rays]
+        lines = [([g * (i == t) for i in range(k)], s) for t, (g, (_, s)) in enumerate(zip(gs, rays))]
+        right = _convex_weights(rays, cleared, lines)
+        used = [t for t, row in enumerate(right.data) if any(row)]
+        left = tuple(zip(*(tuple(Fraction(x // gs[t]) for x in rays[t][0]) for t in used)))
+        right = Matrix._raw(tuple(right.data[t] for t in used), len(used), right.cols)
+        info = {"method": "section", "vertices": k, "inner_dim": len(used)}
+        return Matrix._raw(left, SIZE, len(used)), right, info
     tight = [{i for i, t in enumerate(x) if not t} for x, _ in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
@@ -378,14 +379,15 @@ def _factor_low_rank(a: Matrix, r: int):
 
     cleared = cleared_columns(a)
     if r == 1:
-        pivot_col = next(j for j, (c, _) in enumerate(cleared) if any(c))
-        base, cb = a.column(pivot_col), cleared[pivot_col][0]
-        p = next(i for i, x in enumerate(cb) if x)
+        # The left column is the first nonzero column c_b made primitive,
+        # c_b // g, so column c / d weighs c[p] * g / (d * c_b[p]).
+        cb = next(c for c, _ in cleared if any(c))
+        p, g = next(i for i, x in enumerate(cb) if x), gcd(*cb)
         for c, _ in cleared:
             if any(x * cb[p] != y * c[p] for x, y in zip(c, cb)):
                 raise InternalError("rank-1 matrix has a non-proportional column")
-        left = Matrix._raw(tuple((x,) for x in base), a.rows, 1)
-        right = Matrix._raw((tuple(x / base[p] for x in a.data[p]),), 1, a.cols)
+        left = Matrix._raw(tuple((Fraction(x // g),) for x in cb), a.rows, 1)
+        right = Matrix._raw((tuple(Fraction(c[p] * g, d * cb[p]) for c, d in cleared),), 1, a.cols)
         return left, right, {"method": "single-column", "inner_dim": 1}
 
     # Column j is c / d_j with integer c, and positions on the segment are
@@ -418,19 +420,16 @@ def _factor_low_rank(a: Matrix, r: int):
         if position[j] * sums[high] > position[high] * sums[j]:
             high = j
 
-    # Weights against the two ends, again by Cramer on the rows p, q.
+    # The ends made primitive, c // g, are the left columns; the weights
+    # against them come again by Cramer on the rows p, q.
     c_low, c_high = cleared[low][0], cleared[high][0]
-    s_low, s_high = sums[low], sums[high]
+    g_low, g_high = gcd(*c_low), gcd(*c_high)
     span = c_low[p] * c_high[q] - c_low[q] * c_high[p]
     w_low, w_high = [_ZERO] * a.cols, [_ZERO] * a.cols
     for j in kept:
         c, d = cleared[j]
-        w_low[j] = Fraction((c[p] * c_high[q] - c[q] * c_high[p]) * s_low, span * d)
-        w_high[j] = Fraction((c_low[p] * c[q] - c_low[q] * c[p]) * s_high, span * d)
+        w_low[j] = Fraction((c[p] * c_high[q] - c[q] * c_high[p]) * g_low, span * d)
+        w_high[j] = Fraction((c_low[p] * c[q] - c_low[q] * c[p]) * g_high, span * d)
     right = Matrix._raw((tuple(w_low), tuple(w_high)), 2, a.cols)
-    left = Matrix._raw(
-        tuple((Fraction(x, s_low), Fraction(y, s_high)) for x, y in zip(c_low, c_high)),
-        a.rows,
-        2,
-    )
-    return left, right, {"method": "segment", "inner_dim": 2}
+    left = tuple((Fraction(x // g_low), Fraction(y // g_high)) for x, y in zip(c_low, c_high))
+    return Matrix._raw(left, a.rows, 2), right, {"method": "segment", "inner_dim": 2}

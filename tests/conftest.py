@@ -1,6 +1,7 @@
 """Shared fixtures: the reference heptagon and its known reductions."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import settings
@@ -64,3 +65,25 @@ def h7_slack(h7_polygon):
 @pytest.fixture(scope="session")
 def h7_params():
     return H7_PARAMS
+
+
+def primitive_columns(left: Matrix, right: Matrix):
+    """(left @ D, D^-1 @ right) for the positive diagonal D that makes each
+    nonzero column of ``left`` a primitive integer vector, worked out on
+    Fractions: column k is scaled by the lcm of its denominators over the
+    gcd of its entries times that lcm, and row k of ``right`` by the
+    inverse.  This is the scaling the library chooses at assembly."""
+    scales = []
+    for col in zip(*left.data):
+        den = lcm(*(x.denominator for x in col))
+        g = gcd(*(int(x * den) for x in col))
+        scales.append(Fraction(den, g) if g else Fraction(1))
+    left_data = tuple(tuple(x * s for x, s in zip(row, scales)) for row in left.data)
+    right_data = tuple(tuple(x / s for x in row) for row, s in zip(right.data, scales))
+    return (Matrix._raw(left_data, left.rows, left.cols),
+            Matrix._raw(right_data, right.rows, right.cols))
+
+
+def is_primitive_column(column) -> bool:
+    """Every entry an integer, and their gcd 1."""
+    return all(x.denominator == 1 for x in column) and gcd(*(int(x) for x in column)) == 1

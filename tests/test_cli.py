@@ -200,20 +200,34 @@ class TestFactorCommand:
         assert "InternalError" in captured.err and captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("row", [0, 6])
-    def test_output_too_long_for_the_format_exits_one(self, tmp_path, capsys, row):
-        """Every input token is legal (4,300 digits each), but the
-        certificate needs longer entries: exit 1, named entry, no file."""
+    @staticmethod
+    def scaled_h7_file(tmp_path, row):
+        """The H7 slack matrix with ``row`` times 10^4299: every input token
+        is legal (4,300 digits each)."""
         entries = [[str(x) for x in line] for line in H7_SLACK_ROWS]
         entries[row] = [f"{x}e4299" if x else "0" for x in H7_SLACK_ROWS[row]]
-        path, out = tmp_path / "big.json", tmp_path / "cert.json"
+        path = tmp_path / "big.json"
         save_text(str(path), dumps({"entries": entries}))
-        code = run(["factor", "--input", str(path), "--output", str(out)])
+        return str(path)
+
+    def test_output_too_long_for_the_format_exits_one(self, tmp_path, capsys):
+        """With row 0 scaled, the compact certificate still needs a
+        4,301-digit left entry: exit 1, named entry, no file."""
+        path, out = self.scaled_h7_file(tmp_path, 0), tmp_path / "cert.json"
+        code = run(["factor", "--input", path, "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "ExactNMFError: left factor entry" in captured.err
+        assert "ExactNMFError: left factor entry (0, 1) needs 4301 digits" in captured.err
         assert "digits; a file holds at most 4300" in captured.err
         assert not out.exists()
+
+    def test_output_at_the_format_limit_is_written(self, tmp_path, capsys):
+        """With row 6 scaled, every entry of the compact certificate fits in
+        4,300 digits: it is written, and ``verify`` passes it."""
+        path, out = self.scaled_h7_file(tmp_path, 6), str(tmp_path / "cert.json")
+        assert run(["factor", "--input", path, "--output", out]) == 0
+        assert run(["verify", "--input", path, "--cert", out]) == 0
+        assert capsys.readouterr().out.endswith("verification: all checks passed\n")
 
 
 class TestExtendCommand:
@@ -258,7 +272,7 @@ class TestExtendCommand:
         code = run(["extend", "--input", str(path), "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "ExactNMFError: T entry (0, 0) needs 4304 digits" in captured.err
+        assert "ExactNMFError: T entry (1, 0) needs 4301 digits" in captured.err
         assert not out.exists()
 
     def test_extend_nonconvex_exits_one(self, tmp_path, capsys):

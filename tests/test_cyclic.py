@@ -30,6 +30,7 @@ from conftest import H7_COL_CONSTANTS, H7_VERTICES
 import test_canonical
 from test_canonical import (
     admissible_tuples,
+    compacted,
     fraction_canonical_matrix,
     fraction_factor_canonical,
     fraction_is_admissible,
@@ -330,8 +331,8 @@ def test_integer_rescaling_matches_fraction_code(m):
 @given(scrambled_canonical(), st.booleans())
 def test_integer_cyclic_core_matches_fraction_code(m, mirror):
     """The left factor, the right factor's integer rows and the search
-    record against the Fraction core, with the mirror search forced in
-    both when ``mirror`` is set."""
+    record against the Fraction core's, made primitive, with the mirror
+    search forced in both when ``mirror`` is set."""
     with pytest.MonkeyPatch.context() as patch:
         if mirror:
             patch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
@@ -341,9 +342,9 @@ def test_integer_cyclic_core_matches_fraction_code(m, mirror):
         expected = fraction_factor_cyclic(*reads(m))
     assert all(e > 0 for _, e in lines)
     right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
-    assert Rank6Certificate(left, right, steps, mirrored) == expected
+    assert Rank6Certificate(left, right, steps, mirrored) == compacted(expected)
     assert mirrored == mirror
-    assert factor_cyclic(m) == fraction_factor_cyclic(*reads(m))
+    assert factor_cyclic(m) == compacted(fraction_factor_cyclic(*reads(m)))
 
 
 def test_rescaling_rejects_what_the_oracle_rejects(h7_slack):

@@ -1,10 +1,14 @@
 """Byte-identity guard: certificate and formulation JSON for a fixed
 seeded corpus must not change.
 
-Each group of outputs is serialised with ``serialize.dumps`` and hashed;
-the sha256 digests below were recorded with the all-Fraction linear
-algebra, before the integer kernel replaced it.  A refactor that changes
-any certificate byte fails here.
+Each group of outputs is serialised with ``serialize.dumps`` and hashed.
+The sha256 digests below were recorded when certificates became compact
+(each chunk's left columns primitive integer vectors, unused section
+vertices dropped).  Before they were recorded, every certificate of the
+four groups was checked to equal the one the previous code wrote, passed
+through the Fraction helper ``conftest.primitive_columns`` and with its
+unused vertices dropped.  A refactor that changes any certificate byte
+fails here.
 """
 
 import hashlib
@@ -18,16 +22,16 @@ from exactnmf.rng import SplitMix64
 from exactnmf.serialize import certificate_to_jsonable, dumps, formulation_to_jsonable
 
 DIGESTS = {
-    "heptagons": "0481f9178aef1798aa13fde134c5ffcc1ad92453924761261fc931324671371c",
-    "low_rank": "a196392ac8ba193121334b4dbac28c241644b3f92168ad7b9c2f9c47aaa72ecd",
-    "formulations": "daa294e1e60c26be82362febd32746714335b647bcb5d2bb646f369f8ca3ee0c",
+    "heptagons": "44daefd92144748df3ccc6ac257276b7995b983c7bc0e8a260486acceabd5c45",
+    "low_rank": "25670826a5b4796e1b0174ce404f6ebfbe733f98e6c72d23ecc54d4597455f60",
+    "formulations": "273eab45db1dd7b7b425ee6e0338a405854773ca315f094163b547f6c8e58884",
 }
 
 
-# Recorded with the Fraction cyclic core, before the integer one replaced
-# it.  The search stops after 0 to 6 steps on these heptagons, where the
-# first 20 of seed 1 stop after at most 5.
-DEEP_HEPTAGONS_DIGEST = "4bc87da79098a02051c14c4842ed5af2abc0cc3cf823cab78c5b64188e6c5848"
+# Recorded, and checked, with the digests above.  The search stops after 0
+# to 6 steps on these heptagons, where the first 20 of seed 1 stop after
+# at most 5.
+DEEP_HEPTAGONS_DIGEST = "5b36aa95b1840216b29e54fe66e328769c8175c79a2dd8e0030199e163f9e6e8"
 
 
 def _digest(texts):

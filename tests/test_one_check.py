@@ -37,6 +37,7 @@ from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
 from exactnmf.section import factor_low_rank, factor_seven_by_n, section_polygon
 
+from conftest import primitive_columns
 import test_canonical
 from test_canonical import starved
 from test_driver_properties import splitmix_corpus
@@ -255,7 +256,7 @@ def test_forced_mirror_through_nn_factor(monkeypatch):
     """No heptagon of the benchmark's seeds reaches the mirror search, so
     force it: with the first seven middle-min tests of each search failed,
     ``nn_factor``'s certificate is the chart code's on the Fraction
-    cyclic core, forced the same way."""
+    cyclic core, forced the same way, with primitive left columns."""
     for m in heptagons(count=20):
         with monkeypatch.context() as patch:
             patch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
@@ -265,4 +266,4 @@ def test_forced_mirror_through_nn_factor(monkeypatch):
                           starved(test_canonical.fraction_middle_min))
             left, right, info = chart_factor_seven_by_n(m)
         assert info["mirrored"] and fact.trace[-1]["mirrored"]
-        assert (fact.left, fact.right) == (left, right)
+        assert (fact.left, fact.right) == primitive_columns(left, right)

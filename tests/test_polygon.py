@@ -205,7 +205,7 @@ def oracle_polygon_from_points(points):
     for i in range(n):
         for j in range(i + 1, n):
             if vertices[i] == vertices[j]:
-                raise DuplicateVertices(f"vertices {i} and {j} coincide at {vertices[i]}")
+                raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(i, j, *vertices[i]))
 
     turns = []
     for i in range(n):
