@@ -30,7 +30,7 @@ from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import DimensionError, NegativeEntryError, NotAdmissible, TheoryViolation
-from .linalg import Matrix, as_scalar, clear_denominators, is_certificate
+from .linalg import Matrix, as_scalar, clear_denominators, format_value, is_certificate
 
 SIZE = 7
 _ZERO = Fraction(0)
@@ -56,6 +56,9 @@ class CanonicalParams:
     @classmethod
     def of(cls, a1, a2, a3, b1, b2, b3) -> "CanonicalParams":
         return cls(*(as_scalar(x) for x in (a1, a2, a3, b1, b2, b3)))
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(map(format_value, self.astuple())) + ")"
 
     def astuple(self) -> Tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3)

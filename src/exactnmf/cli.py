@@ -92,8 +92,8 @@ def _cmd_factor(args) -> int:
 
 def _cmd_extend(args) -> int:
     poly = polygon_from_jsonable(load_json(args.input))
-    # nn_factor's closing check verified T @ lifts against the slack matrix and
-    # C, beta are the polygon's facets, so verify_extension's checks all hold.
+    # verify_extension is nn_factor's closing verify_factorization of (T, lifts)
+    # plus a facet check, and C, beta are the polygon's facets: nothing to redo.
     ef = build_extension(poly)
     save_text(args.output, dumps(formulation_to_jsonable(ef)))
     print(f"{poly.n}-gon described with {ef.k} inequalities")

@@ -17,7 +17,7 @@ from typing import Tuple
 from . import canonical
 from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate, _compose
 from .errors import ConsistencyError, DimensionError, PatternError, RankError, TheoryViolation
-from .linalg import Matrix, cleared_columns, is_certificate, rank
+from .linalg import Matrix, cleared_columns, format_value, is_certificate, rank
 
 SIZE = 7
 
@@ -54,7 +54,7 @@ def _zero_positions(m: Matrix):
     for i, row in enumerate(m.data):
         for j, x in enumerate(row):
             if x < 0:
-                raise PatternError(f"negative entry {x} at ({i}, {j})")
+                raise PatternError(f"negative entry {format_value(x)} at ({i}, {j})")
         zs = tuple(j for j, x in enumerate(row) if x == 0)
         if len(zs) != 2:
             raise PatternError(f"row {i} has {len(zs)} zeros, expected 2")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .errors import InternalError, RankError
-from .linalg import Matrix, block_diag, insert_zero_lines, is_certificate, product_difference, rank
+from .linalg import (Matrix, block_diag, format_value, insert_zero_lines, is_certificate,
+                     product_difference, rank)
 from .section import _factor_low_rank, _factor_seven_by_n
 from .validation import as_matrix, check_nonnegative
 
@@ -129,9 +130,9 @@ def nn_factor(a) -> Factorization:
         log.debug("working on the transpose: %s rows", core.rows)
         trace.append({"method": "transpose"})
 
-    r = rank(core)
+    r = rank(core, cap=4)
     if r > 3:
-        raise RankError(f"input has rank {r}; only ranks 0..3 are supported")
+        raise RankError("input has rank at least 4; only ranks 0..3 are supported")
 
     # A rank <= 2 core factors whole; a rank-3 one in chunks of 7 rows.
     if r <= 2 or core.rows <= 7:
@@ -196,12 +197,14 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
         hit = factor.first_negative_entry()
         if hit is not None:
             (i, j), x = hit
-            report.failures.append(f"{name} factor has negative entry {x} at ({i}, {j})")
+            report.failures.append(
+                f"{name} factor has negative entry {format_value(x)} at ({i}, {j})")
     hit = product_difference(left, right, a) if shapes_ok else None
     if hit is not None:
         i, j, value = hit
         report.failures.append(
-            f"product disagrees with input at ({i}, {j}): {value} != {a.data[i][j]}"
+            f"product disagrees with input at ({i}, {j}): "
+            f"{format_value(value)} != {format_value(a.data[i][j])}"
         )
     expected_bound = inner_dimension_bound(a.rows, a.cols)
     if fact.bound != expected_bound:

@@ -8,8 +8,10 @@ columns, cleared once to integers over a common denominator by
 :func:`product_difference` share one sparse integer row sum,
 :func:`_product_rows`, and the check cross-multiplies, building a
 Fraction only for the entry it reports.  String entries may ask for at
-most ``MAX_DIGITS`` digits.  Pivoting is deterministic (first nonzero),
-so ranks and solutions are reproducible byte for byte.
+most ``MAX_DIGITS`` digits, and messages print values with
+:func:`format_value`, which never asks ``str`` for more.  Pivoting is
+deterministic (first nonzero), so ranks and solutions are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -49,6 +51,35 @@ def _check_token_size(text: str) -> str:
             f"numeric token {text[:30]!r} asks for more than {MAX_DIGITS} digits"
         )
     return text
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, counted without str(), which refuses over 4,300."""
+    n = abs(n)
+    k = max(1, int((n.bit_length() - 1) * 0.30102999566))  # at most the count
+    while n >= 10**k:
+        k += 1
+    return k
+
+
+def token_digits(x: Fraction) -> int:
+    """Digits of p and q together in the token "p/q" of ``x`` when over
+    MAX_DIGITS, else 0; 14,000 bits make at most 4,217 digits."""
+    p, q = int(x.numerator), int(x.denominator)  # NumPy integers have no bit_length
+    if p.bit_length() + q.bit_length() <= 14_000:
+        return 0
+    digits = _digits(p) + (_digits(q) if q > 1 else 0)
+    return digits if digits > MAX_DIGITS else 0
+
+
+def format_value(x) -> str:
+    """A value for a message: a rational as "p" or "p/q" when its token fits
+    in MAX_DIGITS digits, else a stand-in naming its digit count; anything
+    else as its repr."""
+    if isinstance(x, bool) or not isinstance(x, Rational):
+        return repr(x)
+    digits = token_digits(x)
+    return f"<number of {digits} digits>" if digits else str(Fraction(x))
 
 
 def as_scalar(value) -> Fraction:
@@ -265,9 +296,9 @@ def cleared_columns(m: Matrix):
     return cols
 
 
-def _eliminate(columns):
+def _eliminate(columns, cap=None):
     """Fraction-free (Bareiss) row reduction of the integer rows of cleared
-    columns (c, d), into fresh lists.
+    columns (c, d), into fresh lists, stopping after ``cap`` pivots.
 
     Each reduced row is a nonzero multiple of the row that rational
     Gaussian elimination with the same first-nonzero pivots produces, so
@@ -300,21 +331,20 @@ def _eliminate(columns):
                 row_i[j] = (lead * row_i[j] - f * row_r[j]) // prev
         prev = lead
         r += 1
-        if r == rows:
+        if r == rows or r == cap:
             break
     return data, pivot_cols, origins
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank by fraction-free Gaussian elimination, memoized on the
-    matrix: later calls on the same matrix read it back."""
+def rank(m: Matrix, cap=None) -> int:
+    """Exact rank by fraction-free Gaussian elimination, memoized on the matrix;
+    with a ``cap``, min(rank, cap) from at most ``cap`` pivots, kept only if below it."""
     r = getattr(m, "_rank", None)
     if r is None:
-        r = 0
-        if m.rows and m.cols:
-            r = len(_eliminate(cleared_columns(m))[1])
-        object.__setattr__(m, "_rank", r)
-    return r
+        r = len(_eliminate(cleared_columns(m), cap)[1]) if m.rows and m.cols else 0
+        if cap is None or r < cap:
+            object.__setattr__(m, "_rank", r)
+    return r if cap is None else min(r, cap)
 
 
 def solve(a: Matrix, b: Sequence[ScalarLike]):

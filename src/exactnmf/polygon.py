@@ -9,7 +9,10 @@ columns into lift points and T into the mixing matrix of a description
 
     c_i(x) - beta_i = (T y)_i  for all facets i,    y >= 0,
 
-whose projection to the plane is exactly the polygon.
+whose projection to the plane is exactly the polygon.  By Yannakakis'
+theorem that is all a description must show: ``verify_extension`` checks
+(T, lifts) as a certificate of the slack matrix, and (C, beta) as the
+polygon's own facets.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .driver import VerificationReport, inner_dimension_bound, nn_factor
+from .driver import (Factorization, VerificationReport, inner_dimension_bound, nn_factor,
+                     verify_factorization)
 from .errors import (
     CollinearVertices,
     DuplicateVertices,
     InternalError,
     NotConvex,
 )
-from .linalg import Matrix, clear_denominators, product_difference, rank
+from .linalg import Matrix, clear_denominators, format_value, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]
@@ -109,7 +113,8 @@ def polygon_from_points(points: Sequence) -> Polygon:
     for i in range(n):
         for j in range(i + 1, n):
             if vertices[i] == vertices[j]:
-                raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(i, j, *vertices[i]))
+                raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(
+                    i, j, *map(format_value, vertices[i])))
 
     turns = []
     for i in range(n):
@@ -181,78 +186,20 @@ def build_extension(poly: Polygon) -> ExtendedFormulation:
 
 
 def verify_extension(poly: Polygon, ef: ExtendedFormulation) -> VerificationReport:
-    """Re-check the four exactness conditions of a lifted description.
-
-    1. T @ lifts reproduces the slack matrix entry by entry.
-    2. Every vertex lift is nonnegative and satisfies all equalities,
-       so the polygon is contained in the projection.
-    3. T is nonnegative, so every lifted point projects into the polygon.
-    4. The inequality count k is at most ceil(6n/7).
-    """
-    report = VerificationReport()
+    """Re-check a lifted description exactly: (T, lifts) must pass
+    ``verify_factorization`` as a certificate of the slack matrix, T the
+    left factor and lifts the right, and each (C_i, beta_i) must be facet i."""
     n = poly.n
-    slack = poly.slack  # no condition reads its rank, so none is computed
-
-    if (
-        ef.T.shape != (n, ef.k)
-        or ef.lifts.shape != (ef.k, n)
-        or ef.C.shape != (n, 2)
-        or len(ef.beta) != n
-    ):
-        report.failures.append(
+    if (ef.T.shape, ef.lifts.shape, ef.C.shape, len(ef.beta)) != ((n, ef.k), (ef.k, n), (n, 2), n):
+        return VerificationReport([
             f"shape mismatch: T is {ef.T.shape}, lifts is {ef.lifts.shape}, "
             f"C is {ef.C.shape}, |beta| is {len(ef.beta)}; expected ({n}, {ef.k}), "
             f"({ef.k}, {n}), ({n}, 2) and {n}"
-        )
-        return report
-
-    # When the product check passes, T @ lifts is the slack matrix itself,
-    # so the per-vertex loop below reads it from there.  If C and beta are
-    # also the polygon's own facets, the slack matrix holds exactly the
-    # values that loop computes, so its equalities hold and it is skipped.
-    hit = product_difference(ef.T, ef.lifts, slack)
-    if hit is not None:
-        i, t, value = hit
-        report.failures.append(
-            f"slack reconstruction fails at facet {i}, vertex {t}: {value} != {slack.data[i][t]}"
-        )
-    product = slack if hit is None else ef.T @ ef.lifts
-    equalities_known = hit is None and (
-        ef.C.data == tuple((cx, cy) for cx, cy, _ in poly.facets)
-        and tuple(ef.beta) == tuple(beta for _, _, beta in poly.facets)
-    )
-
-    for t in range(n):
-        lift = ef.lifts.column(t)
-        negative = next(((r, y) for r, y in enumerate(lift) if y.numerator < 0), None)
-        if negative is not None:
-            report.failures.append(
-                f"lift of vertex {t} has negative coordinate {negative[0]} "
-                f"(value {negative[1]})"
-            )
-            continue
-        if equalities_known:
-            continue
-        px, py = poly.vertices[t]
-        for i in range(n):
-            cx, cy = ef.C.data[i]
-            slack_value = cx * px + cy * py - ef.beta[i]
-            lifted = product.data[i][t]
-            if slack_value != lifted:
-                report.failures.append(
-                    f"equality {i} fails at vertex {t}: "
-                    f"{slack_value} != {lifted}"
-                )
-                break
-
-    hit = ef.T.first_negative_entry()
-    if hit is not None:
-        (i, j), x = hit
-        report.failures.append(f"mixing matrix has negative entry {x} at ({i}, {j})")
-
-    bound = inner_dimension_bound(n, n)
-    if ef.k > bound:
-        report.failures.append(
-            f"{ef.k} inequalities exceed the bound ceil(6n/7) = {bound}"
-        )
+        ])
+    fact = Factorization(ef.T, ef.lifts, ef.k, inner_dimension_bound(n, n), ())
+    report = verify_factorization(poly.slack, fact)
+    for i, (row, beta, facet) in enumerate(zip(ef.C.data, ef.beta, poly.facets)):
+        if (*row, beta) != facet:
+            shown = ", ".join(map(format_value, (*row, beta)))
+            report.failures.append(f"inequality {i}, ({shown}), is not facet {i} of the polygon")
     return report

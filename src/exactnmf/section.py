@@ -42,7 +42,7 @@ from typing import Sequence, Tuple
 from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
-from .linalg import Matrix, clear_denominators, cleared_columns, is_product, rank
+from .linalg import Matrix, clear_denominators, cleared_columns, format_value, is_product, rank
 from .validation import check_nonnegative
 
 SIZE = 7
@@ -262,7 +262,7 @@ def _fan(rays):
                 if a >= 0:
                     return support, (a, b, g), det
             g = -b
-        point = ", ".join(str(Fraction(ci, s)) for ci in c)
+        point = ", ".join(format_value(Fraction(ci, s)) for ci in c)
         raise OutsidePolygon(f"point ({point}) lies outside the section polygon")
 
     return locate

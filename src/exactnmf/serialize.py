@@ -16,38 +16,24 @@ from fractions import Fraction
 
 from .driver import Factorization
 from .errors import ExactNMFError, ParseError
-from .linalg import MAX_DIGITS, Matrix, _check_token_size
+from .linalg import MAX_DIGITS, Matrix, _check_token_size, token_digits
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
 
 
 def format_scalar(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _digits(n: int) -> int:
-    """Decimal digits of |n|, counted without str(), which refuses over 4,300."""
-    n = abs(n)
-    k = max(1, int((n.bit_length() - 1) * 0.30102999566))  # at most the count
-    while n >= 10**k:
-        k += 1
-    return k
+    return str(Fraction(x))  # "p", or "p/q" when q > 1
 
 
 def _format_rows(rows, name: str) -> list:
     """The entries as tokens.  The reader refuses a token of more than
     MAX_DIGITS digits in p and q together, so such an entry raises
-    ExactNMFError naming it; 14,000 bits make at most 4,217 digits."""
+    ExactNMFError naming it."""
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            p, q = x.numerator, x.denominator
-            if p.bit_length() + q.bit_length() > 14_000:
-                digits = _digits(p) + (_digits(q) if q > 1 else 0)
-                if digits > MAX_DIGITS:
-                    raise ExactNMFError(f"{name} entry ({i}, {j}) needs {digits} digits; "
-                                        f"a file holds at most {MAX_DIGITS}")
+            digits = token_digits(x)
+            if digits:
+                raise ExactNMFError(f"{name} entry ({i}, {j}) needs {digits} digits; "
+                                    f"a file holds at most {MAX_DIGITS}")
     return [[format_scalar(x) for x in row] for row in rows]
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import DimensionError, NegativeEntryError
-from .linalg import Matrix, as_scalar
+from .linalg import Matrix, as_scalar, format_value
 
 
 def as_matrix(data) -> Matrix:
@@ -30,7 +30,7 @@ def check_nonnegative(m: Matrix, name: str = "matrix") -> Matrix:
     hit = m.first_negative_entry()
     if hit is not None:
         (i, j), value = hit
-        raise NegativeEntryError(f"{name} has negative entry {value} at ({i}, {j})")
+        raise NegativeEntryError(f"{name} has negative entry {format_value(value)} at ({i}, {j})")
     return m
 
 
@@ -39,5 +39,5 @@ def as_point(value) -> tuple:
     coordinate read as a matrix entry is (``linalg.as_scalar``)."""
     pair = list(value)
     if len(pair) != 2:
-        raise DimensionError(f"expected a 2-coordinate point, got {value!r}")
+        raise DimensionError(f"expected a 2-coordinate point, got ({', '.join(map(format_value, pair))})")
     return (as_scalar(pair[0]), as_scalar(pair[1]))

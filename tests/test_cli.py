@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from exactnmf import cli, section
 from exactnmf.cli import run
+from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     dumps,
     load_json,
@@ -26,6 +27,7 @@ from conftest import H7_SLACK_ROWS, H7_VERTICES
 from test_one_check import corrupt
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def cli_env(**extra):
@@ -96,6 +98,18 @@ class TestFactorCommand:
         code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
         assert code == 1
         assert "RankError" in capsys.readouterr().err
+
+    def test_rank_refusal_of_a_large_input_exits_one(self, tmp_path, capsys):
+        """A 100x100 input of 50-digit entries: the refusal stops at the
+        fourth pivot instead of eliminating the whole input."""
+        rng = SplitMix64(100)
+        path = tmp_path / "big.json"
+        save_text(str(path), dumps({"entries": [[str(rng.below(10**50)) for _ in range(100)]
+                                                for _ in range(100)]}))
+        code = run(["factor", "--input", str(path), "--output", str(tmp_path / "c.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: RankError: input has rank at least 4; only ranks 0..3 are supported\n")
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -317,6 +331,41 @@ class TestVerifyCommand:
         code = run(["verify", "--input", h7_polygon_file, "--cert", str(ef_path)])
         assert code == 1
         assert "negative" in capsys.readouterr().out
+
+    def test_verify_stored_negative_lift(self, capsys):
+        code = run(["verify", "--input", str(DATA / "h7_polygon.json"),
+                    "--cert", str(DATA / "h7_formulation_negative_lift.json")])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "verification: right factor has negative entry -4004/3 at (0, 3); "
+            "product disagrees with input at (0, 3): 11/5 != 5\n")
+
+    def test_product_over_the_digit_limit_exits_one(self, tmp_path, capsys):
+        """Each factor token is within the limit, but the product value the
+        failure names has 8,000 digits: its count is printed instead."""
+        matrix, cert = tmp_path / "one.json", tmp_path / "cert.json"
+        save_text(str(matrix), dumps({"entries": [["1"]]}))
+        nines = {"entries": [["9" * 4000]]}
+        save_text(str(cert), dumps(dict(ONE_BY_ONE_CERT, left=nines, right=nines)))
+        assert run(["verify", "--input", str(matrix), "--cert", str(cert)]) == 1
+        assert capsys.readouterr().out == (
+            "verification: product disagrees with input at (0, 0): "
+            "<number of 8000 digits> != 1\n")
+
+    def test_slack_over_the_digit_limit_exits_one(self, tmp_path, capsys):
+        """A heptagon with 2,400-digit coordinates has 4,800-digit slack
+        values; verifying another heptagon's formulation against it names
+        one by its digit count."""
+        a, b, c, d = 10**2400 + 7, 3 * 10**2399 + 1, 10**2399 + 11, 2 * 10**2400 + 3
+        vertices = [[str(a * x + b * y), str(c * x + d * y)] for x, y in H7_VERTICES]
+        path = tmp_path / "big_poly.json"
+        save_text(str(path), dumps({"vertices": vertices}))
+        code = run(["verify", "--input", str(path),
+                    "--cert", str(DATA / "h7_formulation_pre_compact.json")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert printed.startswith("verification: product disagrees with input at (0, ")
+        assert " digits>" in printed and "inequality 0, (0, 1, 0), is not facet 0" in printed
 
     def test_zero_matrix_certificate_round_trips(self, tmp_path):
         path = tmp_path / "zero.json"

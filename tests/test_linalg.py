@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from exactnmf.errors import DimensionError
+from exactnmf import linalg
+from exactnmf.driver import nn_factor
+from exactnmf.errors import DimensionError, RankError
 from exactnmf.linalg import (
     Inconsistency,
     Matrix,
@@ -175,3 +177,58 @@ def test_product_difference_names_first_entry_in_row_order():
     assert product_difference(eye, a, a) is None
     assert product_difference(eye, a, Matrix([[1, 2, 3], [4, 0, 0]])) == (1, 1, 5)
     assert product_difference(eye, a, Matrix([[1, 2, 0], [0, 5, 6]])) == (0, 2, 3)
+
+
+# -- the capped rank: a refusal of rank >= cap stops at the cap-th pivot -----
+
+
+def random_square(rng, side, bound):
+    return Matrix([[rng.below(bound) for _ in range(side)] for _ in range(side)])
+
+
+def spy_pivots(monkeypatch):
+    """The pivot count of every elimination ``rank`` runs."""
+    counts = []
+    real = linalg._eliminate
+
+    def counted(*args):
+        result = real(*args)
+        counts.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return counts
+
+
+def test_capped_rank_makes_at_most_cap_pivots(monkeypatch):
+    m = random_square(SplitMix64(90), 40, 10**6)
+    pivots = spy_pivots(monkeypatch)
+    assert rank(m, cap=4) == 4 and pivots == [4]
+    assert getattr(m, "_rank", None) is None  # a capped count is not exact
+    assert rank(m) == 40 and pivots == [4, 40] and reference_rank(m) == 40
+    assert rank(m, cap=4) == 4 and rank(m, cap=50) == 40 and pivots == [4, 40]
+
+
+def test_capped_rank_below_the_cap_is_kept(monkeypatch):
+    m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    pivots = spy_pivots(monkeypatch)
+    assert rank(m, cap=4) == 2 and m._rank == 2
+    assert rank(m) == 2 and pivots == [2]
+
+
+def test_refusal_stops_at_the_fourth_pivot(monkeypatch):
+    """``nn_factor`` refuses a full-rank 40x40 input after 4 pivots."""
+    m = random_square(SplitMix64(91), 40, 10**6)
+    pivots = spy_pivots(monkeypatch)
+    with pytest.raises(RankError, match=r"^input has rank at least 4; only ranks 0\.\.3 are supported$"):
+        nn_factor(m)
+    assert pivots == [4]
+
+
+def test_rank_memo_is_read_before_the_cap(monkeypatch, h7_slack):
+    """A slack matrix arrives with its rank kept: no elimination to refuse
+    or accept it."""
+    assert rank(h7_slack) == 3
+    pivots = spy_pivots(monkeypatch)
+    assert rank(h7_slack, cap=4) == 3 and rank(h7_slack, cap=3) == 3
+    assert pivots == []

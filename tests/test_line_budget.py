@@ -1,12 +1,12 @@
 """The library's size budget: ``src/exactnmf/*.py`` stays at or below the
-2,950 lines it had when the budget was last lowered, so code only grows
+2,919 lines it had when the budget was last lowered, so code only grows
 where other code goes."""
 
 from pathlib import Path
 
 import exactnmf
 
-LINE_BUDGET = 2950
+LINE_BUDGET = 2919
 
 
 def test_source_within_line_budget():

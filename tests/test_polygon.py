@@ -144,29 +144,20 @@ class TestVerifyExtension:
         assert verify_extension(h7_polygon, ef).ok
 
     def test_negated_lift_entry_named(self, h7_polygon):
+        """lifts is the right factor of the slack matrix's certificate: its
+        negated entry (0, 3), the lift of vertex 3, and the product there."""
         ef = build_extension(h7_polygon)
         rows = ef.lifts.tolist()
-        found = None
-        for r, row in enumerate(rows):
-            for t, x in enumerate(row):
-                if x > 0:
-                    rows[r][t] = -x
-                    found = t
-                    break
-            if found is not None:
-                break
-        tampered = ExtendedFormulation(
-            ef.k, ef.T, ef.C, ef.beta, Matrix(rows)
-        )
-        report = verify_extension(h7_polygon, tampered)
-        assert not report.ok
-        assert any(
-            f"vertex {found}" in failure and "negative" in failure
-            for failure in report.failures
-        )
+        assert rows[0][3] == Fraction(1, 5) and not any(rows[0][:3])
+        rows[0][3] = -rows[0][3]
+        tampered = ExtendedFormulation(ef.k, ef.T, ef.C, ef.beta, Matrix(rows))
+        assert verify_extension(h7_polygon, tampered).failures == [
+            "right factor has negative entry -1/5 at (0, 3)",
+            "product disagrees with input at (0, 3): 11/5 != 5",
+        ]
 
     def test_inequality_count_check(self, h7_polygon):
-        # claim k = n by padding with zero columns: check 4 must fail for n >= 7
+        # claim k = n by padding with zero columns: the bound check fails for n >= 7
         ef = build_extension(h7_polygon)
         n = h7_polygon.n
         pad = n - ef.k
@@ -179,18 +170,30 @@ class TestVerifyExtension:
             ef.beta,
             Matrix(lift_rows),
         )
-        report = verify_extension(h7_polygon, padded)
-        assert not report.ok
-        assert any("exceed the bound" in f for f in report.failures)
+        assert verify_extension(h7_polygon, padded).failures == [
+            "inner dimension 7 exceeds the bound 6"
+        ]
 
     def test_broken_reconstruction_named(self, h7_polygon):
         ef = build_extension(h7_polygon)
         rows = ef.T.tolist()
         rows[0][0] = rows[0][0] + 1
         tampered = ExtendedFormulation(ef.k, Matrix(rows), ef.C, ef.beta, ef.lifts)
-        report = verify_extension(h7_polygon, tampered)
-        assert not report.ok
-        assert any("reconstruction" in f for f in report.failures)
+        assert verify_extension(h7_polygon, tampered).failures == [
+            "product disagrees with input at (0, 3): 26/5 != 5"
+        ]
+
+    def test_changed_facet_row_named(self, h7_polygon):
+        """T @ lifts is still the slack matrix, so only the inequality whose
+        C row no longer is its facet's is named."""
+        ef = build_extension(h7_polygon)
+        assert h7_polygon.facets[2] == (-1, 0, -5)
+        rows = ef.C.tolist()
+        rows[2][0] -= 1
+        tampered = ExtendedFormulation(ef.k, ef.T, Matrix(rows), ef.beta, ef.lifts)
+        assert verify_extension(h7_polygon, tampered).failures == [
+            "inequality 2, (-2, 0, -5), is not facet 2 of the polygon"
+        ]
 
 
 # -- oracles: the Fraction code that polygon_from_points and verify_extension
@@ -351,11 +354,17 @@ def test_slack_table_matches_fraction_code(points):
         assert slack_matrix(poly).matrix == oracle_slack(poly)
 
 
-def _tampered(ef, rng):
-    """Formulations that break one equality: a facet row scaled by 2 with
-    its beta, a changed beta, a negated lift entry, two facets swapped, a
-    facet row scaled without its beta."""
-    n = len(ef.beta)
+def _facet_failure(i, row):
+    return f"inequality {i}, ({', '.join(map(str, row))}), is not facet {i} of the polygon"
+
+
+def _tampered(poly, ef, rng):
+    """(formulation, its exact failures) for formulations that break one
+    condition: a facet row scaled by 2 with its beta, a changed beta, a
+    negated lift entry, two facets swapped, a facet row scaled without its
+    beta, a T row scaled with its facet row (a valid description, but not a
+    certificate of the slack matrix), a negated T entry, and k + 1."""
+    n, k, slack = poly.n, ef.k, poly.slack.data
     i = rng.below(n)
     c_rows, beta = [list(row) for row in ef.C.data], list(ef.beta)
     scaled_c = [row[:] for row in c_rows]
@@ -369,31 +378,59 @@ def _tampered(ef, rng):
     swapped_c[i], swapped_c[j] = swapped_c[j], swapped_c[i]
     swapped_beta = beta[:]
     swapped_beta[i], swapped_beta[j] = swapped_beta[j], swapped_beta[i]
+    # The product changes in the negated entry's column of lifts (row of T)
+    # at the first row (column) whose T (lifts) entry meets it.
     lifts = ef.lifts.tolist()
     r, t = next((r, t) for r, row in enumerate(lifts) for t, x in enumerate(row) if x)
-    lifts[r][t] = -lifts[r][t]
+    y = lifts[r][t]
+    lifts[r][t] = -y
+    f = next(f for f in range(n) if ef.T.data[f][r])
+    lift_value = slack[f][t] - 2 * ef.T.data[f][r] * y
+    doubled_t = ef.T.tolist()
+    doubled_t[i] = [2 * x for x in doubled_t[i]]
+    v = next(v for v in range(n) if slack[i][v])
+    negated_t = ef.T.tolist()
+    g, c = next((g, c) for g, row in enumerate(negated_t) for c, x in enumerate(row) if x)
+    x = negated_t[g][c]
+    negated_t[g][c] = -x
+    u = next(u for u in range(n) if ef.lifts.data[c][u])
+    t_value = slack[g][u] - 2 * x * ef.lifts.data[c][u]
     return [
-        ExtendedFormulation(ef.k, ef.T, Matrix(scaled_c), tuple(scaled_beta), ef.lifts),
-        ExtendedFormulation(ef.k, ef.T, ef.C, tuple(shifted_beta), ef.lifts),
-        ExtendedFormulation(ef.k, ef.T, ef.C, ef.beta, Matrix(lifts)),
-        ExtendedFormulation(ef.k, ef.T, Matrix(swapped_c), tuple(swapped_beta), ef.lifts),
-        ExtendedFormulation(ef.k, ef.T, Matrix(scaled_c), ef.beta, ef.lifts),
+        (ExtendedFormulation(k, ef.T, Matrix(scaled_c), tuple(scaled_beta), ef.lifts),
+         [_facet_failure(i, scaled_c[i] + [scaled_beta[i]])]),
+        (ExtendedFormulation(k, ef.T, ef.C, tuple(shifted_beta), ef.lifts),
+         [_facet_failure(i, c_rows[i] + [shifted_beta[i]])]),
+        (ExtendedFormulation(k, ef.T, ef.C, ef.beta, Matrix(lifts)),
+         [f"right factor has negative entry {-y} at ({r}, {t})",
+          f"product disagrees with input at ({f}, {t}): {lift_value} != {slack[f][t]}"]),
+        (ExtendedFormulation(k, ef.T, Matrix(swapped_c), tuple(swapped_beta), ef.lifts),
+         [_facet_failure(h, swapped_c[h] + [swapped_beta[h]]) for h in sorted((i, j))]),
+        (ExtendedFormulation(k, ef.T, Matrix(scaled_c), ef.beta, ef.lifts),
+         [_facet_failure(i, scaled_c[i] + [beta[i]])]),
+        (ExtendedFormulation(k, Matrix(doubled_t), Matrix(scaled_c), tuple(scaled_beta), ef.lifts),
+         [f"product disagrees with input at ({i}, {v}): {2 * slack[i][v]} != {slack[i][v]}",
+          _facet_failure(i, scaled_c[i] + [scaled_beta[i]])]),
+        (ExtendedFormulation(k, Matrix(negated_t), ef.C, ef.beta, ef.lifts),
+         [f"left factor has negative entry {-x} at ({g}, {c})",
+          f"product disagrees with input at ({g}, {u}): {t_value} != {slack[g][u]}"]),
+        (ExtendedFormulation(k + 1, ef.T, ef.C, ef.beta, ef.lifts),
+         [f"shape mismatch: T is ({n}, {k}), lifts is ({k}, {n}), C is ({n}, 2), |beta| is "
+          f"{n}; expected ({n}, {k + 1}), ({k + 1}, {n}), ({n}, 2) and {n}"]),
     ]
 
 
 def test_verify_extension_matches_fraction_code(h7_polygon):
+    """On every valid and tampered formulation the verdict is the old
+    Fraction code's, and the failures are the ones each tampering makes."""
     rng = SplitMix64(74)
     polygons = [h7_polygon] + [random_convex_polygon(rng, n) for n in (3, 4, 5, 7, 9, 12)]
-    equality_failures = 0
     for poly in polygons:
         ef = build_extension(poly)
-        for candidate in [ef] + _tampered(ef, rng):
+        assert verify_extension(poly, ef).ok and oracle_verify_extension(poly, ef).ok
+        for candidate, expected in _tampered(poly, ef, rng):
             report = verify_extension(poly, candidate)
-            assert report.failures == oracle_verify_extension(poly, candidate).failures
-            equality_failures += any(f.startswith("equality") for f in report.failures)
-        assert verify_extension(poly, ef).ok
-    # the scaled, shifted, swapped and half-scaled facets each fail an equality
-    assert equality_failures == 4 * len(polygons)
+            assert report.failures == expected
+            assert report.ok == oracle_verify_extension(poly, candidate).ok
 
 
 # -- the rank verify_extension does not compute ------------------------------

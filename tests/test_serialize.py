@@ -12,13 +12,12 @@ from exactnmf.driver import Factorization, nn_factor
 from exactnmf.errors import ExactNMFError, ParseError
 from exactnmf.estimator import ExactNMF
 from exactnmf.generate import random_convex_polygon
-from exactnmf.linalg import Matrix
+from exactnmf.linalg import Matrix, _digits
 from exactnmf.polygon import ExtendedFormulation, Polygon, build_extension, polygon_from_points
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     MAX_DIGITS,
     _check_token_size,
-    _digits,
     certificate_from_jsonable,
     certificate_to_jsonable,
     dumps,
