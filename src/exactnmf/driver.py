@@ -7,23 +7,27 @@ the blocks assemble into one certificate.  Every certificate carries the
 exact factors plus a provenance trace and can be re-verified entry by
 entry.
 
-Chunks go to the trusting cores of the section, cyclic and canonical
-layers, which take the rank and nonnegativity proved here as given; one
-closing ``verify_factorization`` checks the certificate, and if it fails
-a block-wise re-check names the first bad chunk by rows and trace method.
+One pass over the input's numerators finds its zero lines and first negative
+entry.  Chunks go to the trusting cores of the section, cyclic and canonical
+layers, which take the rank and nonnegativity proved here as given and read
+slices of the columns the core's rank cleared.  One closing
+``verify_factorization`` checks the certificate, its product kernel reading
+the factors' signs; if it fails, a block-wise re-check names the first bad
+chunk's rows and trace method.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import List, Tuple
 
-from .errors import InternalError, RankError
-from .linalg import (Matrix, block_diag, format_value, insert_zero_lines, is_certificate,
-                     product_difference, rank)
+from .errors import InternalError, NegativeEntryError, RankError
+from .linalg import (Matrix, block_diag, cleared_columns, format_value, insert_zero_lines,
+                     is_certificate, product_difference, rank)
 from .section import _factor_low_rank, _factor_seven_by_n
-from .validation import as_matrix, check_nonnegative
+from .validation import as_matrix
 
 log = logging.getLogger("exactnmf")
 
@@ -64,21 +68,27 @@ class VerificationReport:
 
 
 def _strip_zero_lines(a: Matrix):
-    """(core, zero_rows, zero_cols): core is ``a`` without its zero lines,
-    ``a`` itself when it has none, and None when every line is zero."""
-    zero_rows = [i for i, row in enumerate(a.data) if not any(row)]
-    zero_cols = [j for j, col in enumerate(zip(*a.data)) if not any(col)]
-    if len(zero_rows) == a.rows or len(zero_cols) == a.cols:
+    """(core, zero_rows, zero_cols) from one pass over each row's numerators,
+    which raises NegativeEntryError at the first negative entry, row-major:
+    core is ``a`` without its zero lines, ``a`` if it has none, None if all are."""
+    zero_rows, live, every = [], set(), range(a.cols)
+    for i, row in enumerate(a.data):
+        nums = [x.numerator for x in row]
+        if min(nums, default=0) < 0:
+            j = next(j for j, n in enumerate(nums) if n < 0)
+            raise NegativeEntryError(
+                f"input matrix has negative entry {format_value(row[j])} at ({i}, {j})")
+        if not any(nums):
+            zero_rows.append(i)
+        live.update(compress(every, nums))
+    zero_cols = [j for j in every if j not in live]
+    if not live:
         return None, zero_rows, zero_cols
     if not zero_rows and not zero_cols:
         return a, zero_rows, zero_cols
-    drop_rows, drop_cols = set(zero_rows), set(zero_cols)
-    keep_cols = [j for j in range(a.cols) if j not in drop_cols]
-    data = tuple(
-        tuple(row[j] for j in keep_cols)
-        for i, row in enumerate(a.data)
-        if i not in drop_rows
-    )
+    keep_cols, drop_rows = sorted(live), set(zero_rows)
+    data = tuple(tuple(row[j] for j in keep_cols)
+                 for i, row in enumerate(a.data) if i not in drop_rows)
     return Matrix._raw(data, len(data), len(keep_cols)), zero_rows, zero_cols
 
 
@@ -90,10 +100,8 @@ def _factor_chunk(chunk: Matrix, row_start: int):
         left, right, info = _factor_seven_by_n(chunk)
     elif r <= 2:
         left, right, info = _factor_low_rank(chunk, r)
-    else:
-        # remainder of fewer than 7 rows with rank 3
-        left = Matrix.identity(chunk.rows)
-        right = chunk
+    else:  # remainder of fewer than 7 rows with rank 3
+        left, right = Matrix.identity(chunk.rows), chunk
         info = {"method": "identity", "inner_dim": chunk.rows}
     return left, right, dict(info, rows=[row_start, row_start + chunk.rows])
 
@@ -108,21 +116,17 @@ def nn_factor(a) -> Factorization:
     here.
     """
     a = as_matrix(a)
-    check_nonnegative(a, "input matrix")
     bound = inner_dimension_bound(a.rows, a.cols)
     trace: List[dict] = []
 
     core, zero_rows, zero_cols = _strip_zero_lines(a)
     if zero_rows or zero_cols:
         log.debug("stripped zero rows %s and zero columns %s", zero_rows, zero_cols)
-        trace.append(
-            {"method": "strip-zeros", "zero_rows": zero_rows, "zero_cols": zero_cols}
-        )
+        trace.append({"method": "strip-zeros", "zero_rows": zero_rows, "zero_cols": zero_cols})
     if core is None:
-        left = Matrix.zeros(a.rows, 0)
-        right = Matrix.zeros(0, a.cols)
         trace.append({"method": "zero", "inner_dim": 0})
-        return Factorization(left, right, 0, bound, tuple(trace))
+        return Factorization(Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), 0, bound,
+                             tuple(trace))
 
     transposed = core.rows > core.cols
     if transposed:
@@ -138,20 +142,18 @@ def nn_factor(a) -> Factorization:
     if r <= 2 or core.rows <= 7:
         chunks = [core]
     else:
-        parts = [core.data[p : p + 7] for p in range(0, core.rows, 7)]
-        chunks = [Matrix._raw(part, len(part), core.cols) for part in parts]
-    blocks = []
-    position = 0
-    for chunk in chunks:
-        cl, cr, record = _factor_chunk(chunk, position)
-        blocks.append((chunk, cl, cr, record))
-        position += chunk.rows
+        # Chunks read slices of the columns the rank cleared: cores use only c / d.
+        columns = cleared_columns(core)
+        chunks = [Matrix._raw(core.data[p : p + 7], min(7, core.rows - p), core.cols,
+                              tuple((c[p : p + 7], d) for c, d in columns))
+                  for p in range(0, core.rows, 7)]
+    blocks = [(chunk, *_factor_chunk(chunk, 7 * n)) for n, chunk in enumerate(chunks)]
+    for *_, record in blocks:
         trace.append(record)
         log.info("chunk %s: %s", record["rows"], record["method"])
     left = block_diag([cl for _, cl, _, _ in blocks])
-    right = Matrix._raw(
-        tuple(row for _, _, cr, _ in blocks for row in cr.data), left.cols, core.cols
-    )
+    right = Matrix._raw(tuple(row for _, _, cr, _ in blocks for row in cr.data),
+                        left.cols, core.cols)
 
     if transposed:
         left, right = right.transpose(), left.transpose()
@@ -188,18 +190,17 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
     if left.cols != right.rows:
         report.failures.append(
             f"inner dimensions disagree: left is {left.shape}, right is {right.shape}")
-    shapes_ok = not report.failures  # the shape checks come first
     if fact.inner_dim != left.cols:
         report.failures.append(
             f"declared inner dimension {fact.inner_dim} differs from left factor shape {left.shape}"
         )
-    for name, factor in (("left", left), ("right", right)):
-        hit = factor.first_negative_entry()
-        if hit is not None:
-            (i, j), x = hit
+    signs = [None, None]
+    hit = product_difference(left, right, a, signs)
+    for name, negative in zip(("left", "right"), signs):
+        if negative is not None:
+            (i, j), x = negative
             report.failures.append(
                 f"{name} factor has negative entry {format_value(x)} at ({i}, {j})")
-    hit = product_difference(left, right, a) if shapes_ok else None
     if hit is not None:
         i, j, value = hit
         report.failures.append(

@@ -6,8 +6,9 @@ and solve use fraction-free (Bareiss) elimination on each matrix's
 columns, cleared once to integers over a common denominator by
 :func:`cleared_columns`.  ``@`` and the exact check
 :func:`product_difference` share one sparse integer row sum,
-:func:`_product_rows`, and the check cross-multiplies, building a
-Fraction only for the entry it reports.  String entries may ask for at
+:func:`_product_rows`, which can also report each factor's first negative
+entry; the check cross-multiplies only where the sum is nonzero, building
+a Fraction only for the entry it reports.  String entries may ask for at
 most ``MAX_DIGITS`` digits, and messages print values with
 :func:`format_value`, which never asks ``str`` for more.  Pivoting is
 deterministic (first nonzero), so ranks and solutions are reproducible
@@ -86,17 +87,22 @@ def as_scalar(value) -> Fraction:
     """Coerce a value to an exact rational.
 
     Accepts Fraction, int and other rationals (NumPy integers, say), "p/q"
-    / decimal strings (at most MAX_DIGITS digits, else ParseError), and
-    floats (a float is converted to its exact binary value).
+    / decimal strings of at most MAX_DIGITS digits (any other string is a
+    ParseError), and floats (a float is converted to its exact binary value).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not matrix entries")
     if isinstance(value, str):
-        return Fraction(_check_token_size(value))
-    if isinstance(value, (int, float, Rational)):
+        try:
+            return Fraction(_check_token_size(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"cannot parse {value!r} as a rational: {exc}") from None
+    if isinstance(value, (int, float)):
         return Fraction(value)
+    if isinstance(value, Rational):  # as Python ints: NumPy integers wrap around
+        return Fraction(int(value.numerator), int(value.denominator))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -107,7 +113,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_rank", "_columns")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
-        data = tuple(tuple(as_scalar(x) for x in row) for row in entries)
+        data = tuple(tuple([x if type(x) is Fraction else as_scalar(x) for x in row])
+                     for row in entries)
         if not data:
             raise DimensionError("use Matrix.zeros(rows, cols) for empty shapes")
         width = len(data[0])
@@ -125,11 +132,12 @@ class Matrix:
         return Matrix._raw, (self.data, self.rows, self.cols)
 
     @classmethod
-    def _raw(cls, data: tuple, rows: int, cols: int) -> "Matrix":
+    def _raw(cls, data: tuple, rows: int, cols: int, columns=None) -> "Matrix":
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "data", data)
+        object.__setattr__(m, "_columns", columns)  # None, or as ``cleared_columns`` keeps them
         return m
 
     @classmethod
@@ -142,11 +150,8 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         one, zero = Fraction(1), Fraction(0)
-        return cls._raw(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-            n,
-            n,
-        )
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls._raw(rows, n, n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[ScalarLike]]) -> "Matrix":
@@ -200,10 +205,10 @@ class Matrix:
     def is_nonnegative(self) -> bool:
         return all(x.numerator >= 0 for row in self.data for x in row)
 
-    def first_negative_entry(self):
-        """Return ((i, j), value) of the first negative entry, or None."""
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
+    def first_negative_entry(self, start: int = 0):
+        """((i, j), value) of the first negative entry, row-major from row ``start``, or None."""
+        for i in range(start, self.rows):
+            for j, x in enumerate(self.data[i]):
                 if x.numerator < 0:
                     return (i, j), x
         return None
@@ -232,17 +237,21 @@ def clear_denominators(line):
     return [x.numerator * (den // x.denominator) for x in line], den
 
 
-def _product_rows(left: Matrix, right: Matrix):
+def _product_rows(left: Matrix, right: Matrix, signs=None):
     """Each row of ``left @ right`` as (integer sums, positive denominator),
     or None for a zero left row.  Each right row is cleared once over its
     nonzeros, as ([(j, numerator)], den); a left row sums the rows its
-    nonzeros select, so the cost is the number of nonzero term pairs."""
+    nonzeros select, so the cost is the number of nonzero term pairs.  Given
+    ``signs``, it puts there each factor's first negative entry, row-major, as
+    it reads the nonzeros (clearing keeps signs): right's at [1], left's at [0]."""
     cleared = []
-    for row in right.data:
+    for i, row in enumerate(right.data):
         terms = [(j, x) for j, x in enumerate(row) if x]
         den = lcm(*[x.denominator for _, x in terms])
         cleared.append(([(j, x.numerator * (den // x.denominator)) for j, x in terms], den))
-    for a_row in left.data:
+        if signs is not None and signs[1] is None and any(y < 0 for _, y in cleared[i][0]):
+            signs[1] = right.first_negative_entry(i)
+    for i, a_row in enumerate(left.data):
         terms = [(x, cleared[k]) for k, x in enumerate(a_row) if x]
         if not terms:
             yield None
@@ -251,26 +260,37 @@ def _product_rows(left: Matrix, right: Matrix):
         acc = [0] * right.cols
         for x, (b, d) in terms:
             c = x.numerator * (den // (x.denominator * d))
+            if c < 0 and signs is not None and signs[0] is None:
+                signs[0] = left.first_negative_entry(i)
             for j, y in b:
                 acc[j] += c * y
         yield acc, den
 
 
-def product_difference(left: Matrix, right: Matrix, target: Matrix):
-    """(i, j, value) of the first entry, in row-major order, where
-    ``left @ right`` (of the target's shape) differs from ``target``, with
-    ``value`` the product's entry there; None when they are equal."""
-    for i, (sums, t_row) in enumerate(zip(_product_rows(left, right), target.data)):
-        if sums is None:
-            if any(t_row):
-                return i, next(j for j, t in enumerate(t_row) if t), Fraction(0)
+def product_difference(left: Matrix, right: Matrix, target: Matrix, signs=None):
+    """(i, j, value) of the first row-major entry where ``left @ right``
+    differs from ``target``, with ``value`` the product's entry there; None
+    when they are equal or the shapes disagree.  Given ``signs`` = [None, None],
+    it fills it as ``_product_rows`` does, reading the rows it does not sum
+    (after a mismatch, or all when the shapes disagree) for signs alone."""
+    if target.shape != (left.rows, right.cols) or left.cols != right.rows:
+        if signs is not None:
+            signs[:] = left.first_negative_entry(), right.first_negative_entry()
+        return None
+    for i, (sums, t_row) in enumerate(zip(_product_rows(left, right, signs), target.data)):
+        if sums is None and not any(t_row):
             continue
-        acc, den = sums
-        for s, t in zip(acc, t_row):
-            if s * t.denominator != t.numerator * den:
-                j = next(j for j, (s, t) in enumerate(zip(acc, t_row))
-                         if s * t.denominator != t.numerator * den)
-                return i, j, Fraction(acc[j], den)
+        acc, den = sums or ((0,) * len(t_row), 1)
+        for s, t in zip(acc, t_row):  # where s is 0, t must be: no cross-multiplication
+            if s * t.denominator != t.numerator * den if s else t:
+                break
+        else:
+            continue
+        j = next(j for j, (s, t) in enumerate(zip(acc, t_row))
+                 if (s * t.denominator != t.numerator * den if s else t))
+        if signs is not None and signs[0] is None:
+            signs[0] = left.first_negative_entry(i + 1)
+        return i, j, Fraction(acc[j], den)
     return None
 
 
@@ -286,9 +306,9 @@ def is_certificate(left: Matrix, right: Matrix, target: Matrix) -> bool:
 
 
 def cleared_columns(m: Matrix):
-    """``clear_denominators`` of each column, kept on the matrix: readers
-    must not mutate it.  Entries of one column (one vertex, say) tend to
-    share denominators, and column scaling keeps elimination's zeros."""
+    """Each column as (integer c, positive d) with column == c / d, kept on the
+    matrix: readers must not mutate it.  Entries of one column (one vertex,
+    say) tend to share denominators, and column scaling keeps elimination's zeros."""
     cols = getattr(m, "_columns", None)
     if cols is None:
         cols = tuple(map(clear_denominators, zip(*m.data) if m.rows else [()] * m.cols))
@@ -403,14 +423,13 @@ def insert_zero_lines(m: Matrix, zero_rows, zero_cols, rows: int, cols: int) -> 
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    """Block-diagonal assembly; off-diagonal blocks are zero."""
-    total_rows = sum(b.rows for b in blocks)
-    total_cols = sum(b.cols for b in blocks)
-    out = [[Fraction(0)] * total_cols for _ in range(total_rows)]
-    r0 = c0 = 0
+    """Block-diagonal assembly; off-diagonal blocks are zero, and a single
+    block is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    zero, cols = Fraction(0), sum(b.cols for b in blocks)
+    out, c0 = [], 0
     for b in blocks:
-        for i, row in enumerate(b.data):
-            out[r0 + i][c0 : c0 + b.cols] = list(row)
-        r0 += b.rows
+        out += [(zero,) * c0 + tuple(row) + (zero,) * (cols - c0 - b.cols) for row in b.data]
         c0 += b.cols
-    return Matrix._raw(tuple(map(tuple, out)), total_rows, total_cols)
+    return Matrix._raw(tuple(out), len(out), cols)

@@ -232,3 +232,19 @@ def test_rank_memo_is_read_before_the_cap(monkeypatch, h7_slack):
     pivots = spy_pivots(monkeypatch)
     assert rank(h7_slack, cap=4) == 3 and rank(h7_slack, cap=3) == 3
     assert pivots == []
+
+
+def test_numpy_integers_are_python_ints_inside():
+    """A NumPy integer entry becomes a Fraction of Python ints, so the
+    integer kernels never run in wrapping int64 arithmetic."""
+    np = pytest.importorskip("numpy")
+    import warnings
+
+    big = 2**62
+    assert type(linalg.as_scalar(np.int64(big)).numerator) is int
+    assert linalg.as_scalar(np.int64(big)) * 4 == 2**64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fact = nn_factor([[np.int64(big), np.int64(3)], [np.int64(5), np.int64(big)]])
+    expected = nn_factor([[big, 3], [5, big]])
+    assert (fact.left, fact.right, fact.trace) == (expected.left, expected.right, expected.trace)

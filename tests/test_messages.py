@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactnmf import canonical, cyclic
+from exactnmf import ExactNMF, canonical, cyclic
 from exactnmf.canonical import CanonicalParams, canonical_matrix, direct_factor, factor_canonical, step
 from exactnmf.driver import nn_factor
 from exactnmf.errors import (
@@ -16,6 +16,7 @@ from exactnmf.errors import (
     DuplicateVertices,
     NegativeEntryError,
     NotAdmissible,
+    ParseError,
     TheoryViolation,
 )
 from exactnmf.linalg import format_value
@@ -107,3 +108,16 @@ def test_scale_to_canonical_prints_the_tuple(monkeypatch):
     with pytest.raises(ConsistencyError) as info:
         cyclic.scale_to_canonical(canonical_matrix(H7_PARAMS))
     assert str(info.value) == f"rescaled parameters {H7_SHOWN} are not admissible"
+
+
+@pytest.mark.parametrize("call, token", [
+    (lambda: nn_factor([["abc"]]), "'abc'"),
+    (lambda: nn_factor([["1/0"]]), "'1/0'"),
+    (lambda: polygon_from_points([("x", 0), (1, 0), (0, 1)]), "'x'"),
+    (lambda: ExactNMF().fit([["1/0"]]), "'1/0'"),
+], ids=["nn_factor-text", "nn_factor-zero-denominator", "polygon_from_points", "ExactNMF.fit"])
+def test_a_string_that_is_no_number_is_a_parse_error(call, token):
+    """A string entry or coordinate that is not a rational ends in a
+    ParseError naming the token, as ``serialize.parse_scalar`` words it."""
+    with pytest.raises(ParseError, match=f"^cannot parse {token} as a rational: "):
+        call()

@@ -94,6 +94,27 @@ def test_product_difference_is_the_first_oracle_mismatch(case):
     assert (hit is None) == (target is product)
 
 
+@settings(max_examples=500)
+@given(cases())
+def test_product_difference_reports_first_negative_entries(case):
+    """With ``signs``, the kernel reports what ``first_negative_entry`` finds
+    on each factor, also past a mismatch, and the difference is unchanged."""
+    left, right, product, target = case
+    signs = [None, None]
+    assert product_difference(left, right, target, signs) == oracle_difference(product, target)
+    assert signs == [left.first_negative_entry(), right.first_negative_entry()]
+
+
+def test_shapes_that_disagree_read_signs_alone():
+    left, right = Matrix([[1, Fraction(-1, 2)], [0, -3]]), Matrix([[2, -1, 0]])
+    with mock.patch.object(linalg, "_product_rows", wraps=linalg._product_rows) as spy:
+        for target in (Matrix.zeros(2, 3), Matrix.zeros(3, 3)):
+            signs = [None, None]
+            assert product_difference(left, right, target, signs) is None
+            assert signs == [((0, 1), Fraction(-1, 2)), ((0, 1), Fraction(-1))]
+    assert not spy.called
+
+
 def test_each_orientation_finds_one_wrong_entry():
     """A dense left by a sparse right factor, and its transpose: shapes that
     once ran the check on the transposes and once did not.  Each finds the
