@@ -99,7 +99,7 @@ def _factor_chunk(chunk: Matrix, row_start: int):
     if chunk.rows == 7 and r == 3:
         left, right, info = _factor_seven_by_n(chunk)
     elif r <= 2:
-        left, right, info = _factor_low_rank(chunk, r)
+        left, right, info = _factor_low_rank(chunk)
     else:  # remainder of fewer than 7 rows with rank 3
         left, right = Matrix.identity(chunk.rows), chunk
         info = {"method": "identity", "inner_dim": chunk.rows}

@@ -4,7 +4,9 @@ Every entry is a ``fractions.Fraction``; there is no floating point
 anywhere.  Inside, products and eliminations run on Python ints.  Rank
 and solve use fraction-free (Bareiss) elimination on each matrix's
 columns, cleared once to integers over a common denominator by
-:func:`cleared_columns`.  ``@`` and the exact check
+:func:`cleared_columns`.  A matrix keeps the pivot columns of its
+elimination (:func:`pivot_columns`): its rank is their count, and the
+section and segment cores take their basis from them.  ``@`` and the exact check
 :func:`product_difference` share one sparse integer row sum,
 :func:`_product_rows`, which can also report each factor's first negative
 entry; the check cross-multiplies only where the sum is nonzero, building
@@ -54,6 +56,18 @@ def _check_token_size(text: str) -> str:
     return text
 
 
+def _read_token(text: str) -> Fraction:
+    """``Fraction(text)`` for a token of at most MAX_DIGITS digits; a string
+    that is no number is a ParseError showing it as _check_token_size does."""
+    try:
+        return Fraction(_check_token_size(text))
+    except ValueError:
+        reason = "invalid literal"
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    raise ParseError(f"cannot parse {text[:30]!r} as a rational: {reason}")
+
+
 def _digits(n: int) -> int:
     """Decimal digits of |n|, counted without str(), which refuses over 4,300."""
     n = abs(n)
@@ -95,10 +109,7 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("booleans are not matrix entries")
     if isinstance(value, str):
-        try:
-            return Fraction(_check_token_size(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse {value!r} as a rational: {exc}") from None
+        return _read_token(value)
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, Rational):  # as Python ints: NumPy integers wrap around
@@ -107,10 +118,11 @@ def as_scalar(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major.  ``rank`` and
-    ``cleared_columns`` keep their results in slots: each runs once."""
+    """Immutable dense matrix of exact rationals, row-major.  It keeps its
+    pivot columns (``pivot_columns``; ``rank`` is their count) and its
+    cleared columns (``cleared_columns``) in slots: each is computed once."""
 
-    __slots__ = ("rows", "cols", "data", "_rank", "_columns")
+    __slots__ = ("rows", "cols", "data", "_pivots", "_columns")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         data = tuple(tuple([x if type(x) is Fraction else as_scalar(x) for x in row])
@@ -356,15 +368,22 @@ def _eliminate(columns, cap=None):
     return data, pivot_cols, origins
 
 
+def pivot_columns(m: Matrix, cap=None) -> tuple:
+    """The pivot columns of fraction-free Gaussian elimination, memoized on
+    the matrix: the first nonzero column, then each column off the span of
+    the columns before it.  With a ``cap``, the first ``cap`` of them from at
+    most ``cap`` pivots, kept only if fewer."""
+    pivots = getattr(m, "_pivots", None)
+    if pivots is None:
+        pivots = tuple(_eliminate(cleared_columns(m), cap)[1]) if m.rows and m.cols else ()
+        if cap is None or len(pivots) < cap:
+            object.__setattr__(m, "_pivots", pivots)
+    return pivots[:cap]
+
+
 def rank(m: Matrix, cap=None) -> int:
-    """Exact rank by fraction-free Gaussian elimination, memoized on the matrix;
-    with a ``cap``, min(rank, cap) from at most ``cap`` pivots, kept only if below it."""
-    r = getattr(m, "_rank", None)
-    if r is None:
-        r = len(_eliminate(cleared_columns(m), cap)[1]) if m.rows and m.cols else 0
-        if cap is None or r < cap:
-            object.__setattr__(m, "_rank", r)
-    return r if cap is None else min(r, cap)
+    """Exact rank, the number of pivot columns; with a ``cap``, min(rank, cap)."""
+    return len(pivot_columns(m, cap))
 
 
 def solve(a: Matrix, b: Sequence[ScalarLike]):

@@ -14,8 +14,8 @@ located in the fan of cones (0, t, t + 1) over them by integer 3x3
 determinants, and only nonzero weights and output entries become
 Fractions.  Rank 2 is the same on a line: columns are placed on their
 segment and weighted against its two ends by integer 2x2 determinants.
-Every kernel reads the columns ``linalg.cleared_columns`` keeps on the
-matrix, which the rank that chose the kernel already cleared.  Every
+Every kernel reads what the rank that chose it kept on the matrix: the
+cleared columns, and the pivot columns that are its basis.  Every
 core's left columns are primitive integer vectors (a ray x leaves as
 x // gcd(x)), its right rows take the inverse scale, and a vertex that
 no column weighs leaves both factors.
@@ -42,7 +42,8 @@ from typing import Sequence, Tuple
 from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
-from .linalg import Matrix, clear_denominators, cleared_columns, format_value, is_product, rank
+from .linalg import (Matrix, clear_denominators, cleared_columns, format_value, is_product,
+                     pivot_columns, rank)
 from .validation import check_nonnegative
 
 SIZE = 7
@@ -116,7 +117,7 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     basis columns, u = cu / su - c0 / s0 and v = cv / sv - c0 / s0, so
     the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
-    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(cleared_columns(a))
+    rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(a)
     data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x, s in rays)))
     vertex_matrix = Matrix._raw(data, SIZE, len(rays))
     vertices = tuple(
@@ -133,50 +134,21 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     )
 
 
-def _positive_minor(u, v):
-    """(i1, i2, m): the first nonzero 2x2 minor m = u[i1]*v[i2] - u[i2]*v[i1]
-    of two columns, its rows swapped where that makes it positive."""
-    for i1 in range(len(u)):
-        for i2 in range(i1 + 1, len(u)):
-            m = u[i1] * v[i2] - u[i2] * v[i1]
-            if m:
-                return (i1, i2, m) if m > 0 else (i2, i1, -m)
-    raise InternalError("section chart axes are parallel")
-
-
-def _section_rays(cleared):
-    """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3,
-    given by its columns cleared, (c, d) with column == c / d:
+def _section_rays(a: Matrix):
+    """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
     vertex t is rays[t] = (x, S) with integer x, ambient coordinates x / S
     and S = sum(x), counterclockwise in the chart of ``section_polygon``,
     and x = B hs[t] for B with the columns of basis = ((c0, s0), (cu, su),
-    (cv, sv)): the first column, its first later column off it (u) and
-    the first later column off their line (v), cleared, with their sums.
+    (cv, sv)): the three pivot columns of ``a`` cleared, with their sums.
+    On nonnegative input they are the first nonzero column, the first
+    column off its line (u) and the first column off their plane (v).
 
     The section is the cone {B h >= 0} cut at unit sum: rows i and j are
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
     sign.  Zero and proportional rows have a zero cross product.
     """
-    # Column c / d normalizes to c / sum(c); sum(c) == 0 only for a zero column.
-    columns = ((c, s) for c, s in ((c, sum(c)) for c, _ in cleared) if s)
-    c0, s0 = next(columns)
-    found = next(((c, s) for c, s in columns if any(x * s0 != y * s for x, y in zip(c, c0))), None)
-    if found is None:
-        raise RankError("columns are all equal after normalization")
-    cu, su = found
-    # Columns before u lie on the origin and u itself on its own line, so
-    # the search for v continues after u.  c lies in the span of c0 and cu
-    # iff its 3x3 minors on the rows (p, q, i) vanish, for a nonzero 2x2
-    # minor of (c0, cu) on the rows p, q.
-    p, q, m = _positive_minor(c0, cu)
-    forms = [(c0[q] * y - x * cu[q], x * cu[p] - c0[p] * y) for x, y in zip(c0, cu)]
-    found = next((
-        (c, s) for c, s in columns
-        if any(c[p] * f + c[q] * g + ci * m for ci, (f, g) in zip(c, forms))
-    ), None)
-    if found is None:
-        raise RankError("normalized columns span only a line")
-    cv, sv = found
+    cleared = cleared_columns(a)
+    (c0, s0), (cu, su), (cv, sv) = [(c, sum(c)) for c, _ in (cleared[j] for j in pivot_columns(a))]
 
     # A vertex where more than two rows are tight is met once per pair of
     # them, on parallel h.
@@ -337,7 +309,7 @@ def _factor_seven_by_n(a: Matrix):
     edge, which the labeling puts at t: the labeling
     ``detect_cyclic_labeling`` finds on the vertex matrix."""
     cleared = cleared_columns(a)
-    rays, _, _ = _section_rays(cleared)
+    rays, _, _ = _section_rays(a)
     k = len(rays)
     if k <= 6:
         gs = [gcd(*x) for x, _ in rays]
@@ -361,31 +333,28 @@ def factor_low_rank(a: Matrix):
     """Exact nonnegative factorization of a rank <= 2 nonnegative matrix
     with inner dimension equal to its rank."""
     check_nonnegative(a)
-    r = rank(a)
+    r = rank(a, cap=3)
     if r > 2:
-        raise RankError(f"low-rank factorization requires rank <= 2, got {r}")
-    left, right, info = _factor_low_rank(a, r)
+        raise RankError("low-rank factorization requires rank <= 2, got rank at least 3")
+    left, right, info = _factor_low_rank(a)
     if not is_product(left, right, a):
         raise InternalError(f"rank-{r} factorization failed to reproduce the input")
     return left, right, info
 
 
-def _factor_low_rank(a: Matrix, r: int):
-    """``factor_low_rank`` for a nonnegative ``a`` of rank ``r`` <= 2, with no
-    product check; its proportionality and on-the-segment tests keep the
-    divisions below defined if ``r`` is wrong."""
-    if r == 0:
+def _factor_low_rank(a: Matrix):
+    """``factor_low_rank`` for a nonnegative ``a`` of rank <= 2, with no
+    product check: its rank and basis are its pivot columns."""
+    pivots = pivot_columns(a)
+    if not pivots:
         return Matrix.zeros(a.rows, 0), Matrix.zeros(0, a.cols), {"method": "zero", "inner_dim": 0}
 
     cleared = cleared_columns(a)
-    if r == 1:
+    if len(pivots) == 1:
         # The left column is the first nonzero column c_b made primitive,
         # c_b // g, so column c / d weighs c[p] * g / (d * c_b[p]).
-        cb = next(c for c, _ in cleared if any(c))
+        cb = cleared[pivots[0]][0]
         p, g = next(i for i, x in enumerate(cb) if x), gcd(*cb)
-        for c, _ in cleared:
-            if any(x * cb[p] != y * c[p] for x, y in zip(c, cb)):
-                raise InternalError("rank-1 matrix has a non-proportional column")
         left = Matrix._raw(tuple((Fraction(x // g),) for x in cb), a.rows, 1)
         right = Matrix._raw((tuple(Fraction(c[p] * g, d * cb[p]) for c, d in cleared),), 1, a.cols)
         return left, right, {"method": "single-column", "inner_dim": 1}
@@ -395,24 +364,16 @@ def _factor_low_rank(a: Matrix, r: int):
     # and the nonzero weights become Fractions.
     sums = [sum(c) for c, _ in cleared]
     kept = [j for j, s in enumerate(sums) if s]
-    c_o, s_o = cleared[kept[0]][0], sums[kept[0]]
-    u = next((j for j in kept if any(x * s_o != y * sums[j] for x, y in zip(cleared[j][0], c_o))), None)
-    if u is None:
-        raise InternalError("rank-2 matrix has a single normalized column")
-    c_u = cleared[u][0]
-    p, q, minor = _positive_minor(c_o, c_u)
-
+    # The first rows p, q where the 2x2 minor of the basis (c_o, c_u) is
+    # nonzero, swapped where that makes it positive.
+    c_o, c_u = cleared[pivots[0]][0], cleared[pivots[1]][0]
+    p, q = next((p, q) for p, q in combinations(range(a.rows), 2) if c_o[p] * c_u[q] != c_o[q] * c_u[p])
+    if c_o[p] * c_u[q] < c_o[q] * c_u[p]:
+        p, q = q, p
     # By Cramer on the rows p, q, minor * c = det(c, c_u) * c_o + det(c_o, c) * c_u
     # for every column c in the span; the normalized column then sits at
     # det(c_o, c) * s_u / (minor * sum(c)) on the line, and s_u / minor > 0.
-    position = {}
-    for j in kept:
-        c = cleared[j][0]
-        det_o = c_o[p] * c[q] - c_o[q] * c[p]
-        det_u = c[p] * c_u[q] - c[q] * c_u[p]
-        if any(minor * x != det_u * y + det_o * z for x, y, z in zip(c, c_o, c_u)):
-            raise InternalError("normalized columns of a rank-2 matrix left their line")
-        position[j] = det_o
+    position = {j: c_o[p] * cleared[j][0][q] - c_o[q] * cleared[j][0][p] for j in kept}
     low = high = kept[0]  # the first minimum and the first maximum
     for j in kept:
         if position[j] * sums[low] < position[low] * sums[j]:

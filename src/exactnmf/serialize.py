@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .driver import Factorization
 from .errors import ExactNMFError, ParseError
-from .linalg import MAX_DIGITS, Matrix, _check_token_size, token_digits
+from .linalg import MAX_DIGITS, Matrix, _check_token_size, _read_token, token_digits
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
 
 
@@ -47,8 +47,9 @@ def parse_scalar(token) -> Fraction:
     """Parse "p/q", integer, or decimal tokens to an exact rational.
 
     A canonical token of at most MAX_DIGITS characters is read with two
-    int() calls; every other token takes the general path below, which
-    reads the same canonical tokens to the same values."""
+    int() calls; every other token takes the general path below, the
+    reader ``as_scalar`` uses too, which reads the same canonical tokens to
+    the same values."""
     if type(token) is str and len(token) <= MAX_DIGITS and _CANONICAL_TOKEN.fullmatch(token):
         p, _, q = token.partition("/")
         if not q:
@@ -65,11 +66,7 @@ def parse_scalar(token) -> Fraction:
     if isinstance(token, float):
         # floats only appear when a caller bypassed exact JSON loading
         raise ParseError(f"refusing inexact float {token!r}; write it as a string")
-    text = _check_token_size(str(token).strip())
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse {token!r} as a rational: {exc}") from None
+    return _read_token(str(token).strip())
 
 
 class _TokenMemo(dict):

@@ -25,13 +25,12 @@ def as_matrix(data) -> Matrix:
     return Matrix(rows)
 
 
-def check_nonnegative(m: Matrix, name: str = "matrix") -> Matrix:
+def check_nonnegative(m: Matrix) -> None:
     """Raise NegativeEntryError if any entry of ``m`` is negative."""
     hit = m.first_negative_entry()
     if hit is not None:
         (i, j), value = hit
-        raise NegativeEntryError(f"{name} has negative entry {format_value(value)} at ({i}, {j})")
-    return m
+        raise NegativeEntryError(f"matrix has negative entry {format_value(value)} at ({i}, {j})")
 
 
 def as_point(value) -> tuple:

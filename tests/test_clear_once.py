@@ -1,7 +1,7 @@
 """Each input is cleared once.
 
 A matrix's columns are cleared to integers by ``linalg.cleared_columns``
-and kept on it beside its rank, so the rank, the section and segment
+and kept on it beside its pivot columns, so the rank, the section and segment
 cores and the cyclic core read one view; the product check clears its
 own operands.  A polygon builds its slack matrix once, on first use.  These
 tests count the clearings, check that the kept view is what a fresh
@@ -85,15 +85,15 @@ def test_one_slack_matrix_per_polygon(monkeypatch, h7_slack):
 
 
 def test_copies_start_with_nothing_kept(h7_slack):
-    """A copied or unpickled matrix equals its original and keeps no rank or
-    view, and a polygon that holds its slack matrix copies and pickles."""
+    """A copied or unpickled matrix equals its original and keeps no pivots
+    or view, and a polygon that holds its slack matrix copies and pickles."""
     rank(h7_slack)
     cleared_columns(h7_slack)
     poly = polygon.polygon_from_points(H7_VERTICES)
     for copied in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         m = copied(h7_slack)
         assert m == h7_slack and m is not h7_slack
-        assert getattr(m, "_rank", None) is None and getattr(m, "_columns", None) is None
+        assert getattr(m, "_pivots", None) is None and getattr(m, "_columns", None) is None
         p = copied(poly)
         assert p == poly and p.slack == poly.slack
 
@@ -156,7 +156,7 @@ def _readers(m: Matrix):
     if r == 3 and m.rows == 7:
         out.append(_factor_seven_by_n(m))
     elif r <= 2:
-        out.append(_factor_low_rank(m, r))
+        out.append(_factor_low_rank(m))
     return out
 
 

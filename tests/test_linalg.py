@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactnmf import linalg
 from exactnmf.driver import nn_factor
@@ -11,11 +13,13 @@ from exactnmf.linalg import (
     Inconsistency,
     Matrix,
     block_diag,
+    pivot_columns,
     product_difference,
     rank,
     solve,
 )
 from exactnmf.rng import SplitMix64
+from exactnmf.section import factor_low_rank
 
 
 def leibniz_det3(m):
@@ -130,6 +134,61 @@ class TestRank:
             assert rank(m) == rank(m.transpose())
 
 
+def oracle_pivot_columns(m):
+    """Each column that is not in the span of the columns before it: the
+    columns that raise ``reference_rank`` when added to those kept so far."""
+    pivots = []
+    for j in range(m.cols if m.rows else 0):
+        if reference_rank(Matrix([[row[k] for k in pivots + [j]] for row in m.data])) > len(pivots):
+            pivots.append(j)
+    return tuple(pivots)
+
+
+@st.composite
+def pivot_inputs(draw):
+    """Matrices of 0..6 rows and 1..7 columns with small signed entries,
+    zero columns and multiples and sums of earlier columns."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    columns = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(["free", "free", "zero", "multiple", "sum"]))
+        if kind == "zero" or (kind != "free" and not columns):
+            col = [Fraction(0)] * rows
+        elif kind == "multiple":
+            lam = draw(entry)
+            col = [lam * x for x in draw(st.sampled_from(columns))]
+        elif kind == "sum":
+            col = [x + y for x, y in zip(draw(st.sampled_from(columns)), draw(st.sampled_from(columns)))]
+        else:
+            col = [draw(entry) for _ in range(rows)]
+        columns.append(col)
+    return Matrix(list(zip(*columns))) if rows else Matrix.zeros(0, cols)
+
+
+@settings(max_examples=300)
+@given(pivot_inputs(), st.sampled_from([None, 1, 2, 3, 4]))
+def test_pivot_columns_match_greedy_oracle(m, cap):
+    """Capped and whole, fresh and kept, and ``rank`` is their count."""
+    expected = oracle_pivot_columns(m)
+    assert pivot_columns(m, cap) == expected[:cap] and rank(m, cap) == len(expected[:cap])
+    assert pivot_columns(m) == expected and rank(m) == len(expected)
+    assert pivot_columns(m, cap) == expected[:cap] and rank(m, cap) == len(expected[:cap])
+    fresh = Matrix._raw(m.data, m.rows, m.cols)
+    assert rank(fresh, cap) == len(pivot_columns(fresh, cap)) == len(expected[:cap])
+
+
+def test_pivot_columns_over_driver_corpus():
+    """The same over the driver's splitmix corpus, either way up."""
+    from test_driver_properties import splitmix_corpus
+
+    for a in splitmix_corpus():
+        for m in (a, a.transpose()):
+            expected = oracle_pivot_columns(m)
+            assert pivot_columns(m) == expected and rank(m) == len(expected)
+            assert rank(m, 2) == len(pivot_columns(Matrix(m.data), 2)) == min(2, len(expected))
+
+
 class TestSolve:
     def test_identity(self):
         b = [Fraction(5), Fraction(-1, 3), Fraction(0)]
@@ -204,7 +263,7 @@ def test_capped_rank_makes_at_most_cap_pivots(monkeypatch):
     m = random_square(SplitMix64(90), 40, 10**6)
     pivots = spy_pivots(monkeypatch)
     assert rank(m, cap=4) == 4 and pivots == [4]
-    assert getattr(m, "_rank", None) is None  # a capped count is not exact
+    assert getattr(m, "_pivots", None) is None  # a capped prefix is not all of them
     assert rank(m) == 40 and pivots == [4, 40] and reference_rank(m) == 40
     assert rank(m, cap=4) == 4 and rank(m, cap=50) == 40 and pivots == [4, 40]
 
@@ -212,7 +271,7 @@ def test_capped_rank_makes_at_most_cap_pivots(monkeypatch):
 def test_capped_rank_below_the_cap_is_kept(monkeypatch):
     m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     pivots = spy_pivots(monkeypatch)
-    assert rank(m, cap=4) == 2 and m._rank == 2
+    assert rank(m, cap=4) == 2 and m._pivots == (0, 1)
     assert rank(m) == 2 and pivots == [2]
 
 
@@ -223,6 +282,16 @@ def test_refusal_stops_at_the_fourth_pivot(monkeypatch):
     with pytest.raises(RankError, match=r"^input has rank at least 4; only ranks 0\.\.3 are supported$"):
         nn_factor(m)
     assert pivots == [4]
+
+
+def test_low_rank_refusal_stops_at_the_third_pivot(monkeypatch):
+    """``factor_low_rank`` refuses a full-rank 40x40 input after 3 pivots."""
+    m = random_square(SplitMix64(92), 40, 10**6)
+    pivots = spy_pivots(monkeypatch)
+    with pytest.raises(RankError, match=r"^low-rank factorization requires rank <= 2, "
+                                        r"got rank at least 3$"):
+        factor_low_rank(m)
+    assert pivots == [3]
 
 
 def test_rank_memo_is_read_before_the_cap(monkeypatch, h7_slack):

@@ -1,7 +1,6 @@
 """Simplex sectioning, convex coefficients, and the rank dispatchers."""
 
 import functools
-import sys
 from fractions import Fraction
 from typing import Tuple
 
@@ -39,7 +38,7 @@ from exactnmf.rng import SplitMix64
 from exactnmf.section import (
     SectionPolygon,
     SectionVertex,
-    _positive_minor,
+    _check_seven_rows_rank3,
     convex_coefficients,
     factor_low_rank,
     factor_seven_by_n,
@@ -49,6 +48,18 @@ from exactnmf.validation import check_nonnegative
 
 from conftest import primitive_columns
 from test_cyclic import fraction_factor_cyclic
+
+
+def _positive_minor(u, v):
+    """(i1, i2, m): the first nonzero 2x2 minor m = u[i1]*v[i2] - u[i2]*v[i1]
+    of two columns, its rows swapped where that makes it positive: the
+    chart code below and ``oracle_section_basis`` call it."""
+    for i1 in range(len(u)):
+        for i2 in range(i1 + 1, len(u)):
+            m = u[i1] * v[i2] - u[i2] * v[i1]
+            if m:
+                return (i1, i2, m) if m > 0 else (i2, i1, -m)
+    raise InternalError("section chart axes are parallel")
 
 
 def cleared(a: Matrix):
@@ -946,24 +957,32 @@ def low_rank_inputs(draw):
     return Matrix.from_columns(columns)
 
 
+def capped_refusal(result):
+    """The oracle's outcome as ``factor_low_rank`` words it now: it stops
+    at the third pivot, so it refuses rank 3 as "at least 3"."""
+    if result == (RankError, "low-rank factorization requires rank <= 2, got 3"):
+        return RankError, "low-rank factorization requires rank <= 2, got rank at least 3"
+    return result
+
+
 @settings(max_examples=400)
 @given(low_rank_inputs())
 def test_factor_low_rank_matches_fraction_code(a):
     """Left, right and info, or the class and message of the exception."""
-    assert outcome(factor_low_rank, a) == compact(outcome(oracle_factor_low_rank, a))
+    assert outcome(factor_low_rank, a) == capped_refusal(compact(outcome(oracle_factor_low_rank, a)))
 
 
 @settings(max_examples=200)
 @given(low_rank_inputs(), st.sampled_from([1, 2]))
 def test_factor_low_rank_guards_match_fraction_code(a, claimed):
-    """With ``rank`` made to claim rank 1 or 2 whatever the input, the
-    guards that only a wrong rank can trip (a non-proportional column, a
-    column off the segment, a single normalized column) raise as the old
-    code did."""
+    """With ``rank`` made to claim rank 1 or 2 whatever the input, the core
+    still reads its rank and basis from the pivot columns, so the result is
+    the old code's for the true rank (not checked on a nonnegative rank-3
+    input, which the lie lets past the refusal)."""
     assume(any(x for row in a.data for x in row))
+    assume(not a.is_nonnegative() or rank(Matrix(a.data)) <= 2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(section, "rank", lambda m: claimed)
-        patch.setattr(sys.modules[__name__], "rank", lambda m: claimed)
+        patch.setattr(section, "rank", lambda m, cap=None: claimed)
         assert outcome(factor_low_rank, a) == compact(outcome(oracle_factor_low_rank, a))
 
 
@@ -1240,7 +1259,7 @@ def chunk_inputs(draw):
 def test_section_rays_match_chart_code(case):
     """Ray order and values, tight sets and the public polygon."""
     a, k = case
-    rays, _, _ = section._section_rays(cleared(a))
+    rays, _, _ = section._section_rays(a)
     poly, chart_rays = _section_polygon(a)
     assert rays == chart_rays and len(rays) == k
     assert [tuple(i for i, t in enumerate(x) if not t) for x, _ in rays] == [
@@ -1255,18 +1274,67 @@ def test_chunk_factors_match_chart_code(case):
     """The chunk weights, and the core's left factor, right factor (through
     the cyclic right factor when k = 7) and info, made compact."""
     a, _ = case
-    rays, _, _ = section._section_rays(cleared(a))
+    rays, _, _ = section._section_rays(a)
     weights = section._convex_weights(rays, cleared(a), section._unit_lines(len(rays)))
     assert weights == _convex_weights(_section_polygon(a)[0], a)
     assert section._factor_seven_by_n(a) == compact(_factor_seven_by_n(a))
 
 
+def oracle_section_basis(cleared):
+    """The basis the section core searched for before it read its pivot
+    columns, verbatim: the first column, its first later column off it (u)
+    and the first later column off their line (v), cleared, with their sums."""
+    # Column c / d normalizes to c / sum(c); sum(c) == 0 only for a zero column.
+    columns = ((c, s) for c, s in ((c, sum(c)) for c, _ in cleared) if s)
+    c0, s0 = next(columns)
+    found = next(((c, s) for c, s in columns if any(x * s0 != y * s for x, y in zip(c, c0))), None)
+    if found is None:
+        raise RankError("columns are all equal after normalization")
+    cu, su = found
+    # Columns before u lie on the origin and u itself on its own line, so
+    # the search for v continues after u.  c lies in the span of c0 and cu
+    # iff its 3x3 minors on the rows (p, q, i) vanish, for a nonzero 2x2
+    # minor of (c0, cu) on the rows p, q.
+    p, q, m = _positive_minor(c0, cu)
+    forms = [(c0[q] * y - x * cu[q], x * cu[p] - c0[p] * y) for x, y in zip(c0, cu)]
+    found = next((
+        (c, s) for c, s in columns
+        if any(c[p] * f + c[q] * g + ci * m for ci, (f, g) in zip(c, forms))
+    ), None)
+    if found is None:
+        raise RankError("normalized columns span only a line")
+    cv, sv = found
+    return (c0, s0), (cu, su), (cv, sv)
+
+
+@settings(max_examples=150)
+@given(chunk_inputs())
+def test_pivot_basis_is_the_searched_basis(case):
+    """On nonnegative rank-3 7 x n input the pivot columns are the columns
+    the old search picked: zero, proportional and on-line columns first."""
+    a, _ = case
+    assert tuple(section._section_rays(Matrix(a.data))[2]) == oracle_section_basis(cleared(a))
+
+
+def test_pivot_basis_on_sparse_random_chunks():
+    """The same over random rank-3 7 x n matrices with zero columns and
+    multiples of earlier columns put in front."""
+    rng = SplitMix64(4242)
+    for _ in range(120):
+        columns = random_rank3_seven_by_n(rng, rng.below(6) + 3).columns()
+        for _ in range(rng.below(4)):
+            lam = Fraction(rng.below(5) + 1, rng.below(3) + 1)
+            col = [lam * x for x in columns[rng.below(len(columns))]] if rng.below(2) else [0] * 7
+            columns.insert(rng.below(3), col)
+        a = Matrix.from_columns(columns)
+        assert tuple(section._section_rays(a)[2]) == oracle_section_basis(cleared(a))
+
+
 @st.composite
 def signed_products(draw):
     """7-row products G @ H of rank <= 3 with small signed entries, G with
-    zero, repeated and negated rows.  The core trusts rank and sign, so on
-    these it meets every error of the chart code: a rank below 3, fewer
-    than 3 vertices, and sections that are not the nonnegative ones."""
+    zero, repeated and negated rows: a rank below 3, fewer than 3
+    vertices, negative entries, and now and then a nonnegative product."""
     entry = st.integers(-2, 3)
     inner = draw(st.sampled_from([1, 2, 3, 3, 3]))
     g = []
@@ -1286,10 +1354,14 @@ def signed_products(draw):
     return a
 
 
+def checked_chart_polygon(a: Matrix):
+    """The chart code's polygon behind the library's input check."""
+    _check_seven_rows_rank3(a)
+    return _section_polygon(a)[0]
+
+
 @settings(max_examples=300)
 @given(signed_products())
 def test_section_ray_errors_match_chart_code(a):
-    """The rays, or the class and message of the error, on signed input."""
-    assert outcome(lambda m: section._section_rays(cleared(m))[0], a) == outcome(
-        lambda m: _section_polygon(m)[1], a
-    )
+    """The polygon, or the class and message of the error, on signed input."""
+    assert outcome(section_polygon, a) == outcome(checked_chart_polygon, a)

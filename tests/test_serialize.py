@@ -193,7 +193,8 @@ def oracle_parse_scalar(token) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse {token!r} as a rational: {exc}") from None
+        reason = "invalid literal" if isinstance(exc, ValueError) else "zero denominator"
+        raise ParseError(f"cannot parse {text[:30]!r} as a rational: {reason}") from None
 
 
 def _outcome(parse, token):
