@@ -24,8 +24,6 @@ from .driver import (
 )
 from .errors import (
     CollinearVertices,
-    ConsistencyError,
-    DegenerateSection,
     DimensionError,
     DuplicateVertices,
     ExactNMFError,
@@ -37,8 +35,6 @@ from .errors import (
     ParseError,
     PatternError,
     RankError,
-    TangencyError,
-    TheoryViolation,
 )
 from .estimator import ExactNMF
 from .linalg import Matrix, rank, solve
@@ -60,13 +56,11 @@ from .section import (
 )
 from .validation import as_matrix
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CanonicalParams",
     "CollinearVertices",
-    "ConsistencyError",
-    "DegenerateSection",
     "DimensionError",
     "DuplicateVertices",
     "ExactNMF",
@@ -87,8 +81,6 @@ __all__ = [
     "RankError",
     "SectionPolygon",
     "SplitMix64",
-    "TangencyError",
-    "TheoryViolation",
     "VerificationReport",
     "as_matrix",
     "build_extension",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Tuple
 
-from .errors import DimensionError, NegativeEntryError, NotAdmissible, TheoryViolation
+from .errors import DimensionError, InternalError, NegativeEntryError, NotAdmissible
 from .linalg import Matrix, as_scalar, clear_denominators, format_value, is_certificate
 
 SIZE = 7
@@ -247,7 +247,7 @@ def step(params: CanonicalParams):
     q2 positive monomial matrices.  The step has period 7.
 
     Raises NotAdmissible when ``params`` is not admissible (the divisors
-    below are then not guaranteed nonzero) and TheoryViolation if the
+    below are then not guaranteed nonzero) and InternalError if the
     stepped tuple unexpectedly fails admissibility.
     """
     nxt, _, *qs = _step(_checked(params, _STEP_REQUIRES)[0])
@@ -280,7 +280,7 @@ def _step(rows):
     )
     table = _admissible(nxt)
     if table is None:
-        raise TheoryViolation(f"stepped tuple lost admissibility: {_params(rows)} -> {_params(nxt)}")
+        raise InternalError(f"stepped tuple lost admissibility: {_params(rows)} -> {_params(nxt)}")
     # q1 = (1, 1, 1/c, 1/a3, 1/a3, a1/a3, a2/a3) and
     # q2 = (a1 a2 c/a3, a2 c, a3 c, a3, 1, c/a3, a1 c/a3) for c = C / D3.
     q1 = ((1, 2, 3, 4, 5, 6, 0), (1, 1, D3, D3, D3, A1 * D3, A2 * D3),
@@ -326,7 +326,7 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
         return None
     left, right = map(_matrix, _direct_factor(rows, table))
     if not is_certificate(left, right, _matrix(table)):
-        raise TheoryViolation(f"direct factor failed its verification for {params}")
+        raise InternalError(f"direct factor failed its verification for {params}")
     return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
 
 
@@ -395,14 +395,14 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
     accumulated monomials; if a full period never qualifies, retries on
     the mirror tuple and undoes the relabeling.  Termination within these
     14 attempts is guaranteed for admissible input, so exhausting them
-    raises TheoryViolation.
+    raises InternalError.
     """
     rows, table = _checked(params, "factor_canonical requires an admissible tuple")
     q_left, left, right, q_right, steps, mirrored = _factor_canonical(rows, table)
     left, lines = _assemble(q_left, left, right, q_right)
     right = _matrix([[(x, e) for x in y] for y, e in lines])
     if not is_certificate(left, right, _matrix(table)):
-        raise TheoryViolation(f"assembled certificate failed verification for {params}")
+        raise InternalError(f"assembled certificate failed verification for {params}")
     return Rank6Certificate(left, right, steps, mirrored)
 
 
@@ -428,7 +428,7 @@ def _factor_canonical(rows, table):
             current, vm, q1, q2 = _step(current)
             # canonical(rows) == q_left @ canonical(current) @ q_right
             q_left, q_right = _compose(q_left, q1), _compose(q2, q_right)
-    raise TheoryViolation(
+    raise InternalError(
         f"no factorization within {MAX_SEARCH_STEPS} search steps for "
         f"{_params(rows)}; this state is impossible for exact admissible input"
     )

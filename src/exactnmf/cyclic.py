@@ -16,7 +16,7 @@ from typing import Tuple
 
 from . import canonical
 from .canonical import CanonicalParams, MonomialMatrix, Rank6Certificate, _compose
-from .errors import ConsistencyError, DimensionError, PatternError, RankError, TheoryViolation
+from .errors import DimensionError, InternalError, PatternError, RankError
 from .linalg import Matrix, cleared_columns, format_value, is_certificate, rank
 
 SIZE = 7
@@ -139,7 +139,7 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     for i in range(SIZE):
         for j in range(SIZE):
             if m.data[i][j] != rows[i] * reference.data[i][j] * cols[j]:
-                raise ConsistencyError(
+                raise InternalError(
                     f"entry ({i + 1}, {j + 1}) breaks the rescaling identity; "
                     "input is not rank 3 with this pattern"
                 )
@@ -171,7 +171,7 @@ def _scale_to_canonical(columns, divisors, labeling: CyclicLabeling):
                  for i in (6, 7, 1))
     table = canonical._admissible(rows)
     if table is None:
-        raise ConsistencyError(f"rescaled parameters {canonical._params(rows)} are not admissible")
+        raise InternalError(f"rescaled parameters {canonical._params(rows)} are not admissible")
 
     # Row factor i: M_i4, but M24 * M35 / M25 for row 3 and M43 * M54 / M53 for row 4.
     div4 = divisors[col_order[4 - 1]]
@@ -197,7 +197,7 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
     left, lines, steps, mirrored = _factor_cyclic(*zip(*cleared_columns(m)), labeling)
     right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
     if not is_certificate(left, right, m):
-        raise TheoryViolation("cyclic factorization failed its final verification")
+        raise InternalError("cyclic factorization failed its final verification")
     return Rank6Certificate(left, right, steps, mirrored)
 
 

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules: each class but
+``InternalError`` names a way an input is refused."""
 
 
 class ExactNMFError(Exception):
@@ -21,25 +22,8 @@ class NotAdmissible(ExactNMFError):
     """Parameter tuple fails the strict positivity pattern required here."""
 
 
-class TheoryViolation(ExactNMFError):
-    """A step that is guaranteed to succeed failed.
-
-    This never indicates a valid input state; it signals an implementation
-    bug or an inexact (non-rational) input upstream.
-    """
-
-
 class PatternError(ExactNMFError):
     """A 7x7 matrix does not carry the cyclic zero pattern up to relabeling."""
-
-
-class ConsistencyError(ExactNMFError):
-    """Scaling produced inconsistent column constants; input was not
-    a rank-3 matrix with the cyclic pattern."""
-
-
-class DegenerateSection(ExactNMFError):
-    """The simplex section is empty, a point, or a segment."""
 
 
 class OutsidePolygon(ExactNMFError):
@@ -63,12 +47,9 @@ class NotFittedError(ExactNMFError):
 
 
 class InternalError(ExactNMFError):
-    """An invariant that cannot fail for valid inputs failed anyway."""
-
-
-# A 7-vertex section vertex with more than two tight constraints, which
-# convexity forbids, is one such invariant; the old name stays importable.
-TangencyError = InternalError
+    """A state the theory rules out, such as a section with fewer than 3
+    or more than 7 vertices or a step search past 14 steps: a bug, never
+    a wrong input."""
 
 
 class ParseError(ExactNMFError):

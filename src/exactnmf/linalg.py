@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -102,7 +102,8 @@ def as_scalar(value) -> Fraction:
 
     Accepts Fraction, int and other rationals (NumPy integers, say), "p/q"
     / decimal strings of at most MAX_DIGITS digits (any other string is a
-    ParseError), and floats (a float is converted to its exact binary value).
+    ParseError), and finite floats (a float is converted to its exact binary
+    value; NaN and the infinities are a ParseError).
     """
     if isinstance(value, Fraction):
         return value
@@ -110,6 +111,8 @@ def as_scalar(value) -> Fraction:
         raise TypeError("booleans are not matrix entries")
     if isinstance(value, str):
         return _read_token(value)
+    if isinstance(value, float) and not isfinite(value):
+        raise ParseError(f"cannot parse {float(value)!r} as a rational: not finite")
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, Rational):  # as Python ints: NumPy integers wrap around

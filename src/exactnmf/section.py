@@ -41,7 +41,7 @@ from typing import Sequence, Tuple
 
 from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
-from .errors import DegenerateSection, DimensionError, InternalError, OutsidePolygon, RankError
+from .errors import DimensionError, InternalError, OutsidePolygon, RankError
 from .linalg import (Matrix, clear_denominators, cleared_columns, format_value, is_product,
                      pivot_columns, rank)
 from .validation import check_nonnegative
@@ -168,11 +168,8 @@ def _section_rays(a: Matrix):
                 rays.append((x, sum(x)))
                 hs.append(h)
 
-    if len(rays) < 3:
-        raise DegenerateSection(f"section has only {len(rays)} extreme points; "
-                                "expected a two-dimensional polygon")
-    if len(rays) > SIZE:
-        raise InternalError(f"section produced {len(rays)} vertices; at most 7 are possible")
+    if not 3 <= len(rays) <= SIZE:
+        raise InternalError(f"section produced {len(rays)} vertices; 3 to 7 are possible")
     # Chart coordinates (h[1] * su, h[2] * sv) / S, times the lcm of the S.
     big = lcm(*(s for _, s in rays))
     order = _ccw_order(*zip(*(
@@ -196,8 +193,9 @@ def _fan(rays):
     times cone t's determinant d_t are det(c, w_t, w_t+1), det(w_0, c,
     w_t+1) and det(w_0, w_t, c): c dotted with cross products of rays,
     the third of cone t + 1 being minus the second of cone t.  All d_t of
-    a counterclockwise fan have one sign.  Raises OutsidePolygon when c's
-    other rows do not follow from those three, or c / s is outside.
+    a counterclockwise fan have one sign.  c must lie in the rays' span,
+    as every column of the matrix they were cut from does; the other rows
+    are not read.  Raises OutsidePolygon when c / s is outside.
     """
     w = [x for x, _ in rays]
     for rows in combinations(range(len(w[0])), 3):
@@ -214,18 +212,10 @@ def _fan(rays):
     if any(d <= 0 for *_, d in fan):
         raise InternalError("section vertices are not in counterclockwise order")
 
-    # Cramer's rule on cone 1: d_1 * c = a * w_0 + b * w_1 + g * w_2.
-    (_, rim1, spoke2, d1), first = fan[0], spokes[1]
-    p, q, r = rows
-    normals = [
-        (i, tuple(w[0][i] * x - w[1][i] * y + w[2][i] * z for x, y, z in zip(rim1, spoke2, first)))
-        for i in range(len(w[0])) if i not in rows
-    ]
+    (p, q, r), first = rows, spokes[1]
 
     def locate(c, s):
         x, y, z = c[p], c[q], c[r]
-        if any(d1 * c[i] != x * n0 + y * n1 + z * n2 for i, (n0, n1, n2) in normals):
-            raise OutsidePolygon("point does not lie in the section plane")
         g = x * first[0] + y * first[1] + z * first[2]
         for support, rim, spoke, det in fan:
             b = -(x * spoke[0] + y * spoke[1] + z * spoke[2])
@@ -272,11 +262,13 @@ def _convex_weights(rays, cleared, lines) -> Matrix:
 def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction, ...]:
     """Express an ambient point of the polygon as an exact convex
     combination of its vertices (at most three nonzero coefficients,
-    located by fan triangulation from vertex 0)."""
+    located by fan triangulation from vertex 0).  A point off the plane
+    (its sum is not 1, or it raises the vertex matrix's rank) or outside
+    the polygon raises OutsidePolygon."""
     target = tuple(Fraction(x) for x in point)
     if len(target) != len(poly.chart_origin):
         raise DimensionError("point dimension does not match the section")
-    if sum(target) != 1:
+    if sum(target) != 1 or rank(Matrix.from_columns([*poly.vertex_matrix.columns(), target])) != 3:
         raise OutsidePolygon("point does not lie in the section plane")
     rays = [(x, sum(x)) for x, _ in cleared_columns(poly.vertex_matrix)]
     weights = _convex_weights(rays, [clear_denominators(target)], _unit_lines(poly.k)).column(0)

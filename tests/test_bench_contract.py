@@ -10,7 +10,6 @@ import importlib.util
 from pathlib import Path
 
 import exactnmf
-from exactnmf.errors import InternalError
 from exactnmf.linalg import Matrix
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -41,7 +40,3 @@ def test_slack_matrix_exposes_matrix(h7_polygon):
 def test_every_exported_name_resolves():
     for name in exactnmf.__all__:
         assert hasattr(exactnmf, name), name
-
-
-def test_tangency_error_is_internal_error():
-    assert exactnmf.TangencyError is InternalError

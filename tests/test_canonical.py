@@ -24,7 +24,7 @@ from exactnmf.canonical import (
     reversal,
     step,
 )
-from exactnmf.errors import DimensionError, NotAdmissible, TheoryViolation
+from exactnmf.errors import DimensionError, InternalError, NotAdmissible
 from exactnmf.generate import random_admissible_params
 from exactnmf.linalg import Matrix
 from exactnmf.rng import SplitMix64
@@ -489,7 +489,7 @@ def fraction_step(params: CanonicalParams):
         a3 / a2,
     )
     if not fraction_is_admissible(nxt):
-        raise TheoryViolation(f"stepped tuple lost admissibility: {params} -> {nxt}")
+        raise InternalError(f"stepped tuple lost admissibility: {params} -> {nxt}")
     one = Fraction(1)
     q1 = MonomialMatrix._raw(_Q1_PERM, (one, one, 1 / c, 1 / a3, 1 / a3, a1 / a3, a2 / a3))
     q2 = MonomialMatrix._raw(
@@ -549,7 +549,7 @@ def fraction_factor_canonical(params: CanonicalParams, matrix: Matrix):
             current, q1, q2 = fraction_step(current)
             # matrix == q_left @ canonical(current) @ q_right
             q_left, q_right = monomial_product(q_left, q1), monomial_product(q2, q_right)
-    raise TheoryViolation(
+    raise InternalError(
         f"no factorization within {canonical.MAX_SEARCH_STEPS} search steps for "
         f"{params}; this state is impossible for exact admissible input"
     )

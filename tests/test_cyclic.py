@@ -20,7 +20,7 @@ from exactnmf.cyclic import (
     factor_cyclic,
     scale_to_canonical,
 )
-from exactnmf.errors import ConsistencyError, DimensionError, PatternError, RankError
+from exactnmf.errors import DimensionError, InternalError, PatternError, RankError
 from exactnmf.generate import random_admissible_params, random_convex_polygon
 from exactnmf.linalg import Matrix, cleared_columns
 from exactnmf.polygon import polygon_from_points, slack_matrix
@@ -254,7 +254,7 @@ def fraction_scale_to_canonical(columns, divisors, labeling: CyclicLabeling):
         Fraction(x(1, 5) * n5, x(1, 4) * m5),
     )
     if not fraction_is_admissible(params):
-        raise ConsistencyError(f"rescaled parameters {params} are not admissible")
+        raise InternalError(f"rescaled parameters {params} are not admissible")
     reference = fraction_canonical_matrix(params)
 
     # Row factor i as (numerator, denominator): M_i4 for most rows,
@@ -349,10 +349,10 @@ def test_integer_cyclic_core_matches_fraction_code(m, mirror):
 
 def test_rescaling_rejects_what_the_oracle_rejects(h7_slack):
     """A pattern-carrying matrix whose rescaled tuple is not admissible:
-    both codes raise ConsistencyError."""
+    both codes raise InternalError."""
     rows = h7_slack.tolist()
     rows[0][2] = rows[0][2] * 1000  # M13 enters a3 alone
     m = Matrix(rows)
     for core in (cyclic._scale_to_canonical, fraction_scale_to_canonical):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(InternalError):
             core(*reads(m))

@@ -11,13 +11,12 @@ from exactnmf import ExactNMF, canonical, cyclic
 from exactnmf.canonical import CanonicalParams, canonical_matrix, direct_factor, factor_canonical, step
 from exactnmf.driver import nn_factor
 from exactnmf.errors import (
-    ConsistencyError,
     DimensionError,
     DuplicateVertices,
+    InternalError,
     NegativeEntryError,
     NotAdmissible,
     ParseError,
-    TheoryViolation,
 )
 from exactnmf.linalg import format_value
 from exactnmf.polygon import polygon_from_points
@@ -76,7 +75,7 @@ def test_checked_prints_the_tuple():
 
 def test_step_prints_both_tuples():
     rows = canonical._rows(CanonicalParams.of(1, 1, 1, 0, 0, 0))
-    with pytest.raises(TheoryViolation) as info:
+    with pytest.raises(InternalError) as info:
         canonical._step(rows)
     assert str(info.value) == \
         "stepped tuple lost admissibility: (1, 1, 1, 0, 0, 0) -> (0, 0, 0, 1, 1, 1)"
@@ -84,28 +83,28 @@ def test_step_prints_both_tuples():
 
 def test_direct_factor_prints_the_tuple(monkeypatch):
     monkeypatch.setattr(canonical, "is_certificate", never)
-    with pytest.raises(TheoryViolation) as info:
+    with pytest.raises(InternalError) as info:
         direct_factor(H7_PARAMS)
     assert str(info.value) == f"direct factor failed its verification for {H7_SHOWN}"
 
 
 def test_factor_canonical_prints_the_tuple(monkeypatch):
     monkeypatch.setattr(canonical, "is_certificate", never)
-    with pytest.raises(TheoryViolation) as info:
+    with pytest.raises(InternalError) as info:
         factor_canonical(H7_PARAMS)
     assert str(info.value) == f"assembled certificate failed verification for {H7_SHOWN}"
 
 
 def test_search_prints_the_tuple(monkeypatch):
     monkeypatch.setattr(canonical, "_middle_min", never)
-    with pytest.raises(TheoryViolation) as info:
+    with pytest.raises(InternalError) as info:
         factor_canonical(H7_PARAMS)
     assert str(info.value).startswith(f"no factorization within 14 search steps for {H7_SHOWN};")
 
 
 def test_scale_to_canonical_prints_the_tuple(monkeypatch):
     monkeypatch.setattr(canonical, "_admissible", lambda rows: None)
-    with pytest.raises(ConsistencyError) as info:
+    with pytest.raises(InternalError) as info:
         cyclic.scale_to_canonical(canonical_matrix(H7_PARAMS))
     assert str(info.value) == f"rescaled parameters {H7_SHOWN} are not admissible"
 
@@ -115,9 +114,17 @@ def test_scale_to_canonical_prints_the_tuple(monkeypatch):
     (lambda: nn_factor([["1/0"]]), "'1/0'"),
     (lambda: polygon_from_points([("x", 0), (1, 0), (0, 1)]), "'x'"),
     (lambda: ExactNMF().fit([["1/0"]]), "'1/0'"),
-], ids=["nn_factor-text", "nn_factor-zero-denominator", "polygon_from_points", "ExactNMF.fit"])
+    (lambda: nn_factor([[float("nan")]]), "nan"),
+    (lambda: nn_factor([[float("inf")]]), "inf"),
+    (lambda: ExactNMF().fit([[1, float("-inf")]]), "-inf"),
+    (lambda: polygon_from_points([(float("inf"), 0), (1, 0), (0, 1)]), "inf"),
+], ids=["nn_factor-text", "nn_factor-zero-denominator", "polygon_from_points", "ExactNMF.fit",
+        "nn_factor-nan", "nn_factor-inf", "ExactNMF.fit-inf", "polygon_from_points-inf"])
 def test_a_string_that_is_no_number_is_a_parse_error(call, token):
-    """A string entry or coordinate that is not a rational ends in a
-    ParseError naming the token, as ``serialize.parse_scalar`` words it."""
+    """A string entry or coordinate that is not a rational, or a float that
+    is NaN or infinite, ends in a ParseError naming it, as
+    ``serialize.parse_scalar`` words a bad token (a float's reason is
+    ``not finite``)."""
     with pytest.raises(ParseError, match=f"^cannot parse {token} as a rational: "):
         call()
+

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from exactnmf import section
 from exactnmf.cyclic import CyclicLabeling
 from exactnmf.errors import (
-    DegenerateSection,
     DimensionError,
     ExactNMFError,
     InternalError,
@@ -447,7 +446,7 @@ def oracle_section_polygon(a: Matrix) -> SectionPolygon:
     candidates = _extreme_points([(axis_u[i], axis_v[i], origin[i]) for i in reps])
 
     if len(candidates) < 3:
-        raise DegenerateSection(
+        raise InternalError(
             f"section has only {len(candidates)} extreme points; "
             "expected a two-dimensional polygon"
         )
@@ -462,7 +461,7 @@ def oracle_section_polygon(a: Matrix) -> SectionPolygon:
             flat = False
             break
     if flat:
-        raise DegenerateSection("section degenerates to a segment")
+        raise InternalError("section degenerates to a segment")
 
     ordered = _angular_ccw_sort(candidates)
 
@@ -783,6 +782,22 @@ def test_convex_coefficients_match_oracle(case):
         )
 
 
+@settings(max_examples=100)
+@given(seven_row_sections(), st.integers(0, 6), st.integers(1, 6), coordinates, st.data())
+def test_unit_sum_points_off_the_plane_match_oracle(case, i, shift, eps, data):
+    """Points of unit sum that leave the column space, eps moved from one
+    coordinate of an in-plane point to another: only the rank test can
+    refuse them, with the oracle's class and message."""
+    a, _ = case
+    poly = section_polygon(a)
+    base = data.draw(st.sampled_from([v.ambient for v in poly.vertices]))
+    j = (i + shift) % 7
+    point = tuple(x + eps * ((t == i) - (t == j)) for t, x in enumerate(base))
+    assert outcome(convex_coefficients, poly, point) == outcome(
+        oracle_convex_coefficients, poly, point
+    )
+
+
 def oracle_weights(poly, columns):
     """The right factor ``factor_seven_by_n`` built from the oracle: each
     nonzero column normalized, its coefficients times its sum."""
@@ -804,8 +819,13 @@ def test_chunk_weights_match_oracle(case, data):
     weights with large denominators, positive or, where the point's sum is
     negative, negative (the path reads columns of positive sum); a zero
     column gets zero weights, and any other failure is the oracle's first
-    one."""
+    one.  Only points of the column space are columns here, as on the
+    path: the kernel reads three rows and leaves the plane test to
+    ``convex_coefficients``."""
     poly, points = case
+    points = [p for p in points
+              if rank(Matrix.from_columns([*poly.vertex_matrix.columns(), p])) == 3]
+    assume(points)
     columns = []
     for point in points:
         weight = data.draw(positive) * (-1 if sum(point) < 0 else 1)
@@ -1059,15 +1079,8 @@ def _section_polygon(a: Matrix):
             if chart not in by_chart:
                 by_chart[chart] = (x, total)
 
-    if len(by_chart) < 3:
-        raise DegenerateSection(
-            f"section has only {len(by_chart)} extreme points; "
-            "expected a two-dimensional polygon"
-        )
-    if len(by_chart) > SIZE:
-        raise InternalError(
-            f"section produced {len(by_chart)} vertices; at most 7 are possible"
-        )
+    if not 3 <= len(by_chart) <= SIZE:
+        raise InternalError(f"section produced {len(by_chart)} vertices; 3 to 7 are possible")
     charts = _angular_ccw_sort(list(by_chart))
     rays = [by_chart[chart] for chart in charts]
     vertices = tuple(
