@@ -178,7 +178,8 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
 
     Checks shapes, entrywise nonnegativity of both factors, the product
     identity, and the inner-dimension bound; each violation is reported
-    with the first offending entry.
+    with the first offending entry.  A left factor wider than the bound is
+    refused whatever its product, so the product is then not checked.
     """
     a = as_matrix(a)
     report = VerificationReport()
@@ -194,8 +195,10 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
         report.failures.append(
             f"declared inner dimension {fact.inner_dim} differs from left factor shape {left.shape}"
         )
-    signs = [None, None]
-    hit = product_difference(left, right, a, signs)
+    expected_bound = inner_dimension_bound(a.rows, a.cols)
+    bounded = left.cols <= expected_bound  # wider is refused by the bound or the declared width
+    signs = [None, None] if bounded else [left.first_negative_entry(), right.first_negative_entry()]
+    hit = product_difference(left, right, a, signs) if bounded else None
     for name, negative in zip(("left", "right"), signs):
         if negative is not None:
             (i, j), x = negative
@@ -207,7 +210,6 @@ def verify_factorization(a, fact: Factorization) -> VerificationReport:
             f"product disagrees with input at ({i}, {j}): "
             f"{format_value(value)} != {format_value(a.data[i][j])}"
         )
-    expected_bound = inner_dimension_bound(a.rows, a.cols)
     if fact.bound != expected_bound:
         report.failures.append(
             f"declared bound {fact.bound} differs from ceil(6*min(m,n)/7) = {expected_bound}"

@@ -2,7 +2,8 @@
 
 All randomness flows through :class:`~exactnmf.rng.SplitMix64`, and every
 produced coordinate is an exact rational, so instances reproduce bit for
-bit from a seed on any platform.
+bit from a seed on any platform.  Polygon vertices are computed on
+integers and become one Fraction per coordinate.
 """
 
 from __future__ import annotations
@@ -22,40 +23,33 @@ from .rng import SplitMix64
 QUADRANT_STEPS = 1 << 16
 
 
-def _circle_point(u: int) -> Tuple[Fraction, Fraction]:
+def _circle_point(u: int) -> Tuple[int, int, int]:
+    """The point of parameter u as integers (X, Y, D), the point (X/D, Y/D):
+    (S^2 - k^2, 2Sk) over S^2 + k^2, S = QUADRANT_STEPS, turned once per quadrant."""
     quadrant, k = divmod(u, QUADRANT_STEPS)
-    t = Fraction(k, QUADRANT_STEPS)
-    den = 1 + t * t
-    x, y = (1 - t * t) / den, 2 * t / den
-    if quadrant == 0:
-        return (x, y)
-    if quadrant == 1:
-        return (-y, x)
-    if quadrant == 2:
-        return (-x, -y)
-    return (y, -x)
+    x, y = QUADRANT_STEPS**2 - k * k, 2 * QUADRANT_STEPS * k
+    for _ in range(quadrant):
+        x, y = -y, x
+    return x, y, QUADRANT_STEPS**2 + k * k
 
 
 def random_convex_polygon(rng: SplitMix64, n: int) -> Polygon:
     """Strictly convex n-gon with rational vertices.
 
     Vertices are distinct rational points of a randomly placed rational
-    circle, listed counterclockwise; no three are collinear.
+    circle, listed counterclockwise; no three are collinear.  The radius
+    is r/256 and the center c/64, so a coordinate is one Fraction,
+    (4 c D + r X) / (256 D).
     """
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
     params: set = set()
     while len(params) < n:
         params.add(rng.below(4 * QUADRANT_STEPS))
-    radius = 1 + Fraction(rng.below(256), 256)
-    center = (
-        Fraction(rng.below(513) - 256, 64),
-        Fraction(rng.below(513) - 256, 64),
-    )
-    points = []
-    for u in sorted(params):
-        x, y = _circle_point(u)
-        points.append((center[0] + radius * x, center[1] + radius * y))
+    r = 256 + rng.below(256)
+    cx, cy = (4 * (rng.below(513) - 256) for _ in range(2))
+    points = [(Fraction(cx * d + r * x, 256 * d), Fraction(cy * d + r * y, 256 * d))
+              for x, y, d in map(_circle_point, sorted(params))]
     return polygon_from_points(points)
 
 

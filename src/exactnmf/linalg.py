@@ -34,6 +34,7 @@ ScalarLike = Union[Fraction, int, str]
 # CPython's default limit on int <-> str conversion.  A token within it
 # builds integers of at most this many digits.
 MAX_DIGITS = 4300
+SAFE_BITS = 14_000  # p and q of this many bits together have at most 4,217 digits
 
 
 def _check_token_size(text: str) -> str:
@@ -79,9 +80,9 @@ def _digits(n: int) -> int:
 
 def token_digits(x: Fraction) -> int:
     """Digits of p and q together in the token "p/q" of ``x`` when over
-    MAX_DIGITS, else 0; 14,000 bits make at most 4,217 digits."""
+    MAX_DIGITS, else 0."""
     p, q = int(x.numerator), int(x.denominator)  # NumPy integers have no bit_length
-    if p.bit_length() + q.bit_length() <= 14_000:
+    if p.bit_length() + q.bit_length() <= SAFE_BITS:
         return 0
     digits = _digits(p) + (_digits(q) if q > 1 else 0)
     return digits if digits > MAX_DIGITS else 0

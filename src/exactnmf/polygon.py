@@ -2,10 +2,14 @@
 descriptions with at most ceil(6n/7) inequalities.
 
 A polygon is stored as counterclockwise vertices plus one inequality
-c(x) >= beta per edge.  The slack matrix evaluates every inequality at
-every vertex, once per polygon (``Polygon.slack``), and every reader
-shares it.  Factoring it as T @ U with nonnegative factors turns U's
-columns into lift points and T into the mixing matrix of a description
+c(x) >= beta per edge.  ``polygon_from_points`` clears each vertex once to
+homogeneous integers (X, Y, d), d > 0, and works on those alone: a dict
+of them finds duplicates in one pass, a 3 x 3 determinant gives each
+turn's sign, and a cross product each facet.  The slack matrix evaluates
+every inequality at every vertex, once per polygon (``Polygon.slack``),
+and every reader shares it.  Factoring it as T @ U with nonnegative
+factors turns U's columns into lift points and T into the mixing matrix
+of a description
 
     c_i(x) - beta_i = (T y)_i  for all facets i,    y >= 0,
 
@@ -21,16 +25,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Tuple
 
+from .canonical import _cross3
 from .driver import (Factorization, VerificationReport, inner_dimension_bound, nn_factor,
                      verify_factorization)
-from .errors import (
-    CollinearVertices,
-    DuplicateVertices,
-    InternalError,
-    NotConvex,
-)
+from .errors import CollinearVertices, DuplicateVertices, InternalError, NotConvex
 from .linalg import Matrix, clear_denominators, format_value, rank
 from .validation import as_point
 
@@ -56,47 +57,45 @@ class Polygon:
 
     @cached_property
     def slack(self) -> Matrix:
-        """Every facet inequality at every vertex, built on first use: entry
-        (i, t) is c_i(p_t) - beta_i, checked to vanish exactly when vertex t
-        lies on facet i (t = i or i+1) and to be positive elsewhere.  A
-        failed check is not kept, so it raises on every access.  Cleared of
-        denominators, vertex t is (X_t, Y_t) / d_t and facet i is (A_i, B_i,
-        C_i) / D_i, so entry (i, t) is (A_i X_t + B_i Y_t - C_i d_t) /
-        (D_i d_t), and the checks read its integer numerator."""
-        points = [(x, y, d) for (x, y), d in map(clear_denominators, self.vertices)]
-        n = len(points)
-        data = []
-        for i, ((a, b, c), den) in enumerate(map(clear_denominators, self.facets)):
-            row = [a * x + b * y - c * d for x, y, d in points]
-            for t, value in enumerate(row):
-                incident = t == i or t == (i + 1) % n
-                if incident and value != 0:
-                    raise InternalError(f"vertex {t} misses its own facet {i}")
-                if not incident and value <= 0:
-                    raise NotConvex(
-                        f"vertex {t} does not satisfy facet {i} strictly; "
-                        "the walk is not a simple convex boundary"
-                    )
-            data.append(tuple(Fraction(v, den * d) for v, (_, _, d) in zip(row, points)))
-        return Matrix._raw(tuple(data), n, n)
+        """Every facet inequality at every vertex: ``polygon_from_points``
+        builds it, any other polygon on first use.  A failed check is not
+        kept, so it raises on every access."""
+        return _slack_table([(*xy, d) for xy, d in map(clear_denominators, self.vertices)],
+                            self.facets)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _slack_table(points, facets) -> Matrix:
+    """Entry (i, t) is c_i(p_t) - beta_i, checked to vanish exactly when
+    vertex t lies on facet i (t = i or i+1) and to be positive elsewhere.
+    Vertex t is (X_t, Y_t) / d_t, given as ``points[t]``, and facet i,
+    cleared, (A_i, B_i, C_i) / D_i, so entry (i, t) is (A_i X_t + B_i Y_t -
+    C_i d_t) / (D_i d_t), and the checks read its integer numerator."""
+    n = len(points)
+    data = []
+    for i, ((a, b, c), den) in enumerate(map(clear_denominators, facets)):
+        row = [a * x + b * y - c * d for x, y, d in points]
+        for t, value in enumerate(row):
+            incident = t == i or t == (i + 1) % n
+            if incident and value != 0:
+                raise InternalError(f"vertex {t} misses its own facet {i}")
+            if not incident and value <= 0:
+                raise NotConvex(
+                    f"vertex {t} does not satisfy facet {i} strictly; "
+                    "the walk is not a simple convex boundary"
+                )
+        data.append(tuple(Fraction(v, den * d) for v, (_, _, d) in zip(row, points)))
+    return Matrix._raw(tuple(data), n, n)
 
 
-def _facet_through(p: Point, q: Point) -> Facet:
+def _facet_through(p, q) -> Facet:
     """Inward inequality through the directed edge p -> q of a
-    counterclockwise polygon, scaled to coprime integer coefficients."""
-    cx = -(q[1] - p[1])
-    cy = q[0] - p[0]
-    scale = Fraction(math.lcm(cx.denominator, cy.denominator))
-    cx, cy = cx * scale, cy * scale
-    g = math.gcd(int(cx), int(cy))
-    if g > 1:
-        cx, cy = cx / g, cy / g
-    beta = cx * p[0] + cy * p[1]
-    return (cx, cy, beta)
+    counterclockwise polygon, p and q homogeneous integer rows: (A, B) is
+    the first two coordinates of p x q over their gcd, coprime integers,
+    and beta = (A X_p + B Y_p) / d_p."""
+    a, b, _ = _cross3(p, q)
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    return (Fraction(a), Fraction(b), Fraction(a * p[0] + b * p[1], p[2]))
 
 
 def polygon_from_points(points: Sequence) -> Polygon:
@@ -110,30 +109,30 @@ def polygon_from_points(points: Sequence) -> Polygon:
     n = len(vertices)
     if n < 3:
         raise NotConvex(f"a polygon needs at least 3 vertices, got {n}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vertices[i] == vertices[j]:
-                raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(
-                    i, j, *map(format_value, vertices[i])))
+    rows = [(*xy, d) for xy, d in map(clear_denominators, vertices)]  # equal points, equal rows
+    # The pair a pairwise scan names: the first vertex with a later copy, and its first copy.
+    first = {}
+    copies = [(first.setdefault(row, j), j) for j, row in enumerate(rows)]
+    pair = min(((i, j) for i, j in copies if i < j), default=None)
+    if pair is not None:
+        raise DuplicateVertices("vertices {} and {} coincide at ({}, {})".format(
+            *pair, *map(format_value, vertices[pair[0]])))
 
-    turns = []
-    for i in range(n):
-        turn = _cross(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
-        if turn == 0:
-            raise CollinearVertices(
-                f"vertices {i}, {(i + 1) % n}, {(i + 2) % n} are collinear"
-            )
-        turns.append(turn)
+    # det of rows i, i+1, i+2: turn i's cross product times d_i d_i+1 d_i+2 > 0
+    turns = [sum(map(mul, rows[i], _cross3(rows[(i + 1) % n], rows[(i + 2) % n])))
+             for i in range(n)]
+    if 0 in turns:
+        i = turns.index(0)
+        raise CollinearVertices(f"vertices {i}, {(i + 1) % n}, {(i + 2) % n} are collinear")
     if all(t < 0 for t in turns):
-        vertices = [vertices[0]] + vertices[:0:-1]
+        vertices, rows = [vertices[0]] + vertices[:0:-1], [rows[0]] + rows[:0:-1]
     elif not all(t > 0 for t in turns):
         raise NotConvex("vertex walk changes turning direction")
 
-    facets = tuple(
-        _facet_through(vertices[i], vertices[(i + 1) % n]) for i in range(n)
-    )
+    facets = tuple(_facet_through(rows[i], rows[(i + 1) % n]) for i in range(n))
     poly = Polygon(tuple(vertices), facets)
-    poly.slack  # excludes self-wrapping walks (all turns equal-signed but not simple)
+    # From the rows above; it excludes self-wrapping walks (all turns equal-signed but not simple).
+    poly.__dict__["slack"] = _slack_table(rows, facets)
     return poly
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .driver import Factorization
 from .errors import ExactNMFError, ParseError
-from .linalg import MAX_DIGITS, Matrix, _check_token_size, _read_token, token_digits
+from .linalg import MAX_DIGITS, SAFE_BITS, Matrix, _check_token_size, _read_token, token_digits
 from .polygon import ExtendedFormulation, Polygon, polygon_from_points
 
 
@@ -25,16 +25,18 @@ def format_scalar(x: Fraction) -> str:
 
 
 def _format_rows(rows, name: str) -> list:
-    """The entries as tokens.  The reader refuses a token of more than
-    MAX_DIGITS digits in p and q together, so such an entry raises
-    ExactNMFError naming it."""
+    """The entries as the tokens ``format_scalar`` writes, each entry's p and
+    q read once.  The reader refuses a token of more than MAX_DIGITS digits
+    in p and q together, so such an entry raises ExactNMFError naming it."""
+    out = []
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            digits = token_digits(x)
-            if digits:
+        pairs = [(x.numerator, x.denominator) for x in row]
+        for j, (p, q) in enumerate(pairs):
+            if p.bit_length() + q.bit_length() > SAFE_BITS and (digits := token_digits(row[j])):
                 raise ExactNMFError(f"{name} entry ({i}, {j}) needs {digits} digits; "
                                     f"a file holds at most {MAX_DIGITS}")
-    return [[format_scalar(x) for x in row] for row in rows]
+        out.append([f"{p}/{q}" if q != 1 else str(p) for p, q in pairs])
+    return out
 
 
 # "p" or "p/q" in ASCII digits, the form format_scalar writes.  Other

@@ -1,5 +1,6 @@
 """Polygons, slack matrices, and lifted descriptions."""
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -20,9 +21,9 @@ from exactnmf.linalg import Matrix, is_product, rank
 from exactnmf import polygon
 from exactnmf.polygon import (
     ExtendedFormulation,
+    Facet,
+    Point,
     Polygon,
-    _cross,
-    _facet_through,
     build_extension,
     polygon_from_points,
     slack_matrix,
@@ -197,7 +198,27 @@ class TestVerifyExtension:
 
 
 # -- oracles: the Fraction code that polygon_from_points and verify_extension
-# ran before slack values came from one integer table, kept verbatim -------
+# ran before slack values came from one integer table, and the Fraction
+# turn and facet helpers polygon_from_points used before it worked on
+# cleared integers, kept verbatim -----------------------------------------
+
+
+def _cross(o: Point, a: Point, b: Point) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _facet_through(p: Point, q: Point) -> Facet:
+    """Inward inequality through the directed edge p -> q of a
+    counterclockwise polygon, scaled to coprime integer coefficients."""
+    cx = -(q[1] - p[1])
+    cy = q[0] - p[0]
+    scale = Fraction(math.lcm(cx.denominator, cy.denominator))
+    cx, cy = cx * scale, cy * scale
+    g = math.gcd(int(cx), int(cy))
+    if g > 1:
+        cx, cy = cx / g, cy / g
+    beta = cx * p[0] + cy * p[1]
+    return (cx, cy, beta)
 
 
 def oracle_polygon_from_points(points):
@@ -458,3 +479,114 @@ def test_verify_extension_computes_no_rank(h7_polygon, monkeypatch):
     assert verify_extension(h7_polygon, ef).ok
     with pytest.raises(AssertionError, match="rank called"):
         build_extension(h7_polygon)
+
+
+# -- polygons built on cleared integers --------------------------------------
+
+QUADRANT_STEPS = 1 << 16
+
+
+def _old_circle_point(u):
+    quadrant, k = divmod(u, QUADRANT_STEPS)
+    t = Fraction(k, QUADRANT_STEPS)
+    den = 1 + t * t
+    x, y = (1 - t * t) / den, 2 * t / den
+    if quadrant == 0:
+        return (x, y)
+    if quadrant == 1:
+        return (-y, x)
+    if quadrant == 2:
+        return (-x, -y)
+    return (y, -x)
+
+
+def oracle_random_convex_polygon(rng, n):
+    """The Fraction generator ``random_convex_polygon`` replaced, verbatim."""
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    params: set = set()
+    while len(params) < n:
+        params.add(rng.below(4 * QUADRANT_STEPS))
+    radius = 1 + Fraction(rng.below(256), 256)
+    center = (
+        Fraction(rng.below(513) - 256, 64),
+        Fraction(rng.below(513) - 256, 64),
+    )
+    points = []
+    for u in sorted(params):
+        x, y = _old_circle_point(u)
+        points.append((center[0] + radius * x, center[1] + radius * y))
+    return polygon_from_points(points)
+
+
+@pytest.mark.parametrize("n", [3, 7, 50])
+def test_generator_matches_fraction_code(n):
+    """Seeds 0..199 give the old generator's polygons and leave the stream
+    where it left it; the first ten, built by the Fraction oracle from the
+    same vertices, give the same polygon too."""
+    for seed in range(200):
+        rng, old_rng = SplitMix64(seed), SplitMix64(seed)
+        poly = random_convex_polygon(rng, n)
+        assert poly == oracle_random_convex_polygon(old_rng, n)
+        assert rng.next_u64() == old_rng.next_u64()
+        if seed < 10:
+            assert poly == oracle_polygon_from_points(poly.vertices)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def count_fraction_arithmetic(monkeypatch):
+    """Wrap Fraction's arithmetic and comparisons; returns the list of the
+    names called."""
+    calls = []
+    for name in ARITHMETIC:
+        real = getattr(Fraction, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_no_fraction_arithmetic(monkeypatch):
+    """A 50-gon is built, and 4,001 points whose last two coincide are
+    refused, without one Fraction sum, product, quotient or comparison."""
+    vertices = random_convex_polygon(SplitMix64(7919), 50).vertices
+    parabola = [(Fraction(i, 7), Fraction(i * i, 49)) for i in range(4000)]
+    parabola.append(parabola[-1])
+    calls = count_fraction_arithmetic(monkeypatch)
+    poly = polygon_from_points(vertices)
+    with pytest.raises(DuplicateVertices) as raised:
+        polygon_from_points(parabola)
+    assert calls == []
+    monkeypatch.undo()
+    assert poly == oracle_polygon_from_points(vertices)
+    assert str(raised.value).startswith("vertices 3999 and 4000 coincide at (3999/7, ")
+
+
+@st.composite
+def walks_with_copies(draw):
+    """Distinct points, at least two of them repeated, shuffled; each copy
+    spelled as a Fraction or as its "p/q" string."""
+    points = draw(st.lists(st.tuples(big_rationals, big_rationals), min_size=3, max_size=9,
+                           unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    counts[0], counts[1] = max(counts[0], 2), max(counts[1], 2)
+    walk = [p if draw(st.booleans()) else tuple(map(str, p))
+            for p, c in zip(points, counts) for _ in range(c)]
+    return draw(st.permutations(walk))
+
+
+@settings(max_examples=200)
+@given(walks_with_copies())
+def test_duplicate_pair_is_the_pairwise_scans(points):
+    """With several groups of coincident points, ``DuplicateVertices`` names
+    the pair the pairwise scan names: the first vertex with a later copy,
+    and its first later copy."""
+    outcome = _outcome(polygon_from_points, points)
+    assert outcome[0] is DuplicateVertices
+    assert outcome == _outcome(oracle_polygon_from_points, points)

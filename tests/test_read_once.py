@@ -9,12 +9,14 @@ the oracle, built its report from ``first_negative_entry`` on each factor
 and ``product_difference`` when the shapes agree.
 """
 
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from exactnmf.cli import run
 from exactnmf.driver import (
     Factorization,
     _factor_chunk,
@@ -25,6 +27,7 @@ from exactnmf.driver import (
 from exactnmf.errors import NegativeEntryError
 from exactnmf.linalg import Matrix, block_diag, format_value, product_difference
 from exactnmf.rng import SplitMix64
+from exactnmf.serialize import certificate_to_jsonable, matrix_to_jsonable
 
 from test_driver_properties import product, splitmix_corpus
 from test_one_check import count_calls
@@ -33,8 +36,8 @@ from test_one_check import count_calls
 def oracle_failures(a: Matrix, fact: Factorization):
     """The failure list of ``verify_factorization`` as it was built from
     separate sign scans: shapes, declared inner dimension, each factor's
-    ``first_negative_entry``, ``product_difference`` if the shapes agree,
-    then the bound."""
+    ``first_negative_entry``, ``product_difference`` if the shapes agree and
+    the left factor is no wider than the bound, then the bound."""
     left, right = fact.left, fact.right
     failures = []
     if left.rows != a.rows:
@@ -52,12 +55,12 @@ def oracle_failures(a: Matrix, fact: Factorization):
         if hit is not None:
             (i, j), x = hit
             failures.append(f"{name} factor has negative entry {format_value(x)} at ({i}, {j})")
-    hit = product_difference(left, right, a) if shapes_ok else None
+    bound = inner_dimension_bound(a.rows, a.cols)
+    hit = product_difference(left, right, a) if shapes_ok and left.cols <= bound else None
     if hit is not None:
         i, j, value = hit
         failures.append(f"product disagrees with input at ({i}, {j}): "
                         f"{format_value(value)} != {format_value(a.data[i][j])}")
-    bound = inner_dimension_bound(a.rows, a.cols)
     if fact.bound != bound:
         failures.append(f"declared bound {fact.bound} differs from ceil(6*min(m,n)/7) = {bound}")
     if fact.inner_dim > bound:
@@ -200,3 +203,33 @@ def test_entries_kept_as_given():
     m = Matrix([[x, 2, "1/3"]])
     assert m.data[0][0] is x and m.data[0][1:] == (Fraction(2), Fraction(1, 3))
     assert block_diag([m]) is m
+
+
+def test_bound_refusal_reads_no_product(monkeypatch, tmp_path, capsys):
+    """A left factor wider than ceil(6 min(m, n) / 7) is refused whatever its
+    product, so the product kernel is never entered: not for an all-ones
+    100 x 5000 by 5000 x 100 certificate of the all-5000 matrix, in the
+    library or through the CLI, nor for a 7 x 7 certificate whose product is
+    wrong, where the sign scans still name the negative entry."""
+    calls = count_calls(monkeypatch, "_product_rows")
+    one, wide = Fraction(1), 5000
+    a = Matrix([[wide] * 100] * 100)
+    left = Matrix._raw(((one,) * wide,) * 100, 100, wide)
+    right = Matrix._raw(((one,) * 100,) * wide, wide, 100)
+    fact = Factorization(left, right, wide, inner_dimension_bound(100, 100), ())
+    assert verify_factorization(a, fact).failures == ["inner dimension 5000 exceeds the bound 86"]
+
+    matrix_path, cert_path = tmp_path / "a.json", tmp_path / "c.json"
+    matrix_path.write_text(json.dumps(matrix_to_jsonable(a)))
+    cert_path.write_text(json.dumps(certificate_to_jsonable(fact)))
+    assert run(["verify", "--input", str(matrix_path), "--cert", str(cert_path)]) == 1
+    assert "inner dimension 5000 exceeds the bound 86" in capsys.readouterr().out
+
+    seven = Matrix.identity(7)
+    negative = Factorization(edited(seven, [(3, 3, lambda x: -x)]), seven, 7, 6, ())
+    failures = verify_factorization(seven, negative).failures
+    assert failures == oracle_failures(seven, negative) == [
+        "left factor has negative entry -1 at (3, 3)",
+        "inner dimension 7 exceeds the bound 6",
+    ]
+    assert calls == []
