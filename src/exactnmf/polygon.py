@@ -2,14 +2,15 @@
 descriptions with at most ceil(6n/7) inequalities.
 
 A polygon is stored as counterclockwise vertices plus one inequality
-c(x) >= beta per edge.  ``polygon_from_points`` clears each vertex once to
-homogeneous integers (X, Y, d), d > 0, and works on those alone: a dict
-of them finds duplicates in one pass, a 3 x 3 determinant gives each
-turn's sign, and a cross product each facet.  The slack matrix evaluates
-every inequality at every vertex, once per polygon (``Polygon.slack``),
-and every reader shares it.  Factoring it as T @ U with nonnegative
-factors turns U's columns into lift points and T into the mixing matrix
-of a description
+c(x) >= beta per edge.  ``polygon_from_points``, the checked constructor,
+clears each vertex once to homogeneous integers (X, Y, d), d > 0, and
+validates the walk on those in linear time: a dict finds duplicates, a
+3 x 3 determinant gives each turn's sign, and the edge directions must
+wind once; a ``Polygon`` built by hand is taken as given.  The slack
+matrix evaluates every inequality at every vertex on first read
+(``Polygon.slack``), and every reader shares it.  Factoring it as T @ U
+with nonnegative factors turns U's columns into lift points and T into
+the mixing matrix of a description
 
     c_i(x) - beta_i = (T y)_i  for all facets i,    y >= 0,
 
@@ -42,7 +43,8 @@ Facet = Tuple[Fraction, Fraction, Fraction]  # (cx, cy, beta): cx*x + cy*y >= be
 @dataclass(frozen=True)
 class Polygon:
     """Strictly convex polygon, vertices counterclockwise; facet i joins
-    vertex i to vertex i+1 and every other vertex satisfies it strictly."""
+    vertex i to vertex i+1 and every other vertex satisfies it strictly.
+    ``polygon_from_points`` checks it; one built by hand is taken as given."""
 
     vertices: Tuple[Point, ...]
     facets: Tuple[Facet, ...]
@@ -57,34 +59,13 @@ class Polygon:
 
     @cached_property
     def slack(self) -> Matrix:
-        """Every facet inequality at every vertex: ``polygon_from_points``
-        builds it, any other polygon on first use.  A failed check is not
-        kept, so it raises on every access."""
-        return _slack_table([(*xy, d) for xy, d in map(clear_denominators, self.vertices)],
-                            self.facets)
-
-
-def _slack_table(points, facets) -> Matrix:
-    """Entry (i, t) is c_i(p_t) - beta_i, checked to vanish exactly when
-    vertex t lies on facet i (t = i or i+1) and to be positive elsewhere.
-    Vertex t is (X_t, Y_t) / d_t, given as ``points[t]``, and facet i,
-    cleared, (A_i, B_i, C_i) / D_i, so entry (i, t) is (A_i X_t + B_i Y_t -
-    C_i d_t) / (D_i d_t), and the checks read its integer numerator."""
-    n = len(points)
-    data = []
-    for i, ((a, b, c), den) in enumerate(map(clear_denominators, facets)):
-        row = [a * x + b * y - c * d for x, y, d in points]
-        for t, value in enumerate(row):
-            incident = t == i or t == (i + 1) % n
-            if incident and value != 0:
-                raise InternalError(f"vertex {t} misses its own facet {i}")
-            if not incident and value <= 0:
-                raise NotConvex(
-                    f"vertex {t} does not satisfy facet {i} strictly; "
-                    "the walk is not a simple convex boundary"
-                )
-        data.append(tuple(Fraction(v, den * d) for v, (_, _, d) in zip(row, points)))
-    return Matrix._raw(tuple(data), n, n)
+        """Every facet inequality at every vertex, built on first read: with
+        vertex t cleared to (X_t, Y_t) / d_t and facet i to (A_i, B_i, C_i) / D_i,
+        entry (i, t) is c_i(p_t) - beta_i = (A_i X_t + B_i Y_t - C_i d_t) / (D_i d_t)."""
+        points = [(*xy, d) for xy, d in map(clear_denominators, self.vertices)]
+        return Matrix._raw(tuple(
+            tuple(Fraction(a * x + b * y - c * d, den * d) for x, y, d in points)
+            for (a, b, c), den in map(clear_denominators, self.facets)), len(self.facets), self.n)
 
 
 def _facet_through(p, q) -> Facet:
@@ -99,11 +80,11 @@ def _facet_through(p, q) -> Facet:
 
 
 def polygon_from_points(points: Sequence) -> Polygon:
-    """Build a validated polygon from an ordered vertex list.
+    """Build a validated polygon from an ordered vertex list, in linear time.
 
-    The list must walk the boundary of a strictly convex polygon; a
-    clockwise walk is reversed.  Duplicate vertices, collinear triples
-    and non-convex input are rejected.
+    The list must walk the boundary of a strictly convex polygon once; a
+    clockwise walk is reversed.  Duplicate vertices, collinear triples,
+    non-convex and self-wrapping walks are rejected.
     """
     vertices = [as_point(p) for p in points]
     n = len(vertices)
@@ -129,11 +110,15 @@ def polygon_from_points(points: Sequence) -> Polygon:
     elif not all(t > 0 for t in turns):
         raise NotConvex("vertex walk changes turning direction")
 
-    facets = tuple(_facet_through(rows[i], rows[(i + 1) % n]) for i in range(n))
-    poly = Polygon(tuple(vertices), facets)
-    # From the rows above; it excludes self-wrapping walks (all turns equal-signed but not simple).
-    poly.__dict__["slack"] = _slack_table(rows, facets)
-    return poly
+    # Edge directions, scaled by d_p d_q > 0.  A left turn of less than pi
+    # passes +x only from a lower direction to an upper one, once a winding.
+    edges = list(zip(rows, rows[1:] + rows[:1]))
+    lower = [dy < 0 or (dy == 0 and dx < 0) for dx, dy in
+             ((q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]) for p, q in edges)]
+    winds = sum(a and not b for a, b in zip(lower, lower[1:] + lower[:1]))
+    if winds != 1:
+        raise NotConvex(f"the vertex walk winds {winds} times; a simple convex boundary winds once")
+    return Polygon(tuple(vertices), tuple(_facet_through(p, q) for p, q in edges))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,34 @@
+"""The shell scripts under ``ci/`` that the workflow calls, run here with
+``exactnmf`` and ``python`` on PATH as shims for this checkout's package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIM = '#!/bin/sh\nPYTHONPATH="{src}" exec "{python}" {args}"$@"\n'
+
+
+def shim_path(tmp_path):
+    """A PATH whose ``exactnmf`` and ``python`` run this interpreter on src/."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, args in (("exactnmf", "-m exactnmf "), ("python", "")):
+        shim = bin_dir / name
+        shim.write_text(SHIM.format(src=ROOT / "src", python=sys.executable, args=args))
+        shim.chmod(0o755)
+    return os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])
+
+
+def test_polygon_script(tmp_path):
+    runner_temp = tmp_path / "runner"
+    runner_temp.mkdir()
+    env = dict(os.environ, PATH=shim_path(tmp_path), RUNNER_TEMP=str(runner_temp))
+    done = subprocess.run(["bash", str(ROOT / "ci" / "polygon.sh")], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "50-gon described with" in done.stdout
+    for message in ("coincide", "winds 2 times", "shape mismatch"):
+        assert message in done.stdout
+    assert "Traceback" not in done.stdout + done.stderr

@@ -3,7 +3,7 @@
 A matrix's columns are cleared to integers by ``linalg.cleared_columns``
 and kept on it beside its pivot columns, so the rank, the section and segment
 cores and the cyclic core read one view; the product check clears its
-own operands.  A polygon builds its slack matrix once, on first use.  These
+own operands.  A polygon builds its slack matrix once, on first read.  These
 tests count the clearings, check that the kept view is what a fresh
 clearing gives, and that no reader changes it.
 """
@@ -71,8 +71,10 @@ def test_rank_two_core_columns_cleared_once(monkeypatch):
 
 
 def test_one_slack_matrix_per_polygon(monkeypatch, h7_slack):
-    """``polygon_from_points``, ``build_extension`` and ``verify_extension``
-    read one slack matrix: the 7 vertices and 7 facets are cleared once."""
+    """``build_extension`` and ``verify_extension`` read one slack matrix,
+    built on first read: ``polygon_from_points`` clears the 7 vertices to
+    validate the walk and keeps nothing, and the table clears them again
+    with the 7 facets, once."""
     calls = []
     clear = polygon.clear_denominators
     monkeypatch.setattr(polygon, "clear_denominators", lambda line: calls.append(1) or clear(line))
@@ -81,7 +83,7 @@ def test_one_slack_matrix_per_polygon(monkeypatch, h7_slack):
     assert polygon.verify_extension(poly, ef).ok
     assert polygon.slack_matrix(poly).matrix is poly.slack
     assert poly.slack == h7_slack
-    assert len(calls) == 14
+    assert len(calls) == 21
 
 
 def test_copies_start_with_nothing_kept(h7_slack):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from exactnmf import cli, section
 from exactnmf.cli import run
+from exactnmf.polygon import Polygon
 from exactnmf.rng import SplitMix64
 from exactnmf.serialize import (
     dumps,
@@ -339,6 +340,21 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == (
             "verification: right factor has negative entry -4004/3 at (0, 3); "
             "product disagrees with input at (0, 3): 11/5 != 5\n")
+
+    def test_wrong_shape_refused_before_the_slack_matrix(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """The heptagon's formulation against a valid 1,000-gon: the shape
+        test refuses it, and no slack matrix is built."""
+        path = tmp_path / "p1000.json"
+        vertices = [[str(i), str(i * i)] for i in range(999)] + [["500", str(10**7)]]
+        save_text(str(path), dumps({"vertices": vertices}))
+        reads = []
+        build = Polygon.slack.func
+        monkeypatch.setattr(Polygon, "slack", property(lambda poly: reads.append(1) or build(poly)))
+        code = run(["verify", "--input", str(path),
+                    "--cert", str(DATA / "h7_formulation_pre_compact.json")])
+        assert code == 1 and reads == []
+        assert capsys.readouterr().out.startswith("verification: shape mismatch: T is (7, 6)")
 
     def test_product_over_the_digit_limit_exits_one(self, tmp_path, capsys):
         """Each factor token is within the limit, but the product value the

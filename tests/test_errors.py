@@ -38,11 +38,11 @@ def beyond_vertex_zero():
     return tuple(2 * x - y for x, y in zip(v0, v1))
 
 
-def facet_zero_misses_vertex_zero():
-    """The heptagon built by hand with facet 0 moved off vertex 0."""
+def slack_of_rank_one():
+    """The heptagon's vertices built by hand with facet 0 seven times: a
+    ``Polygon`` is taken as given, and its slack matrix has rank 1."""
     poly = polygon_from_points(H7_VERTICES)
-    (cx, cy, beta), *rest = poly.facets
-    return Polygon(poly.vertices, ((cx, cy, beta + 1), *rest))
+    return slack_matrix(Polygon(poly.vertices, (poly.facets[0],) * 7))
 
 
 ROWS = [
@@ -64,8 +64,7 @@ ROWS = [
      "are collinear"),
     (errors.DuplicateVertices, lambda: polygon_from_points([(0, 0), (0, 0), (1, 1)]), "coincide"),
     (errors.NotFittedError, lambda: ExactNMF().inverse_transform(), "call fit"),
-    (errors.InternalError, lambda: facet_zero_misses_vertex_zero().slack,
-     "vertex 0 misses its own facet 0"),
+    (errors.InternalError, slack_of_rank_one, "must have rank 3, got 1"),
     (errors.ParseError, lambda: nn_factor([["abc"]]), "cannot parse 'abc' as a rational"),
 ]
 

@@ -1,11 +1,12 @@
 """Polygons, slack matrices, and lifted descriptions."""
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactnmf.driver import VerificationReport, inner_dimension_bound
@@ -80,9 +81,10 @@ class TestPolygonFromPoints:
             polygon_from_points(pts)
 
     def test_vertex_on_another_facet_line_rejected(self):
-        # every turn is a left turn, but vertex 3 lies on the line of facet 0
+        # every turn is a left turn, but vertex 3 lies on the line of facet 0:
+        # the walk wraps around twice
         pts = [(0, -3), (-2, -1), (1, -3), (-3, -2), (3, -3)]
-        with pytest.raises(NotConvex, match="vertex 3 does not satisfy facet 0"):
+        with pytest.raises(NotConvex, match="the vertex walk winds 2 times"):
             polygon_from_points(pts)
 
     def test_rational_vertices(self):
@@ -366,13 +368,71 @@ def vertex_walks(draw):
     return [points[(i * stride) % n] for i in range(n)]
 
 
+WINDING = "the vertex walk winds {} times; a simple convex boundary winds once"
+
+
 @settings(max_examples=150)
 @given(vertex_walks())
 def test_slack_table_matches_fraction_code(points):
+    """The oracle's verdict, except that a self-wrapping walk, which the
+    oracle's slack table refuses at its first vertex beyond a facet, gets
+    the winding message."""
     poly = _outcome(polygon_from_points, points)
-    assert poly == _outcome(oracle_polygon_from_points, points)
+    expected = _outcome(oracle_polygon_from_points, points)
+    if not isinstance(expected, Polygon) and "does not satisfy facet" in expected[1]:
+        assert expected[0] is poly[0] is NotConvex
+        assert re.fullmatch(WINDING.format(r"\d+"), poly[1])
+    else:
+        assert poly == expected
     if isinstance(poly, Polygon):
         assert slack_matrix(poly).matrix == oracle_slack(poly)
+
+
+@st.composite
+def strided_walks(draw):
+    """(walk, stride): the vertices of a random convex n-gon, n = 3..15,
+    under a random rational affine map, walked with a stride s coprime to
+    n that winds min(s, n - s) <= 3 times."""
+    n = draw(st.integers(min_value=3, max_value=15))
+    poly = random_convex_polygon(SplitMix64(draw(st.integers(0, 2**32))), n)
+    a, b, c, d, e, f = (draw(big_rationals) for _ in range(6))
+    assume(a * d != b * c)
+    points = [(a * x + b * y + e, c * x + d * y + f) for x, y in poly.vertices]
+    stride = draw(st.sampled_from([s for s in range(1, n)
+                                   if gcd(s, n) == 1 and min(s, n - s) <= 3]))
+    return [points[(i * stride) % n] for i in range(n)], stride
+
+
+@settings(max_examples=200)
+@given(strided_walks())
+def test_winding_test_matches_the_slack_table(walk):
+    """A strided walk is refused exactly when the oracle's slack table
+    refuses it, and the message counts its windings: min(s, n - s)."""
+    points, stride = walk
+    n = len(points)
+    winds = min(stride, n - stride)
+    outcome = _outcome(polygon_from_points, points)
+    expected = _outcome(oracle_polygon_from_points, points)
+    if winds == 1:
+        assert isinstance(expected, Polygon) and outcome == expected
+    else:
+        assert expected[0] is NotConvex
+        assert outcome == (NotConvex, WINDING.format(winds))
+
+
+def parabola_walk(n):
+    """A valid n-gon: (i, i^2) for i < n - 1, closed by a point high above."""
+    return [(i, i * i) for i in range(n - 1)] + [(n // 2, 10**7)]
+
+
+def test_large_polygon_is_built_without_its_slack_matrix(h7_polygon):
+    """``polygon_from_points`` does linear work: on a valid 1,000-gon it
+    keeps no slack matrix.  The first read of ``.slack`` builds and keeps it."""
+    poly = polygon_from_points(parabola_walk(1000))
+    assert poly.n == 1000 and "slack" not in poly.__dict__
+    fresh = polygon_from_points(h7_polygon.vertices)
+    assert "slack" not in fresh.__dict__
+    assert fresh.slack.shape == (7, 7) and fresh.__dict__["slack"] is fresh.slack
 
 
 def _facet_failure(i, row):
