@@ -15,9 +15,9 @@ reaches.
 All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i)
 = clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and
 factor entries (num, den) pairs.  Assembly scales each left column to a
-primitive integer vector, the only Fractions it builds; the right factor
-leaves as integer rows over one denominator each, each row carrying its
-column's inverse scale, for the section's fan pass.  The public functions
+primitive integer vector, the only Fractions it builds, and reads the
+right factor off the target and that left factor, as integer rows over one
+denominator each for the section's fan pass.  The public functions
 are checked converters between these forms and CanonicalParams,
 MonomialMatrix, Matrix.
 """
@@ -330,57 +330,61 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
     return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
 
 
+# Per right-table column t, its two nonzero rows c, each with a left-table row
+# p nonzero in c, not in the other: right[c][t] = (left @ right)[p][t] / left[p][c].
+_SOLVE = (((0, 2), (5, 1)), ((0, 2), (1, 6)), ((1, 3), (2, 0)), ((2, 0), (5, 1)),
+          ((2, 5), (3, 1)), ((3, 6), (4, 3)), ((4, 2), (5, 4)))
+
+
 def _direct_factor(rows, vm):
-    """(left, right) of ``direct_factor`` as (num, den) tables, den > 0, for
-    an admissible tuple meeting the middle-min condition; tests nothing."""
+    """(left, right) of ``direct_factor`` as (num, den) tables, den > 0, the
+    right by ``_SOLVE``, for an admissible middle-min tuple; tests nothing."""
     (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
     v = lambda i, j: vm[i - 1][j - 1]  # noqa: E731 - 1-based view
-    add = lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1])  # noqa: E731
-    div = lambda x, y: (x[0] * y[1], x[1] * y[0])  # noqa: E731
     one, zero, s2 = (1, 1), (0, 1), A2 + B2
+    # v(i, j) is over R_i K_j, R_3 = R_4 = 1, K_1 = D2 D3, K_7 = D1 D2: sums over D1 D2 D3
     left = (
-        (zero, zero, one, add(v(4, 1), v(4, 7)), v(6, 1), zero),
+        (zero, zero, one, (v(4, 1)[0] * D1 + v(4, 7)[0] * D3, D1 * D2 * D3), v(6, 1), zero),  # v41 + v47
         (zero, zero, zero, one, ((A1 + B1) * D2 - s2 * D1, D1 * D2), one),  # a1 - a2 + b1 - b2
         (v(3, 1), zero, zero, one, v(3, 7), zero),
         (v(4, 1), one, zero, zero, v(4, 7), zero),
         (((A3 + B3) * D2 - s2 * D3, D2 * D3), one, zero, zero, zero, one),  # a3 - a2 + b3 - b2
-        (v(6, 1), add(v(3, 1), v(3, 7)), one, zero, zero, zero),
+        (v(6, 1), (v(3, 1)[0] * D1 + v(3, 7)[0] * D3, D1 * D2 * D3), one, zero, zero, zero),  # v31 + v37
         (zero, v(3, 1), one, v(4, 7), zero, zero),
     )
-    right = (
-        (one, div(v(3, 2), v(3, 1)), zero, zero, zero, zero, zero),
-        (zero, div(v(2, 1), v(3, 1)), one, zero, zero, zero, zero),
-        (zero, zero, v(1, 3), one, v(6, 5), zero, zero),
-        (zero, zero, zero, zero, one, div(v(5, 7), v(4, 7)), zero),
-        (zero, zero, zero, zero, zero, div(v(6, 5), v(4, 7)), one),
-        (v(7, 2), zero, zero, one, zero, zero, v(5, 7)),
-    )
-    return left, right
+    right = [[zero] * SIZE for _ in range(SIZE - 1)]
+    for t, pairs in enumerate(_SOLVE):
+        for c, p in pairs:
+            (x, y), (u, w) = vm[p][t], left[p][c]
+            right[c][t] = (x * w, y * u)
+    return left, tuple(right)
 
 
-def _assemble(q_left, left, right, q_right):
-    """(q_left @ left @ D, D^-1 @ right @ q_right) for (num, den) tables and
-    the positive diagonal D that makes each left column a primitive integer
-    vector w // gcd(w): the left factor a Matrix, the right one integer rows
-    (y, e), row == y / e, each row taking its column's inverse scale."""
+def _assemble(q_left, left, q_right, entry):
+    """(left, lines): q_left @ left @ D for the direct factor's left table
+    and the positive diagonal D that makes each left column a primitive
+    integer vector w // gcd(w), and as integer rows (y, e), row == y / e,
+    the R with left @ R the target, entry(i, j) = (num, den) with den > 0.
+    R is a right table permuted by q_right, so ``_SOLVE`` reads it off."""
     perm, nums, dens = q_left
     rows = [[(n * x, d * y) if x else (0, 1) for x, y in left[p]] for p, n, d in zip(perm, nums, dens)]
-    columns, scales = [], []
+    columns = []
     for col in zip(*rows):
         big = lcm(*(y for x, y in col if x))
         w = [x * (big // y) if x else 0 for x, y in col]
         g = gcd(*w)
-        columns.append([Fraction(v // g) if v else _ZERO for v in w])
-        c = gcd(g, big)  # column times big / g, its right row times g / big
-        scales.append((g // c, big // c))
-    perm, nums, dens = q_right
-    inv = sorted(range(len(perm)), key=perm.__getitem__)  # column c is table column inv[c]
-    lines = []
-    for row, (g, big) in zip(right, scales):
-        scaled = [(row[i][0] * nums[i], row[i][1] * dens[i]) for i in inv]
-        e = lcm(*(y for x, y in scaled if x))
-        lines.append(([x * (e // y) * g if x else 0 for x, y in scaled], e * big))
-    return Matrix._raw(tuple(zip(*columns)), len(rows), len(columns)), lines
+        columns.append([v // g for v in w])
+    at = sorted(range(len(perm)), key=perm.__getitem__)  # left table row p is row at[p]
+    cols = sorted(range(len(q_right)), key=q_right.__getitem__)  # column j is table column cols[j]
+    terms = [[(0, 1)] * len(cols) for _ in columns]
+    for j, t in enumerate(cols):
+        for c, p in _SOLVE[t]:
+            n, d = entry(at[p], j)
+            terms[c][j] = (n, d * columns[c][at[p]])
+    es = [lcm(*(d for _, d in row)) for row in terms]
+    lines = [([n * (e // d) for n, d in row], e) for row, e in zip(terms, es)]
+    left = tuple(tuple(Fraction(v) if v else _ZERO for v in row) for row in zip(*columns))
+    return Matrix._raw(left, len(rows), len(columns)), lines
 
 
 MAX_SEARCH_STEPS = 14  # 7 on the tuple itself, then 7 on its mirror
@@ -398,8 +402,8 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
     raises InternalError.
     """
     rows, table = _checked(params, "factor_canonical requires an admissible tuple")
-    q_left, left, right, q_right, steps, mirrored = _factor_canonical(rows, table)
-    left, lines = _assemble(q_left, left, right, q_right)
+    q_left, left, q_right, steps, mirrored = _factor_canonical(rows, table)
+    left, lines = _assemble(q_left, left, q_right, lambda i, j: table[i][j])
     right = _matrix([[(x, e) for x in y] for y, e in lines])
     if not is_certificate(left, right, _matrix(table)):
         raise InternalError(f"assembled certificate failed verification for {params}")
@@ -409,25 +413,25 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
 def _factor_canonical(rows, table):
     """The search of ``factor_canonical`` on an integer tuple its caller
     proved admissible, ``table`` its ``_admissible`` table: (q_left, left,
-    right, q_right, steps, mirrored), canonical(rows) == q_left @ left @
-    right @ q_right for the direct factor's tables where the search
-    stopped and the monomials of every step and the mirror, composed."""
+    q_right, steps, mirrored), canonical(rows) == q_left @ left @ right @ Q
+    for the direct factor's tables where the search stopped, the step and
+    mirror monomials composed, and q_right the permutation of Q."""
     for mirrored in (False, True):
         # The mirror of rows (A_i, D_i, B_i), i = 1, 2, 3 is (B_i, D_i, A_i), i = 3, 2, 1.
         current = tuple(r[::-1] for r in reversed(rows)) if mirrored else rows
         vm = _dets(current) if mirrored else table
-        q_left = q_right = _UNIT
+        q_left, q_right = _UNIT, _UNIT[0]
         for t in range(7):
             if _middle_min(current):
                 if mirrored:
                     q_left = _compose((_REVERSAL_ROWS,) + _UNIT[1:], q_left)
-                    q_right = _compose(q_right, (_REVERSAL_COLS,) + _UNIT[1:])
-                return (q_left, *_direct_factor(current, vm), q_right, t, mirrored)
+                    q_right = tuple(_REVERSAL_COLS[p] for p in q_right)
+                return q_left, _direct_factor(current, vm)[0], q_right, t, mirrored
             if t == 6:
                 break  # a seventh step closes the period
             current, vm, q1, q2 = _step(current)
-            # canonical(rows) == q_left @ canonical(current) @ q_right
-            q_left, q_right = _compose(q_left, q1), _compose(q2, q_right)
+            # canonical(rows) == q_left @ canonical(current) @ Q
+            q_left, q_right = _compose(q_left, q1), tuple(q_right[p] for p in q2[0])
     raise InternalError(
         f"no factorization within {MAX_SEARCH_STEPS} search steps for "
         f"{_params(rows)}; this state is impossible for exact admissible input"

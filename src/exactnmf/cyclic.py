@@ -5,7 +5,7 @@ to j-1 or j mod 7 (1-based), with every other entry strictly positive.
 Such a matrix is a positive row/column rescaling of a canonical matrix, so
 it factors exactly as a 7x6 times 6x7 nonnegative product.  The rescaling
 reads the integer tuple and (num, den) scales off the integer columns, and
-the core hands its right factor on as integer rows, one denominator each.
+the core reads its right factor off them and its left, as integer rows.
 """
 
 from __future__ import annotations
@@ -204,15 +204,14 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
 def _factor_cyclic(columns, divisors, labeling: CyclicLabeling):
     """``factor_cyclic`` on M as ``_scale_to_canonical`` reads it, with no
     product check: (left, lines, steps, mirrored), the right factor as
-    integer rows (y, e).  Relabeled M == diag(rows) @ q_left @ L @ R @
-    q_right @ diag(cols), so each side folds into one integer monomial."""
-    rows, table, row_nd, col_nd = _scale_to_canonical(columns, divisors, labeling)
-    q_left, left, right, q_right, steps, mirrored = canonical._factor_canonical(rows, table)
-    # Row t of the relabeled matrix is row row_order[t] of M, and column s
-    # is column col_order[s].
+    integer rows (y, e).  Relabeled M == diag(rows) @ q_left @ L @ R, so the
+    left side folds into one integer monomial; the right is read off M."""
+    rows, table, row_nd, _ = _scale_to_canonical(columns, divisors, labeling)
+    q_left, left, q_right, steps, mirrored = canonical._factor_canonical(rows, table)
+    # Row t of the relabeled matrix is row row_order[t] of M, column s column col_order[s].
     undo = tuple(sorted(range(SIZE), key=labeling.row_order.__getitem__))
     undo_rows = (undo, *zip(*(row_nd[t] for t in undo)))
-    cols = (labeling.col_order, *zip(*col_nd))
-    left, lines = canonical._assemble(_compose(undo_rows, q_left), left, right,
-                                      _compose(q_right, cols))
+    left, lines = canonical._assemble(_compose(undo_rows, q_left), left,
+                                      tuple(labeling.col_order[p] for p in q_right),
+                                      lambda i, j: (columns[j][i], divisors[j]))
     return left, lines, steps, mirrored

@@ -8,25 +8,24 @@ and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
 
 The section is an integer cone: each vertex is an extreme ray x of the
-cone of nonnegative vectors in the column space, at x / sum(x).  The
-rays are ordered counterclockwise by sign tests on ints, each column is
+cone of nonnegative vectors in the column space.  The rays are ordered
+counterclockwise by sign tests on ints and divided by their gcd, and the
+factoring core works on these primitive rays themselves: each column is
 located in the fan of cones (0, t, t + 1) over them by integer 3x3
 determinants, and only nonzero weights and output entries become
-Fractions.  Rank 2 is the same on a line: columns are placed on their
-segment and weighted against its two ends by integer 2x2 determinants.
-Every kernel reads what the rank that chose it kept on the matrix: the
-cleared columns, and the pivot columns that are its basis.  Every
-core's left columns are primitive integer vectors (a ray x leaves as
-x // gcd(x)), its right rows take the inverse scale, and a vertex that
-no column weighs leaves both factors.
+Fractions.  Rank 2 is the same on a line, by integer 2x2 determinants
+against the segment's two ends made primitive.  Every kernel reads what
+the rank that chose it kept on the matrix: the cleared columns, and the
+pivot columns that are its basis.  A vertex that no column weighs leaves
+both factors.
 
 ``section_polygon`` and ``convex_coefficients`` show the section in an
 exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
 ``factor_low_rank`` check input and product for direct callers;
 ``nn_factor`` calls their cores, which trust its rank and nonnegativity
 and leave the product to its one closing check.  A 7-vertex section hands
-the cyclic core its integer vertex rays and the relabeling its tight sets
-fix, and gets its right factor back as integer rows for the fan pass.
+the cyclic core its primitive rays and the relabeling its tight sets fix,
+and gets its right factor back as integer rows for the fan pass.
 """
 
 from __future__ import annotations
@@ -142,6 +141,8 @@ def _section_rays(a: Matrix):
     (cv, sv)): the three pivot columns of ``a`` cleared, with their sums.
     On nonnegative input they are the first nonzero column, the first
     column off its line (u) and the first column off their plane (v).
+    x is not primitive; the factoring core divides it by gcd(x) after this
+    ordering, since both charts read h with these S.
 
     The section is the cone {B h >= 0} cut at unit sum: rows i and j are
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
@@ -236,13 +237,11 @@ def _unit_lines(k: int):
 
 def _convex_weights(rays, cleared, lines) -> Matrix:
     """``m @ W`` in one integer pass, for W the k x n right factor of a
-    nonnegative matrix through its k vertex rays and m the matrix with
-    rows y / e for (y, e) in ``lines``: the identity, its rows scaled for
-    primitive vertex columns (k <= 6) or the cyclic core's right factor.
-    Column j of W holds the convex coefficients of normalized column j
-    times its sum, zero for a zero column.  Column j is c / d for
-    cleared[j] = (c, d), so vertex i weighs nums * S_i / (det * d) in it,
-    and each entry is one Fraction."""
+    nonnegative matrix through its k vertices x / S, rays (x, S), and m the
+    matrix with rows y / e for (y, e) in ``lines``: the identity, or the
+    cyclic core's right factor.  Column j of W weighs vertex i by nums *
+    S_i / (det * d) for cleared[j] = (c, d), the column c / d, zero for a
+    zero column, and each entry is one Fraction."""
     locate = _fan(rays)
     lines = [([y * s for y, (_, s) in zip(row, rays)], e) for row, e in lines]
     zero = (_ZERO,) * len(lines)
@@ -294,28 +293,26 @@ def factor_seven_by_n(a: Matrix):
 
 
 def _factor_seven_by_n(a: Matrix):
-    """``factor_seven_by_n`` for a matrix that passed
-    _check_seven_rows_rank3, with no product check of its own and no
-    chart, on the columns its rank was computed from.  The counterclockwise
-    vertices t and t + 1 of a 7-vertex section share one tight row, their
-    edge, which the labeling puts at t: the labeling
-    ``detect_cyclic_labeling`` finds on the vertex matrix."""
+    """``factor_seven_by_n`` for a matrix that passed _check_seven_rows_rank3,
+    with no product check or chart, on the columns its rank was computed
+    from, through the primitive rays x // gcd(x) themselves (vertex x / 1).
+    Counterclockwise vertices t and t + 1 of a 7-vertex section share one
+    tight row, their edge, which the labeling puts at t, as
+    ``detect_cyclic_labeling`` does on the vertex matrix."""
     cleared = cleared_columns(a)
-    rays, _, _ = _section_rays(a)
+    rays = [([t // g for t in x], 1) for x, _ in _section_rays(a)[0] for g in (gcd(*x),)]
     k = len(rays)
     if k <= 6:
-        gs = [gcd(*x) for x, _ in rays]
-        lines = [([g * (i == t) for i in range(k)], s) for t, (g, (_, s)) in enumerate(zip(gs, rays))]
-        right = _convex_weights(rays, cleared, lines)
+        right = _convex_weights(rays, cleared, _unit_lines(k))
         used = [t for t, row in enumerate(right.data) if any(row)]
-        left = tuple(zip(*(tuple(Fraction(x // gs[t]) for x in rays[t][0]) for t in used)))
+        left = tuple(zip(*(tuple(map(Fraction, rays[t][0])) for t in used)))
         right = Matrix._raw(tuple(right.data[t] for t in used), len(used), right.cols)
         info = {"method": "section", "vertices": k, "inner_dim": len(used)}
         return Matrix._raw(left, SIZE, len(used)), right, info
     tight = [{i for i, t in enumerate(x) if not t} for x, _ in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
-    left, lines, steps, mirrored = _factor_cyclic([x for x, _ in rays], [s for _, s in rays], labeling)
+    left, lines, steps, mirrored = _factor_cyclic([x for x, _ in rays], (1,) * SIZE, labeling)
     info = {"method": "section+cyclic", "vertices": k, "inner_dim": 6,
             "search_steps": steps, "mirrored": mirrored}
     return left, _convex_weights(rays, cleared, lines), info

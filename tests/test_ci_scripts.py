@@ -21,14 +21,25 @@ def shim_path(tmp_path):
     return os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])
 
 
-def test_polygon_script(tmp_path):
+def run_script(tmp_path, name):
     runner_temp = tmp_path / "runner"
     runner_temp.mkdir()
     env = dict(os.environ, PATH=shim_path(tmp_path), RUNNER_TEMP=str(runner_temp))
-    done = subprocess.run(["bash", str(ROOT / "ci" / "polygon.sh")], env=env, cwd=ROOT,
+    done = subprocess.run(["bash", str(ROOT / "ci" / name)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "50-gon described with" in done.stdout
-    for message in ("coincide", "winds 2 times", "shape mismatch"):
-        assert message in done.stdout
     assert "Traceback" not in done.stdout + done.stderr
+    return done.stdout
+
+
+def test_polygon_script(tmp_path):
+    out = run_script(tmp_path, "polygon.sh")
+    assert "50-gon described with" in out
+    for message in ("coincide", "winds 2 times", "shape mismatch"):
+        assert message in out
+
+
+def test_verify_script(tmp_path):
+    out = run_script(tmp_path, "verify.sh")
+    assert out.count("verification: all checks passed") == 2
+    assert "right factor has negative entry" in out

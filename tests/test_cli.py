@@ -16,9 +16,13 @@ from exactnmf import cli, section
 from exactnmf.cli import run
 from exactnmf.polygon import Polygon
 from exactnmf.rng import SplitMix64
+from exactnmf.errors import ParseError
 from exactnmf.serialize import (
+    certificate_from_jsonable,
     dumps,
+    formulation_from_jsonable,
     load_json,
+    matrix_from_jsonable,
     matrix_to_csv,
     matrix_to_jsonable,
     save_text,
@@ -395,6 +399,52 @@ class TestVerifyCommand:
         path = tmp_path / "weird.json"
         path.write_text('{"foo": 1}')
         assert run(["verify", "--input", h7_matrix_file, "--cert", str(path)]) == 2
+
+
+# The readers' shape guards: (reader, document, message, the side of
+# ``verify`` the document is, or None where ``verify`` cannot reach it).
+READER_GUARDS = [
+    (matrix_from_jsonable, {"entries": "12"}, "matrix entries must be a list of rows", "input"),
+    (matrix_from_jsonable, {"entries": [["1"], "2"]}, "every matrix row must be a list of entries",
+     "input"),
+    (certificate_from_jsonable, {"left": ONE_BY_ONE}, 'certificate object needs "left" and "right"',
+     None),  # verify reads a document as a certificate only if it has both
+    (certificate_from_jsonable, dict(ONE_BY_ONE_CERT, trace="abc"),
+     'certificate "trace" must be a list', "cert"),
+    (certificate_from_jsonable, dict(ONE_BY_ONE_CERT, bound="1"),
+     '"inner_dim" and "bound" must be integers', "cert"),
+    (formulation_from_jsonable, dict(TRIANGLE_FORMULATION, k="3"), '"k" must be an integer', "cert"),
+    (formulation_from_jsonable, dict(TRIANGLE_FORMULATION, beta="0"),
+     'formulation "beta" must be a list', "cert"),
+]
+GUARD_IDS = ["entries-not-a-list", "row-not-a-list", "no-right", "trace-not-a-list",
+             "bound-not-an-int", "k-not-an-int", "beta-not-a-list"]
+
+
+@pytest.mark.parametrize("reader, document, message, side", READER_GUARDS, ids=GUARD_IDS)
+def test_reader_guard_raises_parse_error(reader, document, message, side):
+    with pytest.raises(ParseError, match=message):
+        reader(document)
+
+
+@pytest.mark.parametrize("reader, document, message, side",
+                         [case for case in READER_GUARDS if case[3]],
+                         ids=[i for i, case in zip(GUARD_IDS, READER_GUARDS) if case[3]])
+def test_reader_guard_exits_two_through_verify(tmp_path, capsys, reader, document, message, side):
+    """The same guards reached in-process through ``exactnmf verify``: exit
+    2 and the guard's message, with no traceback."""
+    if side == "input":
+        subject, cert = document, ONE_BY_ONE_CERT
+    else:
+        subject, cert = (ONE_BY_ONE if "left" in document else {"vertices": TRIANGLE}), document
+    paths = []
+    for name, obj in (("input.json", subject), ("cert.json", cert)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(obj))
+    assert run(["verify", "--input", str(paths[0]), "--cert", str(paths[1])]) == 2
+    err = capsys.readouterr().err
+    assert f"ParseError: {message}" in err
+    assert "Traceback" not in err
 
 
 class TestSelftestCommand:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactnmf import ExactNMF
+from exactnmf import ExactNMF, driver
 from exactnmf.cli import run
 from exactnmf.driver import inner_dimension_bound, nn_factor, verify_factorization
 from exactnmf.generate import random_convex_polygon
@@ -176,3 +176,44 @@ def test_corpus_products_through_the_command_line(tmp_path):
         save_text(matrix, dumps(matrix_to_jsonable(a)))
         assert run(["factor", "--input", matrix, "--output", cert]) == 0
         assert run(["verify", "--input", matrix, "--cert", cert]) == 0
+
+
+def entry_bits(m: Matrix) -> int:
+    """Bits of the largest numerator or denominator of ``m``, 0 if empty."""
+    return max((max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                for row in m.data for x in row), default=0)
+
+
+# Per chunk method, the largest ratio of the bits of a chunk's largest
+# factor entry to the bits of its largest input entry over the corpus
+# below, as measured before section rays were made primitive (the factors
+# did not change with them), rounded up: 245 bits from 76 for
+# section+cyclic, 152 from 77 for section.
+OUTPUT_BITS_PER_INPUT_BIT = {
+    "identity": Fraction(1),
+    "single-column": Fraction(6, 5),
+    "segment": Fraction(8, 5),
+    "section": Fraction(2),
+    "section+cyclic": Fraction(13, 4),
+}
+
+
+def test_output_bits_are_bounded_by_input_bits(monkeypatch):
+    """Coefficient growth, chunk by chunk: over the corpus, no chunk's
+    factors carry an entry of more bits than its method's ratio allows."""
+    seen = {}
+    factor_chunk = driver._factor_chunk
+
+    def measured(chunk, row_start):
+        left, right, info = factor_chunk(chunk, row_start)
+        out_bits = max(entry_bits(left), entry_bits(right))
+        seen.setdefault(info["method"], []).append((entry_bits(chunk), out_bits))
+        return left, right, info
+
+    monkeypatch.setattr(driver, "_factor_chunk", measured)
+    for a in splitmix_corpus():
+        nn_factor(a)
+    assert set(seen) == set(OUTPUT_BITS_PER_INPUT_BIT)
+    for method, pairs in seen.items():
+        ratio = OUTPUT_BITS_PER_INPUT_BIT[method]
+        assert all(out_bits <= ratio * in_bits for in_bits, out_bits in pairs), (method, pairs)

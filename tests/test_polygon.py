@@ -355,14 +355,13 @@ big_rationals = st.builds(
 
 @st.composite
 def vertex_walks(draw):
-    """Vertices of a random convex polygon under a random rational affine
-    map (large denominators, either orientation), walked in order or with
-    a stride, which gives self-wrapping star walks."""
+    """Vertices of a random convex polygon under a random nonsingular
+    rational affine map (large denominators, either orientation), walked in
+    order or with a stride, which gives self-wrapping star walks."""
     n = draw(st.integers(min_value=3, max_value=12))
     poly = random_convex_polygon(SplitMix64(draw(st.integers(0, 2**32))), n)
     a, b, c, d, e, f = (draw(big_rationals) for _ in range(6))
-    if a * d == b * c:
-        a += 1
+    assume(a * d != b * c)
     points = [(a * x + b * y + e, c * x + d * y + f) for x, y in poly.vertices]
     stride = draw(st.sampled_from([s for s in range(1, n) if gcd(s, n) == 1]))
     return [points[(i * stride) % n] for i in range(n)]
@@ -386,6 +385,16 @@ def test_slack_table_matches_fraction_code(points):
         assert poly == expected
     if isinstance(poly, Polygon):
         assert slack_matrix(poly).matrix == oracle_slack(poly)
+
+
+def test_singular_map_is_refused_as_collinear():
+    """A singular affine map (c = d = 0) puts every vertex on one line, so
+    the walk is refused as collinear, as the oracle refuses it."""
+    poly = random_convex_polygon(SplitMix64(5), 6)
+    points = [(3 * x + 2 * y + 1, Fraction(7)) for x, y in poly.vertices]
+    expected = (CollinearVertices, "vertices 0, 1, 2 are collinear")
+    assert _outcome(polygon_from_points, points) == expected
+    assert _outcome(oracle_polygon_from_points, points)[0] is CollinearVertices
 
 
 @st.composite
