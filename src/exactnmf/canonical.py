@@ -14,12 +14,13 @@ reaches.
 
 All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i)
 = clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and
-factor entries (num, den) pairs.  Assembly scales each left column to a
-primitive integer vector, the only Fractions it builds, and reads the
-right factor off the target and that left factor, as integer rows over one
-denominator each for the section's fan pass.  The public functions
-are checked converters between these forms and CanonicalParams,
-MonomialMatrix, Matrix.
+factor entries (num, den) pairs.  The direct factor's core builds its
+left table alone.  Assembly scales each left column to a primitive
+integer vector, the only Fractions it builds, and reads the right factor
+off the target and that left factor by ``_SOLVE``, as ``direct_factor``
+does, as integer rows over one denominator each for the fan pass.  The
+public functions are checked converters between these forms and
+CanonicalParams, MonomialMatrix, Matrix.
 """
 
 from __future__ import annotations
@@ -324,7 +325,13 @@ def direct_factor(params: CanonicalParams) -> Optional[Rank6Certificate]:
     rows, table = _checked(params, "direct_factor requires an admissible tuple")
     if not _middle_min(rows):
         return None
-    left, right = map(_matrix, _direct_factor(rows, table))
+    left = _direct_factor(rows, table)
+    right = [[(0, 1)] * SIZE for _ in range(SIZE - 1)]
+    for t, pairs in enumerate(_SOLVE):
+        for c, p in pairs:
+            (x, y), (u, w) = table[p][t], left[p][c]
+            right[c][t] = (x * w, y * u)
+    left, right = _matrix(left), _matrix(right)
     if not is_certificate(left, right, _matrix(table)):
         raise InternalError(f"direct factor failed its verification for {params}")
     return Rank6Certificate(left, right, steps_taken=0, used_reversal=False)
@@ -337,13 +344,13 @@ _SOLVE = (((0, 2), (5, 1)), ((0, 2), (1, 6)), ((1, 3), (2, 0)), ((2, 0), (5, 1))
 
 
 def _direct_factor(rows, vm):
-    """(left, right) of ``direct_factor`` as (num, den) tables, den > 0, the
-    right by ``_SOLVE``, for an admissible middle-min tuple; tests nothing."""
+    """The left table of ``direct_factor``, (num, den) pairs with den > 0,
+    for an admissible middle-min tuple; tests nothing."""
     (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
     v = lambda i, j: vm[i - 1][j - 1]  # noqa: E731 - 1-based view
     one, zero, s2 = (1, 1), (0, 1), A2 + B2
     # v(i, j) is over R_i K_j, R_3 = R_4 = 1, K_1 = D2 D3, K_7 = D1 D2: sums over D1 D2 D3
-    left = (
+    return (
         (zero, zero, one, (v(4, 1)[0] * D1 + v(4, 7)[0] * D3, D1 * D2 * D3), v(6, 1), zero),  # v41 + v47
         (zero, zero, zero, one, ((A1 + B1) * D2 - s2 * D1, D1 * D2), one),  # a1 - a2 + b1 - b2
         (v(3, 1), zero, zero, one, v(3, 7), zero),
@@ -352,12 +359,6 @@ def _direct_factor(rows, vm):
         (v(6, 1), (v(3, 1)[0] * D1 + v(3, 7)[0] * D3, D1 * D2 * D3), one, zero, zero, zero),  # v31 + v37
         (zero, v(3, 1), one, v(4, 7), zero, zero),
     )
-    right = [[zero] * SIZE for _ in range(SIZE - 1)]
-    for t, pairs in enumerate(_SOLVE):
-        for c, p in pairs:
-            (x, y), (u, w) = vm[p][t], left[p][c]
-            right[c][t] = (x * w, y * u)
-    return left, tuple(right)
 
 
 def _assemble(q_left, left, q_right, entry):
@@ -426,7 +427,7 @@ def _factor_canonical(rows, table):
                 if mirrored:
                     q_left = _compose((_REVERSAL_ROWS,) + _UNIT[1:], q_left)
                     q_right = tuple(_REVERSAL_COLS[p] for p in q_right)
-                return q_left, _direct_factor(current, vm)[0], q_right, t, mirrored
+                return q_left, _direct_factor(current, vm), q_right, t, mirrored
             if t == 6:
                 break  # a seventh step closes the period
             current, vm, q1, q2 = _step(current)

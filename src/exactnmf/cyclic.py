@@ -3,9 +3,10 @@
 The pattern, after relabeling, is M[i][j] = 0 exactly when i is congruent
 to j-1 or j mod 7 (1-based), with every other entry strictly positive.
 Such a matrix is a positive row/column rescaling of a canonical matrix, so
-it factors exactly as a 7x6 times 6x7 nonnegative product.  The rescaling
-reads the integer tuple and (num, den) scales off the integer columns, and
-the core reads its right factor off them and its left, as integer rows.
+it factors exactly as a 7x6 times 6x7 nonnegative product.  The cores
+take bare integer columns and read the integer tuple, the (num, den) row
+scales and the right factor, as integer rows, off them; the checked
+wrappers take the column divisors back themselves.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class CyclicLabeling:
     def is_identity(self) -> bool:
         n = len(self.row_order)
         return self.row_order == tuple(range(n)) and self.col_order == tuple(range(n))
-
-
-_IDENTITY = CyclicLabeling(tuple(range(SIZE)), tuple(range(SIZE)))
 
 
 def _zero_positions(m: Matrix):
@@ -127,18 +125,23 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     is the ratio against the canonical matrix at the first nonzero row,
     cross-checked at every entry.
     """
-    if not detect_cyclic_labeling(m).is_identity:
+    labeling = detect_cyclic_labeling(m)
+    if not labeling.is_identity:
         raise PatternError("matrix is not in the canonical pattern")
     r = rank(m)
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
 
-    tuple_rows, table, row_nd, col_nd = _scale_to_canonical(*zip(*cleared_columns(m)), _IDENTITY)
-    reference = canonical._matrix(table)
-    rows, cols = [Fraction(*x) for x in row_nd], [Fraction(*x) for x in col_nd]
+    # m is the core's integer matrix over its column divisors; the row scales take column 4's.
+    columns, divisors = zip(*cleared_columns(m))
+    tuple_rows, table, row_nd = _scale_to_canonical(columns, labeling)
+    reference = canonical._matrix(table).data
+    rows = [Fraction(n, d * divisors[3]) for n, d in row_nd]
+    cols = [next(m.data[i][j] / (rows[i] * reference[i][j]) for i in range(SIZE) if reference[i][j])
+            for j in range(SIZE)]
     for i in range(SIZE):
         for j in range(SIZE):
-            if m.data[i][j] != rows[i] * reference.data[i][j] * cols[j]:
+            if m.data[i][j] != rows[i] * reference[i][j] * cols[j]:
                 raise InternalError(
                     f"entry ({i + 1}, {j + 1}) breaks the rescaling identity; "
                     "input is not rank 3 with this pattern"
@@ -153,18 +156,18 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     )
 
 
-def _scale_to_canonical(columns, divisors, labeling: CyclicLabeling):
-    """``scale_to_canonical`` on integers, for M (entry (i, j) is
-    columns[j][i] / divisors[j]) its caller proved rank 3 and, relabeled by
-    ``labeling``, in the canonical pattern: (rows, table, row_nd, col_nd),
-    relabeled M == diag(row_nd) @ table @ diag(col_nd) for the integer tuple
-    ``rows``, its ``_admissible`` table and (num, den) scales.  Tests
-    admissibility, which the theory guarantees and later steps divide by."""
+def _scale_to_canonical(columns, labeling: CyclicLabeling):
+    """``scale_to_canonical`` on the integer M (entry (i, j) is columns[j][i])
+    its caller proved rank 3 and, relabeled by ``labeling``, in the canonical
+    pattern: (rows, table, row_nd), relabeled M == diag(row_nd) @ table @ K
+    for the integer tuple ``rows``, its ``_admissible`` table, (num, den) row
+    scales and a positive diagonal K.  Tests admissibility, which the theory
+    guarantees and later steps divide by."""
     row_order, col_order = labeling.row_order, labeling.col_order
     x = lambda i, j: columns[col_order[j - 1]][row_order[i - 1]]  # noqa: E731 - 1-based
     # The recipe scales column 3 by M54 / M53 and column 5 by M24 / M25, so
     # a_i = M_i3 n3 / (M_i4 m3) and b_i = M_i5 n5 / (M_i4 m5) for the rows
-    # i = 6, 7, 1; the column divisors cancel.
+    # i = 6, 7, 1.
     n3, m3 = x(5, 4), x(5, 3)
     n5, m5 = x(2, 4), x(2, 5)
     rows = tuple(canonical._primitive(x(i, 3) * n3 * m5, x(i, 4) * m3 * m5, x(i, 5) * n5 * m3)
@@ -174,17 +177,10 @@ def _scale_to_canonical(columns, divisors, labeling: CyclicLabeling):
         raise InternalError(f"rescaled parameters {canonical._params(rows)} are not admissible")
 
     # Row factor i: M_i4, but M24 * M35 / M25 for row 3 and M43 * M54 / M53 for row 4.
-    div4 = divisors[col_order[4 - 1]]
-    row_nd = [(x(i, 4), div4) for i in range(1, SIZE + 1)]
-    row_nd[3 - 1] = (n5 * x(3, 5), m5 * div4)
-    row_nd[4 - 1] = (x(4, 3) * n3, m3 * div4)
-    col_nd = []
-    for j in range(1, SIZE + 1):
-        i = 2 if j == 1 else 3 if j == 2 else 1
-        vn, vd = table[i - 1][j - 1]
-        n, d = row_nd[i - 1]
-        col_nd.append((x(i, j) * d * vd, divisors[col_order[j - 1]] * n * vn))
-    return rows, table, row_nd, col_nd
+    row_nd = [(x(i, 4), 1) for i in range(1, SIZE + 1)]
+    row_nd[3 - 1] = (n5 * x(3, 5), m5)
+    row_nd[4 - 1] = (x(4, 3) * n3, m3)
+    return rows, table, row_nd
 
 
 def factor_cyclic(m: Matrix) -> Rank6Certificate:
@@ -194,24 +190,25 @@ def factor_cyclic(m: Matrix) -> Rank6Certificate:
     r = rank(m)
     if r != 3:
         raise RankError(f"cyclic-pattern factorization needs rank 3, got {r}")
-    left, lines, steps, mirrored = _factor_cyclic(*zip(*cleared_columns(m)), labeling)
-    right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
+    columns, divisors = zip(*cleared_columns(m))
+    left, lines, steps, mirrored = _factor_cyclic(columns, labeling)
+    right = canonical._matrix([[(x, e * d) for x, d in zip(y, divisors)] for y, e in lines])
     if not is_certificate(left, right, m):
         raise InternalError("cyclic factorization failed its final verification")
     return Rank6Certificate(left, right, steps, mirrored)
 
 
-def _factor_cyclic(columns, divisors, labeling: CyclicLabeling):
-    """``factor_cyclic`` on M as ``_scale_to_canonical`` reads it, with no
-    product check: (left, lines, steps, mirrored), the right factor as
-    integer rows (y, e).  Relabeled M == diag(rows) @ q_left @ L @ R, so the
-    left side folds into one integer monomial; the right is read off M."""
-    rows, table, row_nd, _ = _scale_to_canonical(columns, divisors, labeling)
+def _factor_cyclic(columns, labeling: CyclicLabeling):
+    """``factor_cyclic`` on the integer M that ``_scale_to_canonical`` reads,
+    with no product check: (left, lines, steps, mirrored), the right factor
+    as integer rows (y, e).  Relabeled M == diag(rows) @ q_left @ L @ R, so
+    the left side folds into one integer monomial; the right is read off M."""
+    rows, table, row_nd = _scale_to_canonical(columns, labeling)
     q_left, left, q_right, steps, mirrored = canonical._factor_canonical(rows, table)
     # Row t of the relabeled matrix is row row_order[t] of M, column s column col_order[s].
     undo = tuple(sorted(range(SIZE), key=labeling.row_order.__getitem__))
     undo_rows = (undo, *zip(*(row_nd[t] for t in undo)))
     left, lines = canonical._assemble(_compose(undo_rows, q_left), left,
                                       tuple(labeling.col_order[p] for p in q_right),
-                                      lambda i, j: (columns[j][i], divisors[j]))
+                                      lambda i, j: (columns[j][i], 1))
     return left, lines, steps, mirrored

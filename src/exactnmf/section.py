@@ -10,7 +10,7 @@ factor directly at their rank.
 The section is an integer cone: each vertex is an extreme ray x of the
 cone of nonnegative vectors in the column space.  The rays are ordered
 counterclockwise by sign tests on ints and divided by their gcd, and the
-factoring core works on these primitive rays themselves: each column is
+factoring core takes these bare rays as the vertices: each column is
 located in the fan of cones (0, t, t + 1) over them by integer 3x3
 determinants, and only nonzero weights and output entries become
 Fractions.  Rank 2 is the same on a line, by integer 2x2 determinants
@@ -117,12 +117,12 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
     _check_seven_rows_rank3(a)
     rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(a)
-    data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x, s in rays)))
+    data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x in rays for s in (sum(x),))))
     vertex_matrix = Matrix._raw(data, SIZE, len(rays))
     vertices = tuple(
         SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
                       tuple(i for i, t in enumerate(x) if not t))
-        for (x, s), h, ambient in zip(rays, hs, zip(*vertex_matrix.data))
+        for x, h, ambient in zip(rays, hs, zip(*vertex_matrix.data)) for s in (sum(x),)
     )
     return SectionPolygon(
         chart_origin=tuple(Fraction(x, s0) for x in c0),
@@ -135,14 +135,13 @@ def section_polygon(a: Matrix) -> SectionPolygon:
 
 def _section_rays(a: Matrix):
     """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
-    vertex t is rays[t] = (x, S) with integer x, ambient coordinates x / S
-    and S = sum(x), counterclockwise in the chart of ``section_polygon``,
-    and x = B hs[t] for B with the columns of basis = ((c0, s0), (cu, su),
-    (cv, sv)): the three pivot columns of ``a`` cleared, with their sums.
-    On nonnegative input they are the first nonzero column, the first
-    column off its line (u) and the first column off their plane (v).
-    x is not primitive; the factoring core divides it by gcd(x) after this
-    ordering, since both charts read h with these S.
+    vertex t is the integer ray x = rays[t] at x / sum(x), counterclockwise
+    in the chart of ``section_polygon``, and x = B hs[t] for B with the
+    columns of basis = ((c0, s0), (cu, su), (cv, sv)): the three pivot
+    columns of ``a`` cleared, with their sums.  On nonnegative input they
+    are the first nonzero column, the first column off its line (u) and the
+    first column off their plane (v).  x is not primitive; the factoring
+    core divides it by gcd(x), since the chart reads h with sum(x).
 
     The section is the cone {B h >= 0} cut at unit sum: rows i and j are
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
@@ -152,9 +151,9 @@ def _section_rays(a: Matrix):
     (c0, s0), (cu, su), (cv, sv) = [(c, sum(c)) for c, _ in (cleared[j] for j in pivot_columns(a))]
 
     # A vertex where more than two rows are tight is met once per pair of
-    # them, on parallel h.
+    # them; distinct vertices have distinct tight sets, so the first is kept.
     rows = list(zip(c0, cu, cv))
-    rays, hs = [], []
+    found = {}
     for i, b in enumerate(rows):
         for other in rows[i + 1 :]:
             h = _cross(b, other)
@@ -165,30 +164,29 @@ def _section_rays(a: Matrix):
                 if max(x) > 0:
                     continue
                 h, x = [-t for t in h], [-t for t in x]
-            if all(any(_cross(h, g)) for g in hs):
-                rays.append((x, sum(x)))
-                hs.append(h)
+            found.setdefault(tuple(map(bool, x)), (x, h))
 
-    if not 3 <= len(rays) <= SIZE:
-        raise InternalError(f"section produced {len(rays)} vertices; 3 to 7 are possible")
-    # Chart coordinates (h[1] * su, h[2] * sv) / S, times the lcm of the S.
-    big = lcm(*(s for _, s in rays))
+    if not 3 <= len(found) <= SIZE:
+        raise InternalError(f"section produced {len(found)} vertices; 3 to 7 are possible")
+    rays, hs = zip(*found.values())
+    # Chart coordinates (h[1] * su, h[2] * sv) / sum(x), times the lcm of the sums.
+    big = lcm(*map(sum, rays))
     order = _ccw_order(*zip(*(
-        (h[1] * su * (big // s), h[2] * sv * (big // s)) for h, (_, s) in zip(hs, rays)
+        (h[1] * su * m, h[2] * sv * m) for x, h in zip(rays, hs) for m in (big // sum(x),)
     )))
     rays, hs = [rays[t] for t in order], [hs[t] for t in order]
-    for t, (x, _) in enumerate(rays if len(rays) == SIZE else ()):
+    for t, x in enumerate(rays if len(rays) == SIZE else ()):
         if x.count(0) != 2:
             raise InternalError(f"vertex {t} of a 7-vertex section has {x.count(0)} "
                                 "tight constraints; exactly 2 are possible")
     return rays, hs, ((c0, s0), (cu, su), (cv, sv))
 
 
-def _fan(rays):
-    """locate(c, s) over counterclockwise vertex rays (x, S): the first fan
-    cone (0, t, t + 1) that holds the integer column c of positive sum s,
-    as (support, nums, det), det > 0 and nums >= 0 with det * c the sum of
-    nums[i] times ray support[i]; vertex i weighs nums * S / (det * s).
+def _fan(w):
+    """locate(c, s) over counterclockwise integer vertex rays w: the first
+    fan cone (0, t, t + 1) that holds the integer column c of positive sum
+    s, as (support, nums, det), det > 0 and nums >= 0 with det * c the sum
+    of nums[i] times ray support[i].
 
     On three rows where the rays w are independent, c's cone coordinates
     times cone t's determinant d_t are det(c, w_t, w_t+1), det(w_0, c,
@@ -198,7 +196,6 @@ def _fan(rays):
     as every column of the matrix they were cut from does; the other rows
     are not read.  Raises OutsidePolygon when c / s is outside.
     """
-    w = [x for x, _ in rays]
     for rows in combinations(range(len(w[0])), 3):
         v = [tuple(x[i] for i in rows) for x in w]
         det = sum(map(mul, v[0], _cross(v[1], v[2])))
@@ -231,19 +228,18 @@ def _fan(rays):
     return locate
 
 
-def _unit_lines(k: int):
-    return [([int(i == r) for i in range(k)], 1) for r in range(k)]
+def _diagonal_lines(scales):
+    return [([s if i == r else 0 for i in range(len(scales))], 1) for r, s in enumerate(scales)]
 
 
 def _convex_weights(rays, cleared, lines) -> Matrix:
     """``m @ W`` in one integer pass, for W the k x n right factor of a
-    nonnegative matrix through its k vertices x / S, rays (x, S), and m the
-    matrix with rows y / e for (y, e) in ``lines``: the identity, or the
-    cyclic core's right factor.  Column j of W weighs vertex i by nums *
-    S_i / (det * d) for cleared[j] = (c, d), the column c / d, zero for a
-    zero column, and each entry is one Fraction."""
+    nonnegative matrix through its k integer rays, and m the matrix with
+    rows y / e for (y, e) in ``lines``: the identity, or the cyclic core's
+    right factor.  Column j of W weighs ray i by nums / (det * d) for
+    cleared[j] = (c, d), the column c / d, zero for a zero column, and each
+    entry is one Fraction."""
     locate = _fan(rays)
-    lines = [([y * s for y, (_, s) in zip(row, rays)], e) for row, e in lines]
     zero = (_ZERO,) * len(lines)
     out = []
     for c, d in cleared:
@@ -269,8 +265,9 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
         raise DimensionError("point dimension does not match the section")
     if sum(target) != 1 or rank(Matrix.from_columns([*poly.vertex_matrix.columns(), target])) != 3:
         raise OutsidePolygon("point does not lie in the section plane")
-    rays = [(x, sum(x)) for x, _ in cleared_columns(poly.vertex_matrix)]
-    weights = _convex_weights(rays, [clear_denominators(target)], _unit_lines(poly.k)).column(0)
+    # The vertex x / d weighs d times what the integer ray x weighs.
+    rays, dens = zip(*cleared_columns(poly.vertex_matrix))
+    weights = _convex_weights(rays, [clear_denominators(target)], _diagonal_lines(dens)).column(0)
     used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
     if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(target))) != target:
         raise InternalError("convex combination does not reproduce the point")
@@ -295,24 +292,24 @@ def factor_seven_by_n(a: Matrix):
 def _factor_seven_by_n(a: Matrix):
     """``factor_seven_by_n`` for a matrix that passed _check_seven_rows_rank3,
     with no product check or chart, on the columns its rank was computed
-    from, through the primitive rays x // gcd(x) themselves (vertex x / 1).
+    from, through the primitive rays x // gcd(x) themselves as vertices.
     Counterclockwise vertices t and t + 1 of a 7-vertex section share one
     tight row, their edge, which the labeling puts at t, as
     ``detect_cyclic_labeling`` does on the vertex matrix."""
     cleared = cleared_columns(a)
-    rays = [([t // g for t in x], 1) for x, _ in _section_rays(a)[0] for g in (gcd(*x),)]
+    rays = [[t // g for t in x] for x in _section_rays(a)[0] for g in (gcd(*x),)]
     k = len(rays)
     if k <= 6:
-        right = _convex_weights(rays, cleared, _unit_lines(k))
+        right = _convex_weights(rays, cleared, _diagonal_lines((1,) * k))
         used = [t for t, row in enumerate(right.data) if any(row)]
-        left = tuple(zip(*(tuple(map(Fraction, rays[t][0])) for t in used)))
+        left = tuple(zip(*(tuple(map(Fraction, rays[t])) for t in used)))
         right = Matrix._raw(tuple(right.data[t] for t in used), len(used), right.cols)
         info = {"method": "section", "vertices": k, "inner_dim": len(used)}
         return Matrix._raw(left, SIZE, len(used)), right, info
-    tight = [{i for i, t in enumerate(x) if not t} for x, _ in rays]
+    tight = [{i for i, t in enumerate(x) if not t} for x in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
-    left, lines, steps, mirrored = _factor_cyclic([x for x, _ in rays], (1,) * SIZE, labeling)
+    left, lines, steps, mirrored = _factor_cyclic(rays, labeling)
     info = {"method": "section+cyclic", "vertices": k, "inner_dim": 6,
             "search_steps": steps, "mirrored": mirrored}
     return left, _convex_weights(rays, cleared, lines), info

@@ -661,16 +661,18 @@ def test_integer_tuple_and_step_match_fraction_code(p):
 @settings(max_examples=200)
 @given(admissible_tuples())
 def test_integer_direct_factor_matches_fraction_code(p):
-    """The direct factor's (num, den) tables at every tuple of the orbit
-    where the middle-min condition holds, and the whole certificate."""
+    """The direct factor's (num, den) left table at every tuple of the orbit
+    where the middle-min condition holds, ``direct_factor``'s certificate,
+    whose right factor it reads off that table, and the whole certificate."""
     rows = canonical._rows(p)
     for _ in range(7):
         table = canonical._dets(rows)
         if canonical._middle_min(rows):
-            left, right = canonical._direct_factor(rows, table)
-            assert all(d > 0 for row in left + right for _, d in row)
+            left = canonical._direct_factor(rows, table)
+            assert all(d > 0 for row in left for _, d in row)
             expected = fraction_direct_factor(p, fraction_canonical_matrix(p))
-            assert (canonical._matrix(left), canonical._matrix(right)) == expected
+            assert canonical._matrix(left) == expected[0]
+            assert direct_factor(p) == Rank6Certificate(*expected, 0, False)
         rows, _, _, _ = canonical._step(rows)
         p, _, _ = fraction_step(p)
     cert = factor_canonical(p)

@@ -43,3 +43,22 @@ def test_verify_script(tmp_path):
     out = run_script(tmp_path, "verify.sh")
     assert out.count("verification: all checks passed") == 2
     assert "right factor has negative entry" in out
+
+
+def test_unreached_lines_script(tmp_path):
+    """``ci/unreached.py`` over ``tests/test_validation.py`` alone: it names
+    ``as_point``'s refusal, which that file never calls, and not
+    ``as_matrix``'s empty-input refusal, which it does."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "ci" / "unreached.py"), str(ROOT / "tests" / "test_validation.py"),
+         "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    source = (ROOT / "src" / "exactnmf" / "validation.py").read_text().splitlines()
+    line_of = {text.strip(): n for n, text in enumerate(source, 1)}
+    unreached = set(done.stdout.splitlines())
+    assert f"src/exactnmf/validation.py:{line_of['pair = list(value)']}" in unreached
+    empty = line_of['raise DimensionError("matrix input is empty")']
+    assert f"src/exactnmf/validation.py:{empty}" not in unreached
+    assert done.stdout.splitlines()[-1].endswith("executable lines unreached")

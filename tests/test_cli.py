@@ -1,6 +1,7 @@
 """Command-line surface: the four commands, exit codes, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactnmf import cli, section
+from exactnmf import cli, section, selftest
 from exactnmf.cli import run
 from exactnmf.polygon import Polygon
 from exactnmf.rng import SplitMix64
@@ -464,6 +465,27 @@ class TestSelftestCommand:
         assert run(["selftest", "--iterations", "4", "--seed", "123"]) == 0
         capsys.readouterr()
 
+    def test_failed_and_raising_checks_are_reported(self, capsys, monkeypatch):
+        """A check that fails an assertion prints FAIL and one that raises
+        prints ERROR, each with its message; the run exits 1 and prints the
+        same lines every time."""
+        def fails(rng, iterations):
+            raise AssertionError(f"case {rng.below(1000)} of {iterations} disagrees")
+
+        def raises(rng, iterations):
+            raise ValueError(f"no case below {rng.below(1000)}")
+
+        monkeypatch.setattr(selftest, "CHECKS", [("fails", fails), ("raises", raises)])
+        outputs = []
+        for _ in range(2):
+            assert run(["selftest", "--iterations", "3", "--seed", "5"]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        fail, error, summary = outputs[0].splitlines()
+        assert fail.startswith("fails: FAIL (case ") and fail.endswith(" of 3 disagrees)")
+        assert error.startswith("raises: ERROR (ValueError: no case below ")
+        assert summary == "selftest: 0/2 checks passed (seed=5, iterations=3)"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, h7_slack):
@@ -496,6 +518,32 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "inner dimension" in result.stdout
         assert "chunk" in result.stderr  # progress logging lands on stderr
+
+    def test_unknown_log_level_warns_and_logs_nothing(self, tmp_path, h7_slack):
+        path = tmp_path / "m.json"
+        save_text(str(path), dumps(matrix_to_jsonable(h7_slack)))
+        result = subprocess.run(
+            [sys.executable, "-m", "exactnmf.cli",
+             "factor", "--input", str(path), "--output", str(tmp_path / "cert.json")],
+            capture_output=True,
+            text=True,
+            env=cli_env(NNF_LOG="Loud"),
+        )
+        assert result.returncode == 0
+        assert "inner dimension" in result.stdout
+        assert result.stderr == "warning: unknown NNF_LOG level 'loud'; using off\n"
+
+    def test_unknown_log_level_in_process(self, tmp_path, h7_slack, monkeypatch, capsys):
+        """The same through ``run``: logging is configured at the level
+        that shows nothing."""
+        levels = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+        monkeypatch.setenv("NNF_LOG", "loud")
+        path = tmp_path / "m.json"
+        save_text(str(path), dumps(matrix_to_jsonable(h7_slack)))
+        assert run(["factor", "--input", str(path), "--output", str(tmp_path / "cert.json")]) == 0
+        assert capsys.readouterr().err == "warning: unknown NNF_LOG level 'loud'; using off\n"
+        assert levels == [logging.CRITICAL + 10]
 
 
 # -- fuzz: malformed documents through the whole command line ---------------

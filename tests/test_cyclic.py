@@ -310,36 +310,69 @@ def scrambled_canonical(draw):
 
 
 def reads(m):
-    """(columns, divisors, labeling) as the cyclic core reads ``m``."""
+    """(columns, divisors, labeling): ``m`` is the integer matrix of
+    ``columns`` over its column ``divisors``."""
     return (*zip(*cleared_columns(m)), detect_cyclic_labeling(m))
+
+
+def integer_reads(m):
+    """(columns, labeling) as the cyclic core reads the integer matrix of
+    ``m``'s cleared columns."""
+    columns, _, labeling = reads(m)
+    return columns, labeling
+
+
+def fraction_integer_reads(m):
+    """The same integer matrix as the Fraction code reads it: every
+    divisor 1."""
+    columns, _, labeling = reads(m)
+    return columns, (1,) * SIZE, labeling
 
 
 @settings(max_examples=150)
 @given(scrambled_canonical())
 def test_integer_rescaling_matches_fraction_code(m):
-    """The integer tuple, its determinants and the row and column scales
-    as (num, den) pairs, against the Fraction rescaling."""
-    rows, table, row_nd, col_nd = cyclic._scale_to_canonical(*reads(m))
-    params, reference, row_scales, col_scales = fraction_scale_to_canonical(*reads(m))
+    """The integer tuple, its determinants and the row scales as (num, den)
+    pairs, against the Fraction rescaling of the same integer matrix."""
+    rows, table, row_nd = cyclic._scale_to_canonical(*integer_reads(m))
+    params, reference, row_scales, _ = fraction_scale_to_canonical(*fraction_integer_reads(m))
     assert canonical._params(rows) == params and rows == canonical._rows(params)
     assert canonical._matrix(table) == reference
     assert [Fraction(*x) for x in row_nd] == row_scales
-    assert [Fraction(*x) for x in col_nd] == col_scales
+
+
+@settings(max_examples=150)
+@given(scrambled_canonical())
+def test_checked_rescaling_matches_fraction_code(m):
+    """``scale_to_canonical`` in canonical order, with the column divisors
+    the core no longer reads: its row scales are the inverse Fraction row
+    scales, its column scales the recipe's, and each column constant the
+    Fraction column scale times its column scale."""
+    m = detect_cyclic_labeling(m).apply(m)
+    reduction = scale_to_canonical(m)
+    params, _, rows, cols = fraction_scale_to_canonical(*reads(m))
+    assert reduction.params == params
+    assert reduction.row_scale == MonomialMatrix.diagonal([1 / r for r in rows])
+    scales = [1, 1, m[4, 3] / m[4, 2], 1, m[1, 3] / m[1, 4], 1, 1]
+    assert reduction.col_scale == MonomialMatrix.diagonal(scales)
+    assert reduction.col_constants == tuple(c * s for c, s in zip(cols, scales))
 
 
 @settings(max_examples=150)
 @given(scrambled_canonical(), st.booleans())
 def test_integer_cyclic_core_matches_fraction_code(m, mirror):
     """The left factor, the right factor's integer rows and the search
-    record against the Fraction core's, made primitive, with the mirror
-    search forced in both when ``mirror`` is set."""
+    record against the Fraction core's on the same integer matrix, made
+    primitive, with the mirror search forced in both when ``mirror`` is
+    set; and ``factor_cyclic``, which divides by the column divisors,
+    against the Fraction core on ``m`` itself."""
     with pytest.MonkeyPatch.context() as patch:
         if mirror:
             patch.setattr(canonical, "_middle_min", starved(canonical._middle_min))
             patch.setattr(test_canonical, "fraction_middle_min",
                           starved(test_canonical.fraction_middle_min))
-        left, lines, steps, mirrored = cyclic._factor_cyclic(*reads(m))
-        expected = fraction_factor_cyclic(*reads(m))
+        left, lines, steps, mirrored = cyclic._factor_cyclic(*integer_reads(m))
+        expected = fraction_factor_cyclic(*fraction_integer_reads(m))
     assert all(e > 0 for _, e in lines)
     right = canonical._matrix([[(x, e) for x in y] for y, e in lines])
     assert Rank6Certificate(left, right, steps, mirrored) == compacted(expected)
@@ -353,6 +386,7 @@ def test_rescaling_rejects_what_the_oracle_rejects(h7_slack):
     rows = h7_slack.tolist()
     rows[0][2] = rows[0][2] * 1000  # M13 enters a3 alone
     m = Matrix(rows)
-    for core in (cyclic._scale_to_canonical, fraction_scale_to_canonical):
-        with pytest.raises(InternalError):
-            core(*reads(m))
+    with pytest.raises(InternalError):
+        cyclic._scale_to_canonical(*integer_reads(m))
+    with pytest.raises(InternalError):
+        fraction_scale_to_canonical(*reads(m))

@@ -2,23 +2,26 @@
 ``exactnmf.errors`` has a row below, a public call with no monkeypatching
 that raises exactly that class.  A class with no row fails
 ``test_every_error_class_has_a_row``, so a class that no input can reach
-does not come back unnoticed."""
+does not come back unnoticed.  ``REFUSALS`` reaches the other refusals of
+malformed input the same way, one public call each."""
 
 from fractions import Fraction
 
 import pytest
 
 from exactnmf import errors
-from exactnmf.canonical import CanonicalParams, step
-from exactnmf.cyclic import detect_cyclic_labeling
+from exactnmf.canonical import CanonicalParams, MonomialMatrix, canonical_matrix, step
+from exactnmf.cyclic import detect_cyclic_labeling, scale_to_canonical
 from exactnmf.driver import nn_factor
 from exactnmf.errors import ExactNMFError
 from exactnmf.estimator import ExactNMF
-from exactnmf.linalg import Matrix
+from exactnmf.generate import random_convex_polygon
+from exactnmf.linalg import Matrix, as_scalar, solve
 from exactnmf.polygon import Polygon, polygon_from_points, slack_matrix
+from exactnmf.rng import SplitMix64
 from exactnmf.section import convex_coefficients, section_polygon
 
-from conftest import H7_VERTICES
+from conftest import H7_PARAMS, H7_VERTICES
 
 
 def h7_section():
@@ -78,6 +81,64 @@ def test_every_error_class_has_a_row():
 @pytest.mark.parametrize("error, call, match", ROWS,
                          ids=[error.__name__ for error, _, _ in ROWS])
 def test_public_call_raises_the_class(error, call, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error
+
+
+def zero_pairs(pairs):
+    """A 7x7 matrix whose row i is zero exactly at the columns pairs[i]."""
+    return Matrix([[0 if j in pair else 1 for j in range(7)] for pair in pairs])
+
+
+def shifted_canonical():
+    """The canonical matrix of H7 with its rows moved up by one: the
+    cyclic pattern, not in canonical order."""
+    rows = canonical_matrix(H7_PARAMS).tolist()
+    return Matrix(rows[1:] + rows[:1])
+
+
+def set_attribute():
+    Matrix.identity(2).rows = 3
+
+
+# Refusals of malformed input that ``ROWS`` does not make, one public call
+# each: the class and the message name the fault.
+REFUSALS = [
+    ("column-with-three-zeros", errors.PatternError,
+     lambda: detect_cyclic_labeling(zero_pairs([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4), (1, 2)])),
+     "^column 0 has 3 zeros, expected 2$"),
+    ("rows-on-one-column-pair", errors.PatternError,
+     lambda: detect_cyclic_labeling(zero_pairs([(0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (5, 6), (6, 4)])),
+     "^rows 0 and 1 vanish on the same column pair$"),
+    ("rescaling-out-of-canonical-order", errors.PatternError,
+     lambda: scale_to_canonical(shifted_canonical()),
+     "^matrix is not in the canonical pattern$"),
+    ("solve-rhs-length", errors.DimensionError, lambda: solve(Matrix.identity(3), [1, 2]),
+     "^matrix has 3 rows but rhs has 2$"),
+    ("as-scalar-object", TypeError, lambda: as_scalar(object()), "as an exact rational$"),
+    ("matrix-empty", errors.DimensionError, lambda: Matrix([]),
+     "^use Matrix.zeros"),
+    ("matrix-zeros-negative", errors.DimensionError, lambda: Matrix.zeros(-1, 1),
+     "^negative dimensions$"),
+    ("matrix-from-no-columns", errors.DimensionError, lambda: Matrix.from_columns([]),
+     "^use Matrix.zeros"),
+    ("matrix-attribute", AttributeError, set_attribute, "^Matrix is immutable$"),
+    ("monomial-scales-length", errors.DimensionError, lambda: MonomialMatrix([0, 1], [1]),
+     "^one scale per row required$"),
+    ("convex-coefficients-point-length", errors.DimensionError,
+     lambda: convex_coefficients(h7_section(), (1, 0)),
+     "^point dimension does not match the section$"),
+    ("below-zero", ValueError, lambda: SplitMix64(1).below(0),
+     "^below\\(\\) needs a positive bound$"),
+    ("polygon-of-two", ValueError, lambda: random_convex_polygon(SplitMix64(1), 2),
+     "^a polygon needs at least 3 vertices$"),
+]
+
+
+@pytest.mark.parametrize("error, call, match", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_malformed_input_is_refused(error, call, match):
     with pytest.raises(error, match=match) as info:
         call()
     assert type(info.value) is error

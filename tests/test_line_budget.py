@@ -1,12 +1,12 @@
 """The library's size budget: ``src/exactnmf/*.py`` stays at or below the
-2,866 lines it has since polygons are validated in linear time, so code
+2,861 lines it has since the factoring cores take bare integers, so code
 only grows where other code goes."""
 
 from pathlib import Path
 
 import exactnmf
 
-LINE_BUDGET = 2866
+LINE_BUDGET = 2861
 
 
 def test_source_within_line_budget():

@@ -1,6 +1,6 @@
 """The section core hands on primitive vertex rays: every integer ray
 ``x`` that ``_factor_seven_by_n`` gives the cyclic core and the fan pass
-has gcd 1, and stands for the vertex x / 1 itself, not x / sum(x).
+has gcd 1, and is handed on bare, the vertex itself, with no scale.
 Counted on integers, over seeded heptagon slack matrices and 7-row hexagon
 slack matrices (one facet row repeated, so the section has 6 vertices)."""
 
@@ -30,9 +30,9 @@ def test_rays_handed_on_are_primitive(monkeypatch, seed):
     handed = {"cyclic": [], "fan": []}
     factor_cyclic, convex_weights = section._factor_cyclic, section._convex_weights
 
-    def record_cyclic(columns, divisors, labeling):
-        handed["cyclic"].append(list(zip(columns, divisors)))
-        return factor_cyclic(columns, divisors, labeling)
+    def record_cyclic(columns, labeling):
+        handed["cyclic"].append(list(columns))
+        return factor_cyclic(columns, labeling)
 
     def record_fan(rays, cleared, lines):
         handed["fan"].append(list(rays))
@@ -48,5 +48,6 @@ def test_rays_handed_on_are_primitive(monkeypatch, seed):
     assert all(k == found for k, found in vertices)
     assert len(handed["cyclic"]) == 30 and len(handed["fan"]) == 40
     for rays in handed["cyclic"] + handed["fan"]:
-        for x, s in rays:
-            assert gcd(*x) == 1 and min(x) >= 0 and s == 1
+        for x in rays:
+            assert all(isinstance(t, int) for t in x)
+            assert gcd(*x) == 1 and min(x) >= 0

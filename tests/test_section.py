@@ -657,6 +657,12 @@ def oracle_convex_coefficients(poly, point):
     raise OutsidePolygon(f"point ({', '.join(map(str, target))}) lies outside the section polygon")
 
 
+def vertex_weights(rays, columns):
+    """``_convex_weights`` of the cleared ``columns`` over bare integer
+    rays, as weights of the vertices x / sum(x): row x times sum(x)."""
+    return section._convex_weights(rays, columns, section._diagonal_lines([sum(x) for x in rays]))
+
+
 def outcome(fn, *args):
     """The result of ``fn``, or the class and message of what it raised."""
     try:
@@ -831,8 +837,8 @@ def test_chunk_weights_match_oracle(case, data):
         weight = data.draw(positive) * (-1 if sum(point) < 0 else 1)
         columns.append(tuple(x * weight for x in point))
     a = Matrix.from_columns(columns)
-    rays = [(x, sum(x)) for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
-    weights = outcome(section._convex_weights, rays, cleared(a), section._unit_lines(poly.k))
+    rays = [x for x, _ in map(clear_denominators, zip(*poly.vertex_matrix.data))]
+    weights = outcome(vertex_weights, rays, cleared(a))
     assert weights == outcome(oracle_weights, poly, columns)
     assert weights == outcome(_convex_weights, poly, a)
 
@@ -1274,8 +1280,8 @@ def test_section_rays_match_chart_code(case):
     a, k = case
     rays, _, _ = section._section_rays(a)
     poly, chart_rays = _section_polygon(a)
-    assert rays == chart_rays and len(rays) == k
-    assert [tuple(i for i, t in enumerate(x) if not t) for x, _ in rays] == [
+    assert [(x, sum(x)) for x in rays] == chart_rays and len(rays) == k
+    assert [tuple(i for i, t in enumerate(x) if not t) for x in rays] == [
         v.tight for v in poly.vertices
     ]
     assert section_polygon(a) == poly
@@ -1288,8 +1294,7 @@ def test_chunk_factors_match_chart_code(case):
     the cyclic right factor when k = 7) and info, made compact."""
     a, _ = case
     rays, _, _ = section._section_rays(a)
-    weights = section._convex_weights(rays, cleared(a), section._unit_lines(len(rays)))
-    assert weights == _convex_weights(_section_polygon(a)[0], a)
+    assert vertex_weights(rays, cleared(a)) == _convex_weights(_section_polygon(a)[0], a)
     assert section._factor_seven_by_n(a) == compact(_factor_seven_by_n(a))
 
 
