@@ -34,7 +34,7 @@ from .errors import DimensionError, InternalError, NegativeEntryError, NotAdmiss
 from .linalg import Matrix, as_scalar, clear_denominators, format_value, is_certificate
 
 SIZE = 7
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _STEP_REQUIRES = "step requires an admissible tuple, got {}"
 
 
@@ -134,7 +134,7 @@ class MonomialMatrix:
         return self.perm == other.perm and self.scales == other.scales
 
     def __repr__(self):
-        return f"MonomialMatrix(perm={self.perm}, scales={self.scales})"
+        return f"MonomialMatrix(perm={self.perm}, scales=({', '.join(map(format_value, self.scales))}))"
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def is_structural_zero(i: int, j: int) -> bool:
 def _rows(params: CanonicalParams):
     """The integer tuple of ``params``: base rows 5, 6, 7 cleared, D_i > 0."""
     p = params.astuple()
-    return tuple(tuple(clear_denominators((a, 1, b))[0]) for a, b in zip(p[:3], p[3:]))
+    return tuple(tuple(clear_denominators((a, _ONE, b))[0]) for a, b in zip(p[:3], p[3:]))
 
 
 def _params(rows) -> CanonicalParams:

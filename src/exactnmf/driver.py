@@ -68,12 +68,12 @@ class VerificationReport:
 
 
 def _strip_zero_lines(a: Matrix):
-    """(core, zero_rows, zero_cols) from one pass over each row's numerators,
-    which raises NegativeEntryError at the first negative entry, row-major:
+    """(core, zero_rows, zero_cols) from one pass over the rows' numerator slots (see
+    ``linalg``), raising NegativeEntryError at the first negative entry, row-major:
     core is ``a`` without its zero lines, ``a`` if it has none, None if all are."""
     zero_rows, live, every = [], set(), range(a.cols)
     for i, row in enumerate(a.data):
-        nums = [x.numerator for x in row]
+        nums = [x._numerator for x in row]
         if min(nums, default=0) < 0:
             j = next(j for j, n in enumerate(nums) if n < 0)
             raise NegativeEntryError(

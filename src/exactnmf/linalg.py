@@ -10,11 +10,14 @@ section and segment cores take their basis from them.  ``@`` and the exact check
 :func:`product_difference` share one sparse integer row sum,
 :func:`_product_rows`, which can also report each factor's first negative
 entry; the check cross-multiplies only where the sum is nonzero, building
-a Fraction only for the entry it reports.  String entries may ask for at
-most ``MAX_DIGITS`` digits, and messages print values with
-:func:`format_value`, which never asks ``str`` for more.  Pivoting is
-deterministic (first nonzero), so ranks and solutions are reproducible
-byte for byte.
+a Fraction only for the entry it reports.  The passes that read every entry
+(that kernel, the clearing, the sign scans and the driver's input scan) read
+each Fraction's ``_numerator`` and ``_denominator`` slots, where CPython's
+Fraction has kept its lowest terms from 3.6 through 3.13: its ``numerator``,
+``denominator`` and ``__bool__`` are Python calls.  String entries may ask
+for at most ``MAX_DIGITS`` digits, and messages print values with
+:func:`format_value`, which never asks ``str`` for more.  Pivots are the
+first nonzeros, so ranks and solutions are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -219,18 +222,15 @@ class Matrix:
 
     # Entries are normalized Fractions, so an entry's sign is its numerator's.
     def is_nonnegative(self) -> bool:
-        return all(x.numerator >= 0 for row in self.data for x in row)
+        return all(x._numerator >= 0 for row in self.data for x in row)
 
     def first_negative_entry(self, start: int = 0):
         """((i, j), value) of the first negative entry, row-major from row ``start``, or None."""
-        for i in range(start, self.rows):
-            for j, x in enumerate(self.data[i]):
-                if x.numerator < 0:
-                    return (i, j), x
-        return None
+        return next((((i, j), x) for i in range(start, self.rows)
+                     for j, x in enumerate(self.data[i]) if x._numerator < 0), None)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(map(format_value, row)) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -249,8 +249,8 @@ def clear_denominators(line):
     """Clear denominators: (integer numerators, positive common
     denominator) of a sequence of Fractions.  The numerators are the
     entries times that denominator, so they keep every entry's sign."""
-    den = lcm(*[x.denominator for x in line])
-    return [x.numerator * (den // x.denominator) for x in line], den
+    den = lcm(*[x._denominator for x in line])
+    return [x._numerator * (den // x._denominator) for x in line], den
 
 
 def _product_rows(left: Matrix, right: Matrix, signs=None):
@@ -262,20 +262,20 @@ def _product_rows(left: Matrix, right: Matrix, signs=None):
     it reads the nonzeros (clearing keeps signs): right's at [1], left's at [0]."""
     cleared = []
     for i, row in enumerate(right.data):
-        terms = [(j, x) for j, x in enumerate(row) if x]
-        den = lcm(*[x.denominator for _, x in terms])
-        cleared.append(([(j, x.numerator * (den // x.denominator)) for j, x in terms], den))
+        terms = [(j, x) for j, x in enumerate(row) if x._numerator]
+        den = lcm(*[x._denominator for _, x in terms])
+        cleared.append(([(j, x._numerator * (den // x._denominator)) for j, x in terms], den))
         if signs is not None and signs[1] is None and any(y < 0 for _, y in cleared[i][0]):
             signs[1] = right.first_negative_entry(i)
     for i, a_row in enumerate(left.data):
-        terms = [(x, cleared[k]) for k, x in enumerate(a_row) if x]
+        terms = [(x, cleared[k]) for k, x in enumerate(a_row) if x._numerator]
         if not terms:
             yield None
             continue
-        den = lcm(*[x.denominator * d for x, (_, d) in terms])
+        den = lcm(*[x._denominator * d for x, (_, d) in terms])
         acc = [0] * right.cols
         for x, (b, d) in terms:
-            c = x.numerator * (den // (x.denominator * d))
+            c = x._numerator * (den // (x._denominator * d))
             if c < 0 and signs is not None and signs[0] is None:
                 signs[0] = left.first_negative_entry(i)
             for j, y in b:
@@ -294,16 +294,16 @@ def product_difference(left: Matrix, right: Matrix, target: Matrix, signs=None):
             signs[:] = left.first_negative_entry(), right.first_negative_entry()
         return None
     for i, (sums, t_row) in enumerate(zip(_product_rows(left, right, signs), target.data)):
-        if sums is None and not any(t_row):
+        if sums is None and not any([t._numerator for t in t_row]):
             continue
         acc, den = sums or ((0,) * len(t_row), 1)
         for s, t in zip(acc, t_row):  # where s is 0, t must be: no cross-multiplication
-            if s * t.denominator != t.numerator * den if s else t:
+            if s * t._denominator != t._numerator * den if s else t._numerator:
                 break
         else:
             continue
         j = next(j for j, (s, t) in enumerate(zip(acc, t_row))
-                 if (s * t.denominator != t.numerator * den if s else t))
+                 if (s * t._denominator != t._numerator * den if s else t._numerator))
         if signs is not None and signs[0] is None:
             signs[0] = left.first_negative_entry(i + 1)
         return i, j, Fraction(acc[j], den)

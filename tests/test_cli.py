@@ -3,9 +3,11 @@
 import json
 import logging
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -544,6 +546,25 @@ class TestEntryPoint:
         assert run(["factor", "--input", str(path), "--output", str(tmp_path / "cert.json")]) == 0
         assert capsys.readouterr().err == "warning: unknown NNF_LOG level 'loud'; using off\n"
         assert levels == [logging.CRITICAL + 10]
+
+    @pytest.mark.parametrize("module", ["exactnmf", "exactnmf.cli"])
+    def test_main_module_in_process(self, module, monkeypatch, capsys):
+        """``python -m exactnmf`` and ``python -m exactnmf.cli`` run as
+        ``__main__`` in this process: exit 0 and the subprocess's stdout."""
+        argv = ["selftest", "--iterations", "1", "--seed", "1"]
+        expected = subprocess.run([sys.executable, "-m", module, *argv],
+                                  capture_output=True, text=True, env=cli_env())
+        assert expected.returncode == 0, expected.stderr
+        assert expected.stdout.endswith("selftest: 3/3 checks passed (seed=1, iterations=1)\n")
+        monkeypatch.delenv("NNF_LOG", raising=False)
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with warnings.catch_warnings():
+            # runpy warns that exactnmf.cli is imported already; it runs afresh.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module(module, run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == expected.stdout
 
 
 # -- fuzz: malformed documents through the whole command line ---------------

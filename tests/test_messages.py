@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from exactnmf import ExactNMF, canonical, cyclic
-from exactnmf.canonical import CanonicalParams, canonical_matrix, direct_factor, factor_canonical, step
+from exactnmf.canonical import (CanonicalParams, MonomialMatrix, canonical_matrix, direct_factor,
+                                factor_canonical, step)
 from exactnmf.driver import nn_factor
 from exactnmf.errors import (
     DimensionError,
@@ -18,7 +19,7 @@ from exactnmf.errors import (
     NotAdmissible,
     ParseError,
 )
-from exactnmf.linalg import format_value
+from exactnmf.linalg import Matrix, format_value
 from exactnmf.polygon import polygon_from_points
 from exactnmf.validation import as_point
 
@@ -58,6 +59,26 @@ def test_as_point_names_its_coordinates():
         as_point((1, Fraction(1, 2), 3))
     with pytest.raises(DimensionError, match=r"got \('x'\)$"):
         as_point(["x"])
+
+
+@pytest.mark.parametrize("value, shown", [
+    (Matrix([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]]), "Matrix(2x2: 1/2 0; 3 -2/3)"),
+    (Matrix([[Fraction(10**5000 + 1, 3)]]), "Matrix(1x1: <number of 5002 digits>)"),
+    (MonomialMatrix([1, 0], [Fraction(1, 2), 3]), "MonomialMatrix(perm=(1, 0), scales=(1/2, 3))"),
+    (MonomialMatrix([1, 0], [Fraction(10**5000), 1]),
+     "MonomialMatrix(perm=(1, 0), scales=(<number of 5001 digits>, 1))"),
+    (ExactNMF(), "ExactNMF()"),
+], ids=["matrix", "matrix-past-limit", "monomial", "monomial-past-limit", "estimator"])
+def test_reprs_print_entries_as_messages_do(value, shown):
+    """A repr prints entries with ``format_value``, so an entry past the
+    digit limit shows its digit count where ``str`` would raise."""
+    assert repr(value) == shown
+
+
+def test_monomial_equality_defers_to_other_types():
+    m = MonomialMatrix([1, 0])
+    assert m.__eq__(Matrix.identity(2)) is NotImplemented
+    assert m != "MonomialMatrix" and m == MonomialMatrix([1, 0], [1, 1])
 
 
 # -- the canonical and cyclic sites print the six values ---------------------
