@@ -8,16 +8,17 @@ and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
 
 The section is an integer cone: each vertex is an extreme ray x of the
-cone of nonnegative vectors in the column space.  The rays are ordered
-counterclockwise by sign tests on ints and divided by their gcd, and the
-factoring core takes these bare rays as the vertices: each column is
-located in the fan of cones (0, t, t + 1) over them by integer 3x3
-determinants, and only nonzero weights and output entries become
-Fractions.  Rank 2 is the same on a line, by integer 2x2 determinants
-against the segment's two ends made primitive.  Every kernel reads what
-the rank that chose it kept on the matrix: the cleared columns, and the
-pivot columns that are its basis.  A vertex that no column weighs leaves
-both factors.
+cone of nonnegative vectors in the column space, found on a pair of tight
+rows or read off a column zero on just that pair.  A heptagon's slack
+matrix has one such column per vertex, and each column takes its weights
+by its zero pattern; other columns are located in the fan of cones (0, t,
+t + 1) over the rays by integer 3x3 determinants.  The rays are ordered
+counterclockwise by sign tests on ints and divided by their gcd, and only
+nonzero weights and output entries become Fractions.  Rank 2 is the same
+on a line, by integer 2x2 determinants against the segment's two ends
+made primitive.  Every kernel reads what the rank that chose it kept on
+the matrix: the cleared columns, and the pivot columns that are its
+basis.  A vertex that no column weighs leaves both factors.
 
 ``section_polygon`` and ``convex_coefficients`` show the section in an
 exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
@@ -25,7 +26,7 @@ exact 2-D chart, and only they build one.  ``factor_seven_by_n`` and
 ``nn_factor`` calls their cores, which trust its rank and nonnegativity
 and leave the product to its one closing check.  A 7-vertex section hands
 the cyclic core its primitive rays and the relabeling its tight sets fix,
-and gets its right factor back as integer rows for the fan pass.
+and gets its right factor back as integer rows for the weights pass.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ def _check_seven_rows_rank3(a: Matrix):
     if a.rows != SIZE:
         raise DimensionError(f"expected 7 rows, got {a.rows}")
     check_nonnegative(a)
-    r = rank(a)
-    if r != 3:
+    if (r := rank(a)) != 3:
         raise RankError(f"sectioning requires rank 3, got {r}")
 
 
@@ -90,15 +90,12 @@ def _ccw_order(xs, ys):
     n = len(xs)
     sx, sy = sum(xs), sum(ys)
     offset = [(n * x - sx, n * y - sy) for x, y in zip(xs, ys)]
-
-    def half(dx, dy):
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    half = [0 if dy > 0 or (dy == 0 and dx > 0) else 1 for dx, dy in offset]
 
     def compare(p, q):
+        if half[p] != half[q]:
+            return -1 if half[p] < half[q] else 1
         (px, py), (qx, qy) = offset[p], offset[q]
-        hp, hq = half(px, py), half(qx, qy)
-        if hp != hq:
-            return -1 if hp < hq else 1
         cross = px * qy - py * qx
         if cross == 0:
             raise InternalError("two section vertices share a centroid ray")
@@ -114,7 +111,7 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     no constraint line of their own, so a 7-vertex section always has 7
     distinct constraints.  The chart is c0 / s0 + X u + Y v for the
     basis columns, u = cu / su - c0 / s0 and v = cv / sv - c0 / s0, so
-    the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / sum(B h)."""
+    the ray B h sits at (X, Y) = (h[1] * su, h[2] * sv) / (h . (s0, su, sv))."""
     _check_seven_rows_rank3(a)
     rays, hs, ((c0, s0), (cu, su), (cv, sv)) = _section_rays(a)
     data = tuple(zip(*(tuple(Fraction(t, s) for t in x) for x in rays for s in (sum(x),))))
@@ -122,7 +119,8 @@ def section_polygon(a: Matrix) -> SectionPolygon:
     vertices = tuple(
         SectionVertex((Fraction(h[1] * su, s), Fraction(h[2] * sv, s)), ambient,
                       tuple(i for i, t in enumerate(x) if not t))
-        for x, h, ambient in zip(rays, hs, zip(*vertex_matrix.data)) for s in (sum(x),)
+        for x, h, ambient in zip(rays, hs, zip(*vertex_matrix.data))
+        for s in (h[0] * s0 + h[1] * su + h[2] * sv,)
     )
     return SectionPolygon(
         chart_origin=tuple(Fraction(x, s0) for x in c0),
@@ -136,50 +134,52 @@ def section_polygon(a: Matrix) -> SectionPolygon:
 def _section_rays(a: Matrix):
     """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
     vertex t is the integer ray x = rays[t] at x / sum(x), counterclockwise
-    in the chart of ``section_polygon``, and x = B hs[t] for B with the
-    columns of basis = ((c0, s0), (cu, su), (cv, sv)): the three pivot
-    columns of ``a`` cleared, with their sums.  On nonnegative input they
-    are the first nonzero column, the first column off its line (u) and the
-    first column off their plane (v).  x is not primitive; the factoring
-    core divides it by gcd(x), since the chart reads h with sum(x).
+    in the chart of ``section_polygon``, and a positive multiple of B hs[t]
+    (not primitive), so the chart reads sum(B h) as h . (s0, su, sv).  B
+    has the columns of basis = ((c0, s0), (cu, su), (cv, sv)), the three
+    pivot columns of ``a`` cleared, with their sums: on nonnegative input
+    the first nonzero column, the first column off its line (u) and the
+    first column off their plane (v).
 
     The section is the cone {B h >= 0} cut at unit sum: rows i and j are
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
-    sign.  Zero and proportional rows have a zero cross product.
+    sign; zero and proportional rows have h = 0.  A column zero on just the
+    rows i and j, h != 0, is that vertex, and 7 such pairs are every vertex
+    7 rows allow, so a heptagon's slack matrix scans no row pairs.
     """
     cleared = cleared_columns(a)
     (c0, s0), (cu, su), (cv, sv) = [(c, sum(c)) for c, _ in (cleared[j] for j in pivot_columns(a))]
-
-    # A vertex where more than two rows are tight is met once per pair of
-    # them; distinct vertices have distinct tight sets, so the first is kept.
     rows = list(zip(c0, cu, cv))
-    found = {}
-    for i, b in enumerate(rows):
-        for other in rows[i + 1 :]:
-            h = _cross(b, other)
-            if not any(h):
-                continue
-            x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
-            if min(x) < 0:
-                if max(x) > 0:
-                    continue
-                h, x = [-t for t in h], [-t for t in x]
-            found.setdefault(tuple(map(bool, x)), (x, h))
 
-    if not 3 <= len(found) <= SIZE:
-        raise InternalError(f"section produced {len(found)} vertices; 3 to 7 are possible")
+    # Distinct vertices have distinct tight sets, one ray each: a vertex
+    # where more than two rows are tight is met once per pair of them.
+    pairs = {tuple(map(bool, c)): c for c, _ in cleared if c.count(0) == 2}
+    found = {}
+    for key, c in pairs.items() if len(pairs) >= SIZE else ():
+        i = c.index(0)
+        h = _cross(rows[i], rows[c.index(0, i + 1)])
+        if any(h):  # c is B h times a nonzero scale of the sign of sum(B h)
+            found[key] = c, h if h[0] * s0 + h[1] * su + h[2] * sv > 0 else tuple(-t for t in h)
+    for b, other in combinations(rows, 2) if len(found) < SIZE else ():
+        h = _cross(b, other)
+        if not any(h):
+            continue
+        x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
+        if min(x) < 0:
+            if max(x) > 0:
+                continue
+            h, x = [-t for t in h], [-t for t in x]
+        found.setdefault(tuple(map(bool, x)), (x, h))
+        if len(found) == SIZE:
+            break
     rays, hs = zip(*found.values())
-    # Chart coordinates (h[1] * su, h[2] * sv) / sum(x), times the lcm of the sums.
-    big = lcm(*map(sum, rays))
+    # Chart coordinates (h[1] * su, h[2] * sv) / sum(B h), times the lcm of the sums.
+    totals = [h[0] * s0 + h[1] * su + h[2] * sv for h in hs]
+    big = lcm(*totals)
     order = _ccw_order(*zip(*(
-        (h[1] * su * m, h[2] * sv * m) for x, h in zip(rays, hs) for m in (big // sum(x),)
+        (h[1] * su * m, h[2] * sv * m) for h, total in zip(hs, totals) for m in (big // total,)
     )))
-    rays, hs = [rays[t] for t in order], [hs[t] for t in order]
-    for t, x in enumerate(rays if len(rays) == SIZE else ()):
-        if x.count(0) != 2:
-            raise InternalError(f"vertex {t} of a 7-vertex section has {x.count(0)} "
-                                "tight constraints; exactly 2 are possible")
-    return rays, hs, ((c0, s0), (cu, su), (cv, sv))
+    return [rays[t] for t in order], [hs[t] for t in order], ((c0, s0), (cu, su), (cv, sv))
 
 
 def _fan(w):
@@ -203,12 +203,9 @@ def _fan(w):
             break
     sign = 1 if det > 0 else -1
     spokes = [tuple(sign * y for y in _cross(v[0], vt)) for vt in v]
-    fan = []
-    for t in range(1, len(w) - 1):
-        rim = tuple(sign * y for y in _cross(v[t], v[t + 1]))
-        fan.append(((0, t, t + 1), rim, spokes[t + 1], sum(map(mul, v[0], rim))))
-    if any(d <= 0 for *_, d in fan):
-        raise InternalError("section vertices are not in counterclockwise order")
+    fan = [((0, t, t + 1), rim, spokes[t + 1], sum(map(mul, v[0], rim)))
+           for t in range(1, len(w) - 1)
+           for rim in (tuple(sign * y for y in _cross(v[t], v[t + 1])),)]
 
     (p, q, r), first = rows, spokes[1]
 
@@ -236,20 +233,25 @@ def _convex_weights(rays, cleared, lines) -> Matrix:
     """``m @ W`` in one integer pass, for W the k x n right factor of a
     nonnegative matrix through its k integer rays, and m the matrix with
     rows y / e for (y, e) in ``lines``: the identity, or the cyclic core's
-    right factor.  Column j of W weighs ray i by nums / (det * d) for
-    cleared[j] = (c, d), the column c / d, zero for a zero column, and each
-    entry is one Fraction."""
-    locate = _fan(rays)
-    zero = (_ZERO,) * len(lines)
-    out = []
+    right factor; each entry is one Fraction.  Column j = c / d, s = sum(c),
+    is s / (d * sum(x)) times ray x of a 7-vertex section if it is zero on
+    x's tight rows alone, which fix x; else the fan, built on first need,
+    gives its weights nums / (det * d)."""
+    direct = {tuple(map(bool, x)): (t, sum(x)) for t, x in enumerate(rays) if len(rays) == SIZE}
+    locate, out = None, []
     for c, d in cleared:
         s = sum(c)
         if not s:
-            out.append(zero)
+            out.append((_ZERO,) * len(lines))
             continue
-        (i, j, l), (ni, nj, nl), det = locate(c, s)
-        den = det * d
-        nums = [(r[i] * ni + r[j] * nj + r[l] * nl, e) for r, e in lines]
+        vertex = direct and direct.get(tuple(map(bool, c)))
+        if vertex:
+            t, den = vertex[0], d * vertex[1]
+            nums = [(r[t] * s, e) for r, e in lines]
+        else:
+            locate = locate or _fan(rays)
+            (i, j, l), (ni, nj, nl), det = locate(c, s)
+            den, nums = det * d, [(r[i] * ni + r[j] * nj + r[l] * nl, e) for r, e in lines]
         out.append(tuple(Fraction(n, e * den) if n else _ZERO for n, e in nums))
     return Matrix._raw(tuple(zip(*out)), len(lines), len(cleared))
 
@@ -277,11 +279,9 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
 def factor_seven_by_n(a: Matrix):
     """Factor a nonnegative rank-3 matrix with 7 rows through its section
     polygon.  Returns (left, right, info) with left and right nonnegative,
-    left @ right == a exactly, and inner dimension at most 6.
-
-    A section with k <= 6 vertices yields inner dimension k less its unused
-    vertices; a 7-vertex section factors once more through its cyclic pattern.
-    """
+    left @ right == a exactly, and inner dimension at most 6: k less its
+    unused vertices for a section with k <= 6 vertices, and 6 for a
+    7-vertex section, which factors once more through its cyclic pattern."""
     _check_seven_rows_rank3(a)
     left, right, info = _factor_seven_by_n(a)
     if not is_product(left, right, a):
@@ -301,13 +301,15 @@ def _factor_seven_by_n(a: Matrix):
     k = len(rays)
     if k <= 6:
         right = _convex_weights(rays, cleared, _diagonal_lines((1,) * k))
-        used = [t for t, row in enumerate(right.data) if any(row)]
+        used = [t for t, row in enumerate(right.data) if any([x._numerator for x in row])]
         left = tuple(zip(*(tuple(map(Fraction, rays[t])) for t in used)))
         right = Matrix._raw(tuple(right.data[t] for t in used), len(used), right.cols)
         info = {"method": "section", "vertices": k, "inner_dim": len(used)}
         return Matrix._raw(left, SIZE, len(used)), right, info
     tight = [{i for i, t in enumerate(x) if not t} for x in rays]
     edges = [tight[t] & tight[(t + 1) % SIZE] for t in range(SIZE)]
+    if any(len(edge) != 1 for edge in edges):
+        raise InternalError("consecutive vertices of a 7-vertex section must share one tight row")
     labeling = CyclicLabeling(tuple(min(edge) for edge in edges), tuple(range(SIZE)))
     left, lines, steps, mirrored = _factor_cyclic(rays, labeling)
     info = {"method": "section+cyclic", "vertices": k, "inner_dim": 6,
@@ -345,9 +347,7 @@ def _factor_low_rank(a: Matrix):
         right = Matrix._raw((tuple(Fraction(c[p] * g, d * cb[p]) for c, d in cleared),), 1, a.cols)
         return left, right, {"method": "single-column", "inner_dim": 1}
 
-    # Column j is c / d_j with integer c, and positions on the segment are
-    # compared by cross-multiplication, so only the left factor's entries
-    # and the nonzero weights become Fractions.
+    # Positions on the segment are compared by cross-multiplication.
     sums = [sum(c) for c, _ in cleared]
     kept = [j for j, s in enumerate(sums) if s]
     # The first rows p, q where the 2x2 minor of the basis (c_o, c_u) is

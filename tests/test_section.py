@@ -1,6 +1,7 @@
 """Simplex sectioning, convex coefficients, and the rank dispatchers."""
 
 import functools
+from math import gcd
 from fractions import Fraction
 from typing import Tuple
 
@@ -1273,18 +1274,78 @@ def chunk_inputs(draw):
     return Matrix.from_columns(columns), k
 
 
-@settings(max_examples=150)
-@given(chunk_inputs())
-def test_section_rays_match_chart_code(case):
-    """Ray order and values, tight sets and the public polygon."""
-    a, k = case
-    rays, _, _ = section._section_rays(a)
+def primitive(x):
+    g = gcd(*x)
+    return [t // g for t in x]
+
+
+def assert_rays_match_chart_code(a: Matrix):
+    """The library's section rays against the chart code's pair scan: the
+    same primitive rays in the same order, the same h and tight sets, and
+    the same public polygon.  A library ray may be any positive multiple of
+    B h, so the rays are compared made primitive; the chart code's ray is
+    B h itself, which pins h, since B has rank 3."""
+    rays, hs, ((c0, _), (cu, _), (cv, _)) = section._section_rays(a)
     poly, chart_rays = _section_polygon(a)
-    assert [(x, sum(x)) for x in rays] == chart_rays and len(rays) == k
+    assert [primitive(x) for x in rays] == [primitive(x) for x, _ in chart_rays]
+    assert [[h[0] * p + h[1] * q + h[2] * r for p, q, r in zip(c0, cu, cv)] for h in hs] == [
+        x for x, _ in chart_rays
+    ]
     assert [tuple(i for i, t in enumerate(x) if not t) for x in rays] == [
         v.tight for v in poly.vertices
     ]
     assert section_polygon(a) == poly
+    return rays
+
+
+@settings(max_examples=150)
+@given(chunk_inputs())
+def test_section_rays_match_chart_code(case):
+    """Ray order, primitive values and h, tight sets and the public polygon."""
+    a, k = case
+    assert len(assert_rays_match_chart_code(a)) == k
+
+
+def heptagon_chunks(seed, count):
+    """Seeded heptagon slack matrices, where every column is a vertex ray,
+    and 7-row chunks of n-gon slack matrices (n = 8..20), whose first and
+    last facets meet at a point that is no column: the section is a
+    heptagon with 6 vertex columns, and the other columns lie inside."""
+    rng = SplitMix64(seed)
+    for index in range(count):
+        if index % 2:
+            n = 8 + rng.below(13)
+            rows = slack_matrix(random_convex_polygon(rng, n)).matrix.data
+            start = rng.below(n - 6)
+            yield Matrix(rows[start:start + 7]), n
+        else:
+            yield slack_matrix(random_convex_polygon(rng, 7)).matrix, 7
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_vertex_columns_match_pair_scan(seed):
+    """Rays read off the vertex columns, and the pair scan when the columns
+    show only 6 zero pairs, both equal the chart code's pair scan; the
+    factors equal the chart code's too."""
+    for a, _ in heptagon_chunks(seed, 24):
+        assert len(assert_rays_match_chart_code(a)) == 7
+        assert section._factor_seven_by_n(a) == compact(_factor_seven_by_n(a))
+
+
+def test_heptagon_reads_its_columns(monkeypatch):
+    """A heptagon slack matrix takes at most 7 cross products for its rays,
+    one per vertex column, and builds no fan; a 7-row chunk of an n-gon
+    scans its row pairs and builds the fan for its inner columns."""
+    crosses, fans = [], []
+    cross, fan = section._cross, section._fan
+    monkeypatch.setattr(section, "_cross", lambda s, t: crosses.append(1) or cross(s, t))
+    monkeypatch.setattr(section, "_fan", lambda w: fans.append(1) or fan(w))
+    for a, n in heptagon_chunks(1, 12):
+        del crosses[:], fans[:]
+        section._section_rays(Matrix._raw(a.data, a.rows, a.cols))
+        assert len(crosses) <= 7 if n == 7 else len(crosses) > 7
+        section._factor_seven_by_n(Matrix._raw(a.data, a.rows, a.cols))
+        assert len(fans) == (n > 7)
 
 
 @settings(max_examples=150)

@@ -1,12 +1,13 @@
 """The per-entry passes read a Fraction's slots, not its properties.
 
 The input scan (``driver._strip_zero_lines``), the column clearing behind
-``linalg.cleared_columns``, the product check ``product_difference`` and the
-sign scans ``is_nonnegative`` and ``first_negative_entry`` read each entry's
-``_numerator`` and ``_denominator`` directly: ``numerator``, ``denominator``
-and ``__bool__`` are Python-level calls.  The first test pins what those
-slots hold on every interpreter the suite runs on; the second counts the
-property calls the passes make, which must be none.
+``linalg.cleared_columns``, the product check ``product_difference``, the
+sign scans ``is_nonnegative`` and ``first_negative_entry`` and the section
+core's test for unused vertices read each entry's ``_numerator`` and
+``_denominator`` directly: ``numerator``, ``denominator`` and ``__bool__``
+are Python-level calls.  The first test pins what those slots hold on every
+interpreter the suite runs on; the second counts the property calls the
+passes and the whole fit make, which must be none.
 """
 
 import math
@@ -55,6 +56,16 @@ def mixed_fit_shaped() -> Matrix:
     return Matrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*h)] for row in w])
 
 
+def hexagon_chunk() -> Matrix:
+    """A 7 x 8 rank-3 chunk whose section is a hexagon: a regular hexagon's
+    slack matrix with its first facet row repeated, doubled, and two
+    columns inside the hexagon."""
+    rows = [[0, 0, 1, 2, 2, 1], [1, 0, 0, 1, 2, 2], [2, 1, 0, 0, 1, 2],
+            [2, 2, 1, 0, 0, 1], [1, 2, 2, 1, 0, 0], [0, 1, 2, 2, 1, 0]]
+    rows = [[*row, sum(row[:3]), sum(row[2:])] for row in rows]
+    return Matrix([*rows, [2 * x for x in rows[0]]])
+
+
 @pytest.fixture
 def property_calls(monkeypatch):
     """A Counter of the calls to ``Fraction.numerator``, ``.denominator``
@@ -69,17 +80,20 @@ def property_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["mixed-fit", "heptagon"])
+@pytest.mark.parametrize("kind", ["mixed-fit", "heptagon", "hexagon"])
 def test_per_entry_passes_call_no_fraction_property(kind, property_calls, monkeypatch):
-    """The input scan, the column clearing, the product check of the
-    certificate and the sign scans of both factors, on fresh copies of the
-    input, call none of the three; the counter does see a direct call."""
-    a = mixed_fit_shaped() if kind == "mixed-fit" else Matrix(H7_SLACK_ROWS)
-    fact = nn_factor(a)
-    negative = Matrix._raw(fact.right.data[:-1] + ((Fraction(-1),) + fact.right.data[-1][1:],),
-                           fact.right.rows, fact.right.cols)
+    """The fit, the input scan, the column clearing, the product check of
+    the certificate and the sign scans of both factors, on fresh copies of
+    the input, call none of the three; the counter does see a direct call.
+    Mixed-fit's core and the hexagon chunk take the section core's branch
+    for at most 6 vertices."""
+    a = {"mixed-fit": mixed_fit_shaped, "heptagon": lambda: Matrix(H7_SLACK_ROWS),
+         "hexagon": hexagon_chunk}[kind]()
     property_calls.clear()
 
+    fact = nn_factor(Matrix._raw(a.data, a.rows, a.cols))
+    negative = Matrix._raw(fact.right.data[:-1] + ((Fraction(-1),) + fact.right.data[-1][1:],),
+                           fact.right.rows, fact.right.cols)
     core, zero_rows, zero_cols = _strip_zero_lines(Matrix._raw(a.data, a.rows, a.cols))
     columns = cleared_columns(Matrix._raw(core.data, core.rows, core.cols))
     signs = [None, None]
@@ -96,3 +110,5 @@ def test_per_entry_passes_call_no_fraction_property(kind, property_calls, monkey
     assert len(columns) == core.cols
     if kind == "mixed-fit":
         assert (zero_rows, zero_cols) == ([2, 7], [5]) and {"method": "transpose"} in fact.trace
+    if kind == "hexagon":
+        assert fact.trace == ({"method": "section", "vertices": 6, "inner_dim": 6, "rows": [0, 7]},)
