@@ -15,8 +15,9 @@ CLI subprocesses (``subprocess.run([sys.executable, "-m", "exactnmf", ...])``)
 are not traced, so a line that only they run is reported as unreached.
 
 Tracing makes the suite about three times slower, so tier-1 does not run
-this; the workflow does.  The exit status is pytest's: a failing test
-fails the run, an unreached line does not.
+this; the workflow does.  The exit status is pytest's when a test fails
+(or pytest stops with any other nonzero status); otherwise it is 1 when
+any line is unreached and 0 when every executable line ran.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def main(argv) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{line}")
     print(f"{missed} of {total} executable lines unreached")
-    return int(status)
+    return int(status) or int(missed > 0)
 
 
 if __name__ == "__main__":

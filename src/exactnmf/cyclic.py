@@ -41,8 +41,7 @@ class CyclicLabeling:
 
     @property
     def is_identity(self) -> bool:
-        n = len(self.row_order)
-        return self.row_order == tuple(range(n)) and self.col_order == tuple(range(n))
+        return self.row_order == self.col_order == tuple(range(len(self.row_order)))
 
 
 def _zero_positions(m: Matrix):
@@ -121,9 +120,10 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     The fixed recipe: column 3 is multiplied by M54/M53 and column 5 by
     M24/M25; row 3 by M25/(M24*M35), row 4 by M53/(M43*M54), and each
     remaining row i by 1/Mi4.  The six parameters are then read off at
-    the scaled entries (63, 73, 13, 65, 75, 15), and each column constant
-    is the ratio against the canonical matrix at the first nonzero row,
-    cross-checked at every entry.
+    the scaled entries (63, 73, 13, 65, 75, 15).  Each column constant is
+    the ratio of M to the row-scaled canonical matrix at its first nonzero
+    row; scaling that matrix's columns by the constants, unchecked, so that
+    a zero one fails as InternalError, must give M back.
     """
     labeling = detect_cyclic_labeling(m)
     if not labeling.is_identity:
@@ -135,17 +135,11 @@ def scale_to_canonical(m: Matrix) -> CanonicalReduction:
     # m is the core's integer matrix over its column divisors; the row scales take column 4's.
     columns, divisors = zip(*cleared_columns(m))
     tuple_rows, table, row_nd = _scale_to_canonical(columns, labeling)
-    reference = canonical._matrix(table).data
     rows = [Fraction(n, d * divisors[3]) for n, d in row_nd]
-    cols = [next(m.data[i][j] / (rows[i] * reference[i][j]) for i in range(SIZE) if reference[i][j])
-            for j in range(SIZE)]
-    for i in range(SIZE):
-        for j in range(SIZE):
-            if m.data[i][j] != rows[i] * reference[i][j] * cols[j]:
-                raise InternalError(
-                    f"entry ({i + 1}, {j + 1}) breaks the rescaling identity; "
-                    "input is not rank 3 with this pattern"
-                )
+    scaled = MonomialMatrix.diagonal(rows).apply_left(canonical._matrix(table))
+    cols = [next(x / y for x, y in zip(m.column(j), scaled.column(j)) if y) for j in range(SIZE)]
+    if MonomialMatrix._raw(tuple(range(SIZE)), tuple(cols)).apply_right(scaled) != m:
+        raise InternalError("the rescaling identity fails; input is not rank 3 with this pattern")
     one, row2, row5 = Fraction(1), m.data[1], m.data[4]
     col_scales = [one, one, row5[3] / row5[2], one, row2[3] / row2[4], one, one]
     return CanonicalReduction(

@@ -47,9 +47,10 @@ class NotFittedError(ExactNMFError):
 
 
 class InternalError(ExactNMFError):
-    """A state the theory rules out, such as a section with fewer than 3
-    or more than 7 vertices or a step search past 14 steps: a bug, never
-    a wrong input."""
+    """A state the theory rules out, a bug: a failed 7-vertex edge check, a
+    stepped tuple losing admissibility, a search past 14 steps, a failed
+    closing check.  ``slack_matrix`` of a hand-built ``Polygon`` whose
+    facets do not fit its vertices raises it too."""
 
 
 class ParseError(ExactNMFError):

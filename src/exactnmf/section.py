@@ -269,11 +269,10 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
         raise OutsidePolygon("point does not lie in the section plane")
     # The vertex x / d weighs d times what the integer ray x weighs.
     rays, dens = zip(*cleared_columns(poly.vertex_matrix))
-    weights = _convex_weights(rays, [clear_denominators(target)], _diagonal_lines(dens)).column(0)
-    used = [(w, vert.ambient) for w, vert in zip(weights, poly.vertices) if w]
-    if tuple(sum((w * x[i] for w, x in used), _ZERO) for i in range(len(target))) != target:
+    weights = _convex_weights(rays, [clear_denominators(target)], _diagonal_lines(dens))
+    if not is_product(poly.vertex_matrix, weights, Matrix.from_columns([target])):
         raise InternalError("convex combination does not reproduce the point")
-    return weights
+    return weights.column(0)
 
 
 def factor_seven_by_n(a: Matrix):

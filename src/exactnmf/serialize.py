@@ -149,12 +149,10 @@ def polygon_from_jsonable(obj) -> Polygon:
     vertices = obj["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
         raise ParseError('polygon "vertices" must be a list of [x, y] pairs')
-    points = []
     for entry in vertices:
         if len(entry) != 2:
             raise ParseError(f"vertex {entry!r} is not a coordinate pair")
-        points.append((parse_scalar(entry[0]), parse_scalar(entry[1])))
-    return polygon_from_points(points)
+    return polygon_from_points(_parse_rows(vertices))
 
 
 def certificate_to_jsonable(fact: Factorization) -> dict:
@@ -206,7 +204,7 @@ def formulation_from_jsonable(obj) -> ExtendedFormulation:
         k=obj["k"],
         T=matrix_from_jsonable(obj["T"]),
         C=matrix_from_jsonable(obj["C"]),
-        beta=tuple(parse_scalar(x) for x in obj["beta"]),
+        beta=_parse_rows([obj["beta"]])[0],
         lifts=matrix_from_jsonable(obj["lifts"]),
     )
 

@@ -34,8 +34,10 @@ def check_nonnegative(m: Matrix) -> None:
 
 
 def as_point(value) -> tuple:
-    """Coerce a 2-sequence to an exact point (pair of Fractions), each
-    coordinate read as a matrix entry is (``linalg.as_scalar``)."""
+    """Coerce a 2-sequence other than a string to an exact point (pair of
+    Fractions), each coordinate read as a matrix entry is (``as_scalar``)."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise DimensionError(f"expected a 2-coordinate point, got {value!r}")
     pair = list(value)
     if len(pair) != 2:
         raise DimensionError(f"expected a 2-coordinate point, got ({', '.join(map(format_value, pair))})")

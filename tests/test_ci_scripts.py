@@ -46,15 +46,16 @@ def test_verify_script(tmp_path):
 
 
 def test_unreached_lines_script(tmp_path):
-    """``ci/unreached.py`` over ``tests/test_validation.py`` alone: it names
-    ``as_point``'s refusal, which that file never calls, and not
-    ``as_matrix``'s empty-input refusal, which it does."""
+    """``ci/unreached.py`` over ``tests/test_validation.py`` alone: it exits
+    1, since a partial run leaves lines unreached, and names ``as_point``'s
+    coercion, which that file never calls, and not ``as_matrix``'s
+    empty-input refusal, which it does."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "ci" / "unreached.py"), str(ROOT / "tests" / "test_validation.py"),
          "-q", "-p", "no:cacheprovider"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.returncode == 1, done.stdout + done.stderr
     source = (ROOT / "src" / "exactnmf" / "validation.py").read_text().splitlines()
     line_of = {text.strip(): n for n, text in enumerate(source, 1)}
     unreached = set(done.stdout.splitlines())

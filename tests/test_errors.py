@@ -133,6 +133,10 @@ REFUSALS = [
      "^below\\(\\) needs a positive bound$"),
     ("polygon-of-two", ValueError, lambda: random_convex_polygon(SplitMix64(1), 2),
      "^a polygon needs at least 3 vertices$"),
+    ("point-string", errors.DimensionError, lambda: polygon_from_points(["00", "10", "01"]),
+     "^expected a 2-coordinate point, got '00'$"),
+    ("point-not-iterable", errors.DimensionError, lambda: polygon_from_points([1, 2, 3]),
+     "^expected a 2-coordinate point, got 1$"),
 ]
 
 

@@ -34,7 +34,7 @@ from exactnmf.generate import random_convex_polygon
 from exactnmf.linalg import Matrix
 from exactnmf.polygon import slack_matrix
 from exactnmf.rng import SplitMix64
-from exactnmf.section import factor_low_rank, factor_seven_by_n, section_polygon
+from exactnmf.section import convex_coefficients, factor_low_rank, factor_seven_by_n, section_polygon
 
 from conftest import primitive_columns
 import test_canonical
@@ -144,14 +144,23 @@ def bumped(m):
 
 
 def corrupt(module, core):
-    """The core ``module.core`` made to return a left factor with one
-    entry changed; ``_direct_factor`` returns that table, other cores a
-    tuple that starts with it."""
+    """The core ``module.core`` made to return one entry changed: of the
+    Matrix ``_convex_weights`` returns, of the table ``_direct_factor``
+    returns, of the canonical table, item 1, of ``_scale_to_canonical``'s
+    tuple, and of the left factor, item 0, of every other core's tuple.
+    ``_section_rays`` instead returns its first two rays swapped."""
     real = getattr(module, core)
 
     def bad(*args):
         out = real(*args)
-        return bumped(out) if core == "_direct_factor" else (bumped(out[0]), *out[1:])
+        if core in ("_convex_weights", "_direct_factor"):
+            return bumped(out)
+        if core == "_section_rays":
+            rays = list(out[0])
+            rays[0], rays[1] = rays[1], rays[0]
+            return (rays, *out[1:])
+        at = 1 if core == "_scale_to_canonical" else 0
+        return (*out[:at], bumped(out[at]), *out[at + 1:])
 
     return bad
 
@@ -169,8 +178,16 @@ def test_closing_check_names_the_corrupted_chunk(monkeypatch, h7_slack, module, 
     (canonical, "_direct_factor", lambda s, p, v: factor_cyclic(v)),
     (cyclic, "_factor_cyclic", lambda s, p, v: factor_cyclic(v)),
     (section, "_factor_cyclic", lambda s, p, v: factor_seven_by_n(s)),
+    (cyclic, "_scale_to_canonical", lambda s, p, v: scale_to_canonical(v)),
+    (section, "_convex_weights",
+     lambda s, p, v: convex_coefficients(poly := section_polygon(s), poly.vertices[0].ambient)),
+    (section, "_factor_low_rank", lambda s, p, v: factor_low_rank(Matrix(s.data[:2]))),
+    (section, "_section_rays", lambda s, p, v: factor_seven_by_n(s)),
 ])
 def test_public_wrappers_check_their_cores(monkeypatch, h7_slack, h7_params, module, core, call):
+    """Each wrapper's own guard catches its corrupted core: the product
+    checks, the rescaling identity, the reproduction of the point and the
+    7-vertex edge check each raise InternalError."""
     monkeypatch.setattr(module, core, corrupt(module, core))
     with pytest.raises(InternalError):
         call(h7_slack, h7_params, canonical_matrix(h7_params))
