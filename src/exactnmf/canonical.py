@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import DimensionError, InternalError, NegativeEntryError, NotAdmissible
-from .linalg import Matrix, as_scalar, clear_denominators, format_value, is_certificate
+from .linalg import Matrix, _cross3, as_scalar, clear_denominators, format_value, is_certificate
 
 SIZE = 7
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -146,10 +146,6 @@ class Rank6Certificate:
     right: Matrix
     steps_taken: int
     used_reversal: bool
-
-
-def _cross3(s, t):
-    return (s[1] * t[2] - s[2] * t[1], s[2] * t[0] - s[0] * t[2], s[0] * t[1] - s[1] * t[0])
 
 
 def is_structural_zero(i: int, j: int) -> bool:

@@ -22,6 +22,7 @@ first nonzeros, so ranks and solutions are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -32,6 +33,7 @@ from typing import Iterable, Sequence, Union
 from .errors import DimensionError, ParseError
 
 ScalarLike = Union[Fraction, int, str]
+_NOT_ROWS = (str, bytes, bytearray, Mapping, Set)  # iterable, but not a row of entries
 
 
 # CPython's default limit on int <-> str conversion.  A token within it
@@ -132,8 +134,12 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_pivots", "_columns")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
-        data = tuple(tuple([x if type(x) is Fraction else as_scalar(x) for x in row])
-                     for row in entries)
+        data = []
+        for row in entries:  # lists and tuples skip the ABC tests, which cost more than the row
+            kind = type(row)
+            if kind not in (list, tuple) and (isinstance(row, _NOT_ROWS) or not hasattr(row, "__iter__")):
+                raise DimensionError(f"matrix input must be two-dimensional, not rows of {kind.__name__}")
+            data.append(tuple([x if type(x) is Fraction else as_scalar(x) for x in row]))
         if not data:
             raise DimensionError("use Matrix.zeros(rows, cols) for empty shapes")
         width = len(data[0])
@@ -141,7 +147,7 @@ class Matrix:
             raise DimensionError("rows have unequal lengths")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -243,6 +249,10 @@ class Inconsistency:
     """
 
     row: int
+
+
+def _cross3(s, t):
+    return (s[1] * t[2] - s[2] * t[1], s[2] * t[0] - s[0] * t[2], s[0] * t[1] - s[1] * t[0])
 
 
 def clear_denominators(line):

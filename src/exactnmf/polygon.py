@@ -29,11 +29,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Tuple
 
-from .canonical import _cross3
 from .driver import (Factorization, VerificationReport, inner_dimension_bound, nn_factor,
                      verify_factorization)
 from .errors import CollinearVertices, DuplicateVertices, InternalError, NotConvex
-from .linalg import Matrix, clear_denominators, format_value, rank
+from .linalg import Matrix, _cross3, clear_denominators, format_value, rank
 from .validation import as_point
 
 Point = Tuple[Fraction, Fraction]

@@ -8,13 +8,13 @@ and factors further down to inner dimension 6.  Rank 0, 1 and 2 inputs
 factor directly at their rank.
 
 The section is an integer cone: each vertex is an extreme ray x of the
-cone of nonnegative vectors in the column space, found on a pair of tight
-rows or read off a column zero on just that pair.  A heptagon's slack
-matrix has one such column per vertex, and each column takes its weights
-by its zero pattern; other columns are located in the fan of cones (0, t,
-t + 1) over the rays by integer 3x3 determinants.  The rays are ordered
-counterclockwise by sign tests on ints and divided by their gcd, and only
-nonzero weights and output entries become Fractions.  Rank 2 is the same
+cone of nonnegative vectors in the column space, read off a column zero
+on just two rows or found on a pair of tight rows, and made primitive.
+A column zero on a vertex's tight rows alone is that vertex and takes its
+weights by its zero pattern; other columns are located in the fan of
+cones (0, t, t + 1) over the rays by integer 3x3 determinants.  The rays
+are ordered counterclockwise by sign tests on ints, and only nonzero
+weights and output entries become Fractions.  Rank 2 is the same
 on a line, by integer 2x2 determinants against the segment's two ends
 made primitive.  Every kernel reads what the rank that chose it kept on
 the matrix: the cleared columns, and the pivot columns that are its
@@ -39,11 +39,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Tuple
 
-from .canonical import _cross3 as _cross
 from .cyclic import CyclicLabeling, _factor_cyclic
 from .errors import DimensionError, InternalError, OutsidePolygon, RankError
-from .linalg import (Matrix, clear_denominators, cleared_columns, format_value, is_product,
-                     pivot_columns, rank)
+from .linalg import (Matrix, _cross3 as _cross, clear_denominators, cleared_columns, format_value,
+                     is_product, pivot_columns, rank)
 from .validation import check_nonnegative
 
 SIZE = 7
@@ -133,9 +132,9 @@ def section_polygon(a: Matrix) -> SectionPolygon:
 
 def _section_rays(a: Matrix):
     """(rays, hs, basis) for a matrix that passed _check_seven_rows_rank3:
-    vertex t is the integer ray x = rays[t] at x / sum(x), counterclockwise
-    in the chart of ``section_polygon``, and a positive multiple of B hs[t]
-    (not primitive), so the chart reads sum(B h) as h . (s0, su, sv).  B
+    vertex t is the primitive integer ray x = rays[t] at x / sum(x),
+    counterclockwise in the chart of ``section_polygon``, and a positive
+    multiple of B hs[t], so the chart reads sum(B h) as h . (s0, su, sv).  B
     has the columns of basis = ((c0, s0), (cu, su), (cv, sv)), the three
     pivot columns of ``a`` cleared, with their sums: on nonnegative input
     the first nonzero column, the first column off its line (u) and the
@@ -144,8 +143,8 @@ def _section_rays(a: Matrix):
     The section is the cone {B h >= 0} cut at unit sum: rows i and j are
     tight on the ray h = b_i x b_j (rows of B), a vertex when B h has one
     sign; zero and proportional rows have h = 0.  A column zero on just the
-    rows i and j, h != 0, is that vertex, and 7 such pairs are every vertex
-    7 rows allow, so a heptagon's slack matrix scans no row pairs.
+    rows i and j, h != 0, is that vertex: such pairs are read first, and
+    the scan of the other pairs stops at 7 vertices, the most 7 rows allow.
     """
     cleared = cleared_columns(a)
     (c0, s0), (cu, su), (cv, sv) = [(c, sum(c)) for c, _ in (cleared[j] for j in pivot_columns(a))]
@@ -153,15 +152,17 @@ def _section_rays(a: Matrix):
 
     # Distinct vertices have distinct tight sets, one ray each: a vertex
     # where more than two rows are tight is met once per pair of them.
-    pairs = {tuple(map(bool, c)): c for c, _ in cleared if c.count(0) == 2}
+    named = {(i, c.index(0, i + 1)): c for c, _ in cleared if c.count(0) == 2 for i in (c.index(0),)}
     found = {}
-    for key, c in pairs.items() if len(pairs) >= SIZE else ():
-        i = c.index(0)
-        h = _cross(rows[i], rows[c.index(0, i + 1)])
+    for (i, j), c in named.items():
+        h = _cross(rows[i], rows[j])
         if any(h):  # c is B h times a nonzero scale of the sign of sum(B h)
-            found[key] = c, h if h[0] * s0 + h[1] * su + h[2] * sv > 0 else tuple(-t for t in h)
-    for b, other in combinations(rows, 2) if len(found) < SIZE else ():
-        h = _cross(b, other)
+            h = h if h[0] * s0 + h[1] * su + h[2] * sv > 0 else tuple(-t for t in h)
+            found[tuple(map(bool, c))] = [t // g for g in (gcd(*c),) for t in c], h
+    for i, j in (pair for pair in combinations(range(len(rows)), 2) if pair not in named):
+        if len(found) == SIZE:
+            break
+        h = _cross(rows[i], rows[j])
         if not any(h):
             continue
         x = [h[0] * r0 + h[1] * r1 + h[2] * r2 for r0, r1, r2 in rows]
@@ -169,9 +170,7 @@ def _section_rays(a: Matrix):
             if max(x) > 0:
                 continue
             h, x = [-t for t in h], [-t for t in x]
-        found.setdefault(tuple(map(bool, x)), (x, h))
-        if len(found) == SIZE:
-            break
+        found.setdefault(tuple(map(bool, x)), ([t // g for g in (gcd(*x),) for t in x], h))
     rays, hs = zip(*found.values())
     # Chart coordinates (h[1] * su, h[2] * sv) / sum(B h), times the lcm of the sums.
     totals = [h[0] * s0 + h[1] * su + h[2] * sv for h in hs]
@@ -234,20 +233,18 @@ def _convex_weights(rays, cleared, lines) -> Matrix:
     nonnegative matrix through its k integer rays, and m the matrix with
     rows y / e for (y, e) in ``lines``: the identity, or the cyclic core's
     right factor; each entry is one Fraction.  Column j = c / d, s = sum(c),
-    is s / (d * sum(x)) times ray x of a 7-vertex section if it is zero on
-    x's tight rows alone, which fix x; else the fan, built on first need,
-    gives its weights nums / (det * d)."""
-    direct = {tuple(map(bool, x)): (t, sum(x)) for t, x in enumerate(rays) if len(rays) == SIZE}
+    is s / (d * sum(x)) times ray x if it is zero on x's tight rows alone,
+    which fix x, an extreme ray with unique weights; else the fan, built on
+    first need, gives its weights nums / (det * d)."""
+    direct = {tuple(map(bool, x)): (t, sum(x)) for t, x in enumerate(rays)}
     locate, out = None, []
     for c, d in cleared:
         s = sum(c)
         if not s:
             out.append((_ZERO,) * len(lines))
             continue
-        vertex = direct and direct.get(tuple(map(bool, c)))
-        if vertex:
-            t, den = vertex[0], d * vertex[1]
-            nums = [(r[t] * s, e) for r, e in lines]
+        if vertex := direct.get(tuple(map(bool, c))):
+            den, nums = d * vertex[1], [(r[vertex[0]] * s, e) for r, e in lines]
         else:
             locate = locate or _fan(rays)
             (i, j, l), (ni, nj, nl), det = locate(c, s)
@@ -262,7 +259,7 @@ def convex_coefficients(poly: SectionPolygon, point: Sequence) -> Tuple[Fraction
     located by fan triangulation from vertex 0).  A point off the plane
     (its sum is not 1, or it raises the vertex matrix's rank) or outside
     the polygon raises OutsidePolygon."""
-    target = tuple(Fraction(x) for x in point)
+    target = Matrix([point]).data[0]
     if len(target) != len(poly.chart_origin):
         raise DimensionError("point dimension does not match the section")
     if sum(target) != 1 or rank(Matrix.from_columns([*poly.vertex_matrix.columns(), target])) != 3:
@@ -291,12 +288,12 @@ def factor_seven_by_n(a: Matrix):
 def _factor_seven_by_n(a: Matrix):
     """``factor_seven_by_n`` for a matrix that passed _check_seven_rows_rank3,
     with no product check or chart, on the columns its rank was computed
-    from, through the primitive rays x // gcd(x) themselves as vertices.
+    from, through the primitive rays of ``_section_rays`` as vertices.
     Counterclockwise vertices t and t + 1 of a 7-vertex section share one
     tight row, their edge, which the labeling puts at t, as
     ``detect_cyclic_labeling`` does on the vertex matrix."""
     cleared = cleared_columns(a)
-    rays = [[t // g for t in x] for x in _section_rays(a)[0] for g in (gcd(*x),)]
+    rays = _section_rays(a)[0]
     k = len(rays)
     if k <= 6:
         right = _convex_weights(rays, cleared, _diagonal_lines((1,) * k))

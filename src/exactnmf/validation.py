@@ -17,11 +17,8 @@ def as_matrix(data) -> Matrix:
         return data
     if hasattr(data, "tolist"):
         data = data.tolist()
-    rows = list(data)
-    if not rows:
+    if not (rows := list(data)):
         raise DimensionError("matrix input is empty")
-    if not all(hasattr(r, "__iter__") and not isinstance(r, str) for r in rows):
-        raise DimensionError("matrix input must be two-dimensional")
     return Matrix(rows)
 
 

@@ -137,6 +137,19 @@ REFUSALS = [
      "^expected a 2-coordinate point, got '00'$"),
     ("point-not-iterable", errors.DimensionError, lambda: polygon_from_points([1, 2, 3]),
      "^expected a 2-coordinate point, got 1$"),
+    ("rows-of-bytes", errors.DimensionError, lambda: nn_factor([b"12", b"34"]),
+     "^matrix input must be two-dimensional, not rows of bytes$"),
+    ("rows-of-strings", errors.DimensionError, lambda: Matrix(["12", "34"]),
+     "^matrix input must be two-dimensional, not rows of str$"),
+    ("row-mapping", errors.DimensionError, lambda: nn_factor([{1: 2, 3: 4}]),
+     "^matrix input must be two-dimensional, not rows of dict$"),
+    ("row-set", errors.DimensionError, lambda: ExactNMF().fit([{1, 2}, {3, 4}]),
+     "^matrix input must be two-dimensional, not rows of set$"),
+    ("row-not-iterable", errors.DimensionError, lambda: Matrix([[1, 2], 3]),
+     "^matrix input must be two-dimensional, not rows of int$"),
+    ("convex-coefficients-point-string", errors.DimensionError,
+     lambda: convex_coefficients(h7_section(), "1000000"),
+     "^matrix input must be two-dimensional, not rows of str$"),
 ]
 
 

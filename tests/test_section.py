@@ -1332,20 +1332,93 @@ def test_vertex_columns_match_pair_scan(seed):
         assert section._factor_seven_by_n(a) == compact(_factor_seven_by_n(a))
 
 
-def test_heptagon_reads_its_columns(monkeypatch):
-    """A heptagon slack matrix takes at most 7 cross products for its rays,
-    one per vertex column, and builds no fan; a 7-row chunk of an n-gon
-    scans its row pairs and builds the fan for its inner columns."""
+def count_calls(monkeypatch):
+    """Lists that grow by one entry per call of ``section._cross`` and of
+    ``section._fan`` while the patch holds."""
     crosses, fans = [], []
     cross, fan = section._cross, section._fan
     monkeypatch.setattr(section, "_cross", lambda s, t: crosses.append(1) or cross(s, t))
     monkeypatch.setattr(section, "_fan", lambda w: fans.append(1) or fan(w))
+    return crosses, fans
+
+
+def test_heptagon_reads_its_columns(monkeypatch):
+    """A heptagon slack matrix takes 7 cross products for its rays, one per
+    vertex column, and builds no fan.  A 7-row chunk of an n-gon reads its
+    6 vertex columns, 6 cross products, then scans the other row pairs
+    from (0, 2) and stops at (0, 6), where its first and last facets meet:
+    5 more, not the 21 of a scan over every pair.  It builds the fan for
+    its inner columns."""
+    crosses, fans = count_calls(monkeypatch)
     for a, n in heptagon_chunks(1, 12):
         del crosses[:], fans[:]
         section._section_rays(Matrix._raw(a.data, a.rows, a.cols))
-        assert len(crosses) <= 7 if n == 7 else len(crosses) > 7
+        assert len(crosses) == (7 if n == 7 else 11)
         section._factor_seven_by_n(Matrix._raw(a.data, a.rows, a.cols))
         assert len(fans) == (n > 7)
+
+
+def vertex_column_sections():
+    """7-row matrices with at most 6 section vertices whose nonzero columns
+    are all vertex columns, one of them twice: unit columns (a triangle
+    whose vertices are tight on 6 rows), and a pentagon and a hexagon
+    slack matrix with facet rows repeated (a vertex on a repeated facet is
+    tight on 3 rows), each with a zero column, as (matrix, vertex count)."""
+    rng = SplitMix64(31)
+    pentagon = slack_matrix(random_convex_polygon(rng, 5)).matrix.data
+    hexagon = slack_matrix(random_convex_polygon(rng, 6)).matrix.data
+    units = identity_columns(3).data
+    for rows, k in ((units, 3), ([*pentagon, pentagon[0], pentagon[3]], 5), ([*hexagon, hexagon[2]], 6)):
+        columns = list(zip(*rows))
+        columns += [tuple(3 * x for x in columns[1]), (0,) * 7]
+        yield Matrix.from_columns(columns), k
+
+
+def test_small_sections_read_their_vertex_columns(monkeypatch):
+    """A section with at most 6 vertices reads each vertex column off its
+    tight rows and builds no fan; the factors equal the chart code's, whose
+    fan gives a vertex its unique weights."""
+    _, fans = count_calls(monkeypatch)
+    for a, k in vertex_column_sections():
+        left, right, info = section._factor_seven_by_n(Matrix._raw(a.data, a.rows, a.cols))
+        assert info["vertices"] == k and not fans
+        assert (left, right, info) == compact(_factor_seven_by_n(a))
+
+
+def sparse_rank3_chunks(seed, count):
+    """7-row chunks shaped like the estimator's sparse inputs: W @ H with W
+    7 x 3 and H 3 x n (n = 3..14), each entry zero with probability 2/3,
+    else k/d over 144 for k in 1..8 and d in 1..4; no W row is zero, H may
+    have zero columns, and only rank 3 products are kept.  Most sections
+    are triangles and quadrilaterals, with a vertex column now and then."""
+    rng = SplitMix64(seed)
+
+    def line(length):
+        return [0 if rng.below(3) else Fraction((1 + rng.below(8)) * 12 // (1 + rng.below(4)), 144)
+                for _ in range(length)]
+
+    while count:
+        w = []
+        while len(w) < 7:
+            row = line(3)
+            if any(row):
+                w.append(row)
+        n = 3 + rng.below(12)
+        a = Matrix(w) @ Matrix([line(n) for _ in range(3)])
+        if rank(a) == 3:
+            count -= 1
+            yield a
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_sparse_chunk_weights_match_oracle(seed):
+    """On sparse 7-row chunks the weights, read off vertex columns or
+    located in the fan, equal the chart code's fan weights, and the core's
+    factors equal the chart code's."""
+    for a in sparse_rank3_chunks(seed, 60):
+        rays, _, _ = section._section_rays(a)
+        assert vertex_weights(rays, cleared(a)) == _convex_weights(_section_polygon(a)[0], a)
+        assert section._factor_seven_by_n(a) == compact(_factor_seven_by_n(a))
 
 
 @settings(max_examples=150)

@@ -1,6 +1,7 @@
-"""``validation.as_matrix``'s guards on outside input: an empty or
-one-dimensional input is refused before any entry is converted, and an
-array with ``tolist`` is read as its nested lists."""
+"""``validation.as_matrix``'s guards on outside input: an empty input is
+refused before any entry is converted, a one-dimensional one by the row
+check of ``Matrix``, and an array with ``tolist`` is read as its nested
+lists."""
 
 import pytest
 
