@@ -10,17 +10,17 @@ strictly positive.
 This module provides the admissibility test, the reversal symmetry, the
 period-7 rescaling step with its two monomial conjugators, and the explicit
 inner-dimension-6 nonnegative factorization that the step search always
-reaches.
+reaches.  A tuple is tested where it enters: the step keeps a tuple
+admissible, so no tuple it makes is tested again.
 
-All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i)
-= clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and
-factor entries (num, den) pairs.  The direct factor's core builds its
-left table alone.  Assembly scales each left column to a primitive
-integer vector, the only Fractions it builds, and reads the right factor
-off the target and that left factor by ``_SOLVE``, as ``direct_factor``
-does, as integer rows over one denominator each for the fan pass.  The
-public functions are checked converters between these forms and
-CanonicalParams, MonomialMatrix, Matrix.
+All of it runs on ints: a tuple is its primitive base rows (A_i, D_i, B_i) =
+clear_denominators((a_i, 1, b_i)), monomials are (perm, nums, dens) and factor
+entries (num, den) pairs.  The direct factor's core builds its left table
+alone.  Assembly scales each left column to a primitive integer vector, the
+only Fractions it builds, and reads the right factor off the target and that
+left factor by ``_SOLVE``, as ``direct_factor`` does, as integer rows over one
+denominator each for the fan pass.  The public functions are checked
+converters between these forms and CanonicalParams, MonomialMatrix, Matrix.
 """
 
 from __future__ import annotations
@@ -244,10 +244,9 @@ def step(params: CanonicalParams):
     q2 positive monomial matrices.  The step has period 7.
 
     Raises NotAdmissible when ``params`` is not admissible (the divisors
-    below are then not guaranteed nonzero) and InternalError if the
-    stepped tuple unexpectedly fails admissibility.
+    below are then not guaranteed nonzero).
     """
-    nxt, _, *qs = _step(_checked(params, _STEP_REQUIRES)[0])
+    nxt, *qs = _step(_checked(params, _STEP_REQUIRES)[0])
     return (_params(nxt), *(MonomialMatrix._raw(p, tuple(map(Fraction, n, d))) for p, n, d in qs))
 
 
@@ -264,10 +263,10 @@ def _primitive(x, y, z):
 
 
 def _step(rows):
-    """``step`` on a tuple its caller proved admissible (so C = D3 - B3 and
-    A1, A2, A3 are positive): (next tuple, its ``_admissible`` table, q1, q2).
-    Next row i is (a_i', 1, b_i') times C D3 (i = 1) or A_{i-1} C D3, made
-    primitive.  Tests only the tuple it makes, which the next step divides by."""
+    """``step`` on an admissible tuple (so C = D3 - B3 and A1, A2, A3 are
+    positive): (next tuple, q1, q2).  Next row i is (a_i', 1, b_i') times
+    C D3 (i = 1) or A_{i-1} C D3, made primitive.  Tests nothing: the step
+    maps an admissible tuple to an admissible one."""
     (A1, D1, B1), (A2, D2, B2), (A3, D3, B3) = rows
     C = D3 - B3
     nxt = (
@@ -275,21 +274,18 @@ def _step(rows):
         _primitive((A1 * C - A3 * (D1 - B1)) * D3, A1 * C * D3, A3 * D1 * C),
         _primitive((A2 * C - A3 * (D2 - B2)) * D3, A2 * C * D3, A3 * D2 * C),
     )
-    table = _admissible(nxt)
-    if table is None:
-        raise InternalError(f"stepped tuple lost admissibility: {_params(rows)} -> {_params(nxt)}")
     # q1 = (1, 1, 1/c, 1/a3, 1/a3, a1/a3, a2/a3) and
     # q2 = (a1 a2 c/a3, a2 c, a3 c, a3, 1, c/a3, a1 c/a3) for c = C / D3.
     q1 = ((1, 2, 3, 4, 5, 6, 0), (1, 1, D3, D3, D3, A1 * D3, A2 * D3),
           (1, 1, C, A3, A3, D1 * A3, D2 * A3))
     q2 = ((6, 0, 1, 2, 3, 4, 5), (A1 * A2 * C, A2 * C, A3 * C, A3, 1, C, A1 * C),
           (D1 * D2 * A3, D2 * D3, D3 * D3, D3, 1, A3, D1 * A3))
-    return nxt, table, q1, q2
+    return nxt, q1, q2
 
 
 def orbit(params: CanonicalParams, t: int) -> CanonicalParams:
     """t-fold application of the step; the orbit closes after 7 steps.  One
-    admissibility test, as ``step``'s, then each step tests what it makes."""
+    admissibility test, as ``step``'s, of ``params`` alone."""
     if t < 0:
         raise ValueError("orbit index must be nonnegative")
     if t == 0:
@@ -408,25 +404,23 @@ def factor_canonical(params: CanonicalParams) -> Rank6Certificate:
 
 
 def _factor_canonical(rows, table):
-    """The search of ``factor_canonical`` on an integer tuple its caller
-    proved admissible, ``table`` its ``_admissible`` table: (q_left, left,
-    q_right, steps, mirrored), canonical(rows) == q_left @ left @ right @ Q
-    for the direct factor's tables where the search stopped, the step and
-    mirror monomials composed, and q_right the permutation of Q."""
+    """The search of ``factor_canonical`` on an admissible integer tuple and
+    its ``_admissible`` table: (q_left, left, q_right, steps, mirrored),
+    canonical(rows) == q_left @ left @ right @ Q for the direct factor's
+    tables where it stops, the step and mirror monomials composed, q_right
+    Q's permutation.  Tests nothing; a stop off ``rows`` builds its own table."""
     for mirrored in (False, True):
         # The mirror of rows (A_i, D_i, B_i), i = 1, 2, 3 is (B_i, D_i, A_i), i = 3, 2, 1.
         current = tuple(r[::-1] for r in reversed(rows)) if mirrored else rows
-        vm = _dets(current) if mirrored else table
         q_left, q_right = _UNIT, _UNIT[0]
         for t in range(7):
             if _middle_min(current):
                 if mirrored:
                     q_left = _compose((_REVERSAL_ROWS,) + _UNIT[1:], q_left)
                     q_right = tuple(_REVERSAL_COLS[p] for p in q_right)
+                vm = table if current is rows else _dets(current)
                 return q_left, _direct_factor(current, vm), q_right, t, mirrored
-            if t == 6:
-                break  # a seventh step closes the period
-            current, vm, q1, q2 = _step(current)
+            current, q1, q2 = _step(current)
             # canonical(rows) == q_left @ canonical(current) @ Q
             q_left, q_right = _compose(q_left, q1), tuple(q_right[p] for p in q2[0])
     raise InternalError(

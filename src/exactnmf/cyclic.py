@@ -155,8 +155,8 @@ def _scale_to_canonical(columns, labeling: CyclicLabeling):
     its caller proved rank 3 and, relabeled by ``labeling``, in the canonical
     pattern: (rows, table, row_nd), relabeled M == diag(row_nd) @ table @ K
     for the integer tuple ``rows``, its ``_admissible`` table, (num, den) row
-    scales and a positive diagonal K.  Tests admissibility, which the theory
-    guarantees and later steps divide by."""
+    scales and a positive diagonal K.  Tests admissibility: the canonical
+    search's one test, which the theory guarantees and its steps divide by."""
     row_order, col_order = labeling.row_order, labeling.col_order
     x = lambda i, j: columns[col_order[j - 1]][row_order[i - 1]]  # noqa: E731 - 1-based
     # The recipe scales column 3 by M54 / M53 and column 5 by M24 / M25, so

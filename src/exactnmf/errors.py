@@ -48,7 +48,7 @@ class NotFittedError(ExactNMFError):
 
 class InternalError(ExactNMFError):
     """A state the theory rules out, a bug: a failed 7-vertex edge check, a
-    stepped tuple losing admissibility, a search past 14 steps, a failed
+    rescaled tuple that is not admissible, a search past 14 steps, a failed
     closing check.  ``slack_matrix`` of a hand-built ``Polygon`` whose
     facets do not fit its vertices raises it too."""
 

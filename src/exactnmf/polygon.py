@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 
 from .driver import (Factorization, VerificationReport, inner_dimension_bound, nn_factor,
                      verify_factorization)
-from .errors import CollinearVertices, DuplicateVertices, InternalError, NotConvex
+from .errors import CollinearVertices, DimensionError, DuplicateVertices, InternalError, NotConvex
 from .linalg import Matrix, _cross3, clear_denominators, format_value, rank
 from .validation import as_point
 
@@ -85,6 +85,8 @@ def polygon_from_points(points: Sequence) -> Polygon:
     clockwise walk is reversed.  Duplicate vertices, collinear triples,
     non-convex and self-wrapping walks are rejected.
     """
+    if not hasattr(points, "__iter__"):
+        raise DimensionError(f"polygon input must be two-dimensional, not {type(points).__name__}")
     vertices = [as_point(p) for p in points]
     n = len(vertices)
     if n < 3:

@@ -17,6 +17,8 @@ def as_matrix(data) -> Matrix:
         return data
     if hasattr(data, "tolist"):
         data = data.tolist()
+    if not hasattr(data, "__iter__"):
+        raise DimensionError(f"matrix input must be two-dimensional, not {type(data).__name__}")
     if not (rows := list(data)):
         raise DimensionError("matrix input is empty")
     return Matrix(rows)

@@ -642,17 +642,19 @@ def scales_of(q):
 @given(admissible_tuples())
 def test_integer_tuple_and_step_match_fraction_code(p):
     """The integer rows, admissibility, middle-min test, step and its q
-    scales against the Fraction code, and the step's rows primitive."""
+    scales against the Fraction code, the step's rows primitive, and every
+    stepped tuple admissible, as the step lemma says."""
     rows = canonical._rows(p)
     assert all(d > 0 and gcd(a, d, b) == 1 for a, d, b in rows)
     assert canonical._params(rows) == p
     assert canonical._admissible(rows) is not None and fraction_is_admissible(p)
     assert canonical._middle_min(rows) == fraction_middle_min(p) == middle_min_condition(p)
     for _ in range(7):
-        nxt, table, q1, q2 = canonical._step(rows)
+        nxt, q1, q2 = canonical._step(rows)
         expected, e1, e2 = fraction_step(p)
         assert canonical._params(nxt) == expected and nxt == canonical._rows(expected)
-        assert canonical._matrix(table) == fraction_canonical_matrix(expected)
+        assert canonical._admissible(nxt) is not None
+        assert canonical._matrix(canonical._dets(nxt)) == fraction_canonical_matrix(expected)
         assert scales_of(q1) == (e1.perm, e1.scales) and scales_of(q2) == (e2.perm, e2.scales)
         assert canonical._middle_min(nxt) == fraction_middle_min(expected)
         rows, p = nxt, expected
@@ -673,7 +675,7 @@ def test_integer_direct_factor_matches_fraction_code(p):
             expected = fraction_direct_factor(p, fraction_canonical_matrix(p))
             assert canonical._matrix(left) == expected[0]
             assert direct_factor(p) == Rank6Certificate(*expected, 0, False)
-        rows, _, _, _ = canonical._step(rows)
+        rows, _, _ = canonical._step(rows)
         p, _, _ = fraction_step(p)
     cert = factor_canonical(p)
     assert cert == compacted(fraction_certificate(p))

@@ -147,6 +147,14 @@ REFUSALS = [
      "^matrix input must be two-dimensional, not rows of set$"),
     ("row-not-iterable", errors.DimensionError, lambda: Matrix([[1, 2], 3]),
      "^matrix input must be two-dimensional, not rows of int$"),
+    ("nn-factor-int", errors.DimensionError, lambda: nn_factor(5),
+     "^matrix input must be two-dimensional, not int$"),
+    ("nn-factor-none", errors.DimensionError, lambda: nn_factor(None),
+     "^matrix input must be two-dimensional, not NoneType$"),
+    ("fit-int", errors.DimensionError, lambda: ExactNMF().fit(5),
+     "^matrix input must be two-dimensional, not int$"),
+    ("polygon-int", errors.DimensionError, lambda: polygon_from_points(5),
+     "^polygon input must be two-dimensional, not int$"),
     ("convex-coefficients-point-string", errors.DimensionError,
      lambda: convex_coefficients(h7_section(), "1000000"),
      "^matrix input must be two-dimensional, not rows of str$"),

@@ -94,14 +94,6 @@ def test_checked_prints_the_tuple():
         step(CanonicalParams.of(0, 0, 0, 0, 0, 0))
 
 
-def test_step_prints_both_tuples():
-    rows = canonical._rows(CanonicalParams.of(1, 1, 1, 0, 0, 0))
-    with pytest.raises(InternalError) as info:
-        canonical._step(rows)
-    assert str(info.value) == \
-        "stepped tuple lost admissibility: (1, 1, 1, 0, 0, 0) -> (0, 0, 0, 1, 1, 1)"
-
-
 def test_direct_factor_prints_the_tuple(monkeypatch):
     monkeypatch.setattr(canonical, "is_certificate", never)
     with pytest.raises(InternalError) as info:

@@ -75,23 +75,46 @@ def count_calls(monkeypatch, name):
 
 def test_heptagon_call_counts(monkeypatch):
     """Per heptagon: one product check (the closing one's sparse row sum),
-    one elimination, one integer admissibility test per tuple the search
-    meets (the start and each stepped tuple), and determinants built only
-    there: the factored tuple's come from its test, never a second time."""
+    one elimination and one integer admissibility test, of the tuple where
+    it enters the search; no stepped tuple is tested.  Determinants are
+    built once more only where a search stops past its start tuple: a
+    search that stops there reads the table of its test."""
     matrices = heptagons()
     counts = {name: count_calls(monkeypatch, name)
               for name in ("product_difference", "_eliminate", "_admissible", "_dets")}
     traces = [nn_factor(m).trace for m in matrices]
     records = [record for trace in traces for record in trace]
     assert {record["method"] for record in records} == {"section+cyclic"}
-    steps = [r["search_steps"] + (6 if r["mirrored"] else 0) for r in records]
+    moved = sum(bool(r["search_steps"] or r["mirrored"]) for r in records)
     n = len(matrices)
     assert len(counts["product_difference"]) == n
     assert len(counts["_eliminate"]) == n
-    assert len(counts["_admissible"]) == n + sum(steps)
-    assert counts["_dets"] == counts["_admissible"]
+    assert len(counts["_admissible"]) == n
+    assert 0 < moved < n and len(counts["_dets"]) == n + moved
     tested = [rows for (rows,) in counts["_admissible"]]
     assert len(set(tested)) == len(tested)  # no tuple tested twice
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_step_keeps_the_workload_tuples_admissible(monkeypatch, seed):
+    """The step lemma on the tuples the heptagon path enters the search
+    with, which no run-time test guards: for 300 heptagons of each seed,
+    every tuple of the 7-step orbit of the ``_scale_to_canonical`` tuple,
+    and of its mirror, is admissible, and each orbit returns to its start."""
+    entered = []
+    real = cyclic._scale_to_canonical
+    monkeypatch.setattr(cyclic, "_scale_to_canonical",
+                        lambda *args: entered.append(real(*args)) or entered[-1])
+    for m in heptagons(seed, 300):
+        nn_factor(m)
+    assert len(entered) == 300
+    for rows, _, _ in entered:
+        for start in (rows, tuple(r[::-1] for r in reversed(rows))):
+            current = start
+            for _ in range(7):
+                current = canonical._step(current)[0]
+                assert canonical._admissible(current) is not None
+            assert current == start
 
 
 def test_heptagon_path_builds_no_fraction_tuple(monkeypatch):
